@@ -36,23 +36,22 @@
 //! Session-surface cases additionally re-check the never-brick
 //! invariant: the device must still `boot_to_fixed_point` afterwards.
 //!
-//! Exploration fans out across threads with the same shard-merge
-//! discipline as the chaos explorer: each case charges a private tracer,
-//! merged in case-index order, so reports and trace bytes are identical
-//! for any thread count. Violations shrink to the smallest failing
-//! mutation index and emit a one-line `adversary_explore --repro`
-//! command.
+//! Exploration fans out across threads through
+//! [`upkit_core::parallel::map_traced`]: each case charges a private
+//! tracer, merged in case-index order, so reports and trace bytes are
+//! identical for any thread count. Violations shrink to the smallest
+//! failing mutation index and emit a one-line `adversary_explore
+//! --repro` command.
 
 #![warn(missing_docs)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use upkit_compress::LzssError;
 use upkit_core::agent::{AgentError, AgentPhase, UpdatePlan};
 use upkit_core::components::check_record_signatures;
 use upkit_core::keys::TrustAnchors;
+use upkit_core::parallel::map_traced;
 use upkit_crypto::backend::TinyCryptBackend;
 use upkit_delta::blockdiff::{self, BlockDiffError};
 use upkit_delta::{FramedDiffOptions, FramedPatcher, PatchError, StreamPatcher};
@@ -70,7 +69,7 @@ use upkit_net::{
 use upkit_sim::failure::{update_world, world_geometry, UpdateWorld, WorldConfig, WorldMode};
 use upkit_sim::scenario::DEVICE_ID;
 use upkit_sim::FirmwareGenerator;
-use upkit_trace::{Counters, CountersSnapshot, Event, MemorySink, TraceRecord, Tracer};
+use upkit_trace::{Counters, Event, Tracer};
 
 pub use upkit_chaos_labels::{mode_from_label, mode_label};
 
@@ -1132,48 +1131,21 @@ pub fn explore_traced(config: &AdversaryConfig, tracer: &Tracer) -> AdversaryRep
         })
         .collect();
 
-    type Slot = Mutex<Option<(CaseResult, CountersSnapshot, Vec<TraceRecord>)>>;
-    let slots: Vec<Slot> = (0..cases.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(surface, case)) = cases.get(index) else {
-                    break;
-                };
-                let sink = Arc::new(MemorySink::new());
-                let case_tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
-                let result = run_case(
-                    &config.scenario,
-                    &baseline,
-                    surface,
-                    case,
-                    config.max_boots,
-                    &case_tracer,
-                );
-                let snapshot = case_tracer.counters().snapshot();
-                *slots[index].lock().expect("result slot poisoned") =
-                    Some((result, snapshot, sink.drain()));
-            });
-        }
-    })
-    .expect("adversary workers do not panic");
-
-    // Merge in case-index order: the parent trace is independent of
-    // which worker ran which case.
-    let mut results = Vec::with_capacity(cases.len());
-    for slot in &slots {
-        let (result, snapshot, records) = slot
-            .lock()
-            .expect("result slot poisoned")
-            .take()
-            .expect("every case ran");
-        tracer.absorb(&snapshot, &records);
-        results.push(result);
-    }
+    let results = map_traced(
+        &cases,
+        config.threads,
+        tracer,
+        |_, &(surface, index), case| {
+            run_case(
+                &config.scenario,
+                &baseline,
+                surface,
+                index,
+                config.max_boots,
+                case,
+            )
+        },
+    );
 
     AdversaryReport {
         scenario: config.scenario,

@@ -4,7 +4,7 @@
 //! stages, cohort targeting, health monitoring — over 100k lite devices at
 //! 1, 2, and 8 worker threads, then a single 1M-device run for peak
 //! throughput. Reports and counters must be byte-identical across thread
-//! counts (the bounded-skew virtual clock guarantees it; this bin asserts
+//! counts (the virtual-clock decisions guarantee it; this bin asserts
 //! it). Results go to `BENCH_campaign.json`.
 //!
 //! Wall-clock entries record the actual thread count and the machine's

@@ -29,8 +29,8 @@
 //! | [`FaultClass::BitFlip`] | op is cut AND a bit of its first byte reads back wrong |
 //! | [`FaultClass::DoubleCut`] | clean cut, and a second cut on the first recovery write |
 //!
-//! Exploration fans out across threads with the same shard-merge
-//! discipline as the fleet simulator: each case runs with a private
+//! Exploration fans out across threads through
+//! [`upkit_core::parallel::map_traced`]: each case runs with a private
 //! tracer, and results are merged in case-index order, so the report,
 //! the counter totals, and the trace byte stream are identical for any
 //! thread count.
@@ -41,13 +41,11 @@
 
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
+use upkit_core::parallel::map_traced;
 use upkit_flash::fault::{FaultFlash, FaultKind, FaultPlan, FlashOp};
 use upkit_flash::SimFlash;
 use upkit_sim::failure::{update_world, world_geometry, WorldConfig, WorldMode};
-use upkit_trace::{CountersSnapshot, Event, MemorySink, TraceRecord, Tracer};
+use upkit_trace::{Event, Tracer};
 
 /// The five fault classes injected at every explored boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -396,47 +394,14 @@ pub fn explore_traced(config: &ChaosConfig, tracer: &Tracer) -> ChaosReport {
         .flat_map(|&b| FaultClass::ALL.into_iter().map(move |f| (b, f)))
         .collect();
 
-    type Slot = Mutex<Option<(CaseResult, CountersSnapshot, Vec<TraceRecord>)>>;
-    let slots: Vec<Slot> = (0..cases.len()).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let threads = config.threads.max(1);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(&(boundary, fault)) = cases.get(index) else {
-                    break;
-                };
-                let sink = Arc::new(MemorySink::new());
-                let case_tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
-                let result = run_case(
-                    &config.scenario,
-                    boundary,
-                    fault,
-                    config.max_boots,
-                    &case_tracer,
-                );
-                let snapshot = case_tracer.counters().snapshot();
-                *slots[index].lock().expect("result slot poisoned") =
-                    Some((result, snapshot, sink.drain()));
-            });
-        }
-    })
-    .expect("chaos workers do not panic");
-
-    // Merge in case-index order: the parent trace is independent of
-    // which worker ran which case.
-    let mut results = Vec::with_capacity(cases.len());
-    for slot in &slots {
-        let (result, snapshot, records) = slot
-            .lock()
-            .expect("result slot poisoned")
-            .take()
-            .expect("every case ran");
-        tracer.absorb(&snapshot, &records);
-        results.push(result);
-    }
+    let results = map_traced(
+        &cases,
+        config.threads,
+        tracer,
+        |_, &(boundary, fault), case| {
+            run_case(&config.scenario, boundary, fault, config.max_boots, case)
+        },
+    );
 
     let max_boots_to_recovery = results.iter().map(|c| c.boots).max().unwrap_or(0);
     ChaosReport {

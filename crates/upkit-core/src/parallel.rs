@@ -1,11 +1,22 @@
-//! Parallel multi-target update generation.
+//! Deterministic parallel execution, and parallel multi-target update
+//! generation on top of it.
+//!
+//! Every parallel loop in the workspace runs on the one index-ordered
+//! worker pool in [`upkit_delta::pool`]. This module adds the tracing half
+//! of that discipline: [`map_traced`] runs each item under a task-private
+//! [`TaskTracer`] and absorbs the per-task counters and records into the
+//! caller's tracer in item-index order, so the merged trace never depends
+//! on the thread count or on which worker ran which item. Engines that
+//! keep a task tracer across several merge points (the fleet and campaign
+//! shards in `upkit-sim`) build the same [`TaskTracer`] and drain it
+//! themselves.
 //!
 //! The server-side hot path — diff → compress → hash → double-sign, once
 //! per device token — is embarrassingly parallel across tokens: every job
 //! reads the shared [`UpdateServer`] immutably (its delta and patch caches
 //! are internally synchronized) and touches nothing owned by another job.
-//! [`ParallelGenerator`] runs a campaign batch in two phases over the
-//! index-slotted worker pool from [`upkit_delta::pool`]:
+//! [`ParallelGenerator`] runs a campaign batch in two phases of
+//! [`map_traced`]:
 //!
 //! 1. **Warm**: each *distinct* base version in the batch is diffed against
 //!    the newest release exactly once, in sorted base order, populating the
@@ -20,11 +31,9 @@
 //! sequentially over the same batch: manifests are pure functions of token
 //! and release, signatures use deterministic RFC 6979 nonces, and the
 //! cached diff/compression results are deterministic functions of the two
-//! images. Traces are deterministic too: every job runs under its own
-//! tracer and the per-job records are merged in input order, so the merged
-//! trace does not depend on the thread count or worker scheduling (the
-//! same two phases run even at one thread). Tests assert both identities
-//! end to end.
+//! images. Traces are deterministic too, by [`map_traced`] (the same two
+//! phases run even at one thread). Tests assert both identities end to
+//! end.
 
 use alloc::collections::BTreeSet;
 use alloc::sync::Arc;
@@ -35,23 +44,86 @@ use upkit_trace::{CountersSnapshot, MemorySink, TraceRecord, Tracer};
 
 use crate::generation::{PreparedUpdate, UpdateServer};
 
-/// One job's contribution to the merged campaign trace.
-type JobTrace = (CountersSnapshot, Vec<TraceRecord>);
+/// What one task contributed to a merged trace: its counter totals and,
+/// when the parent tracer has a sink, its buffered records.
+pub type TaskTrace = (CountersSnapshot, Vec<TraceRecord>);
 
-/// Runs `job` under its own tracer and returns its result plus the trace
-/// delta to merge into the parent. When the parent tracer is disabled the
-/// job tracer skips record buffering and only counters are collected.
-fn traced_job<R>(parent_enabled: bool, job: impl FnOnce(&Tracer) -> R) -> (R, JobTrace) {
-    if parent_enabled {
-        let sink = Arc::new(MemorySink::new());
-        let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
-        let result = job(&tracer);
-        (result, (tracer.counters().snapshot(), sink.drain()))
-    } else {
-        let tracer = Tracer::disabled();
-        let result = job(&tracer);
-        (result, (tracer.counters().snapshot(), Vec::new()))
+/// A task-private tracer whose output is merged into a parent tracer
+/// later, in an order the caller fixes.
+///
+/// Counters always accumulate; records are buffered only when the parent
+/// tracer is enabled, so a disabled parent costs the task no allocation
+/// per event. Dereferences to the [`Tracer`] the task charges.
+pub struct TaskTracer {
+    tracer: Tracer,
+    sink: Option<Arc<MemorySink>>,
+}
+
+impl TaskTracer {
+    /// A task tracer that buffers records exactly when `parent` would
+    /// keep them.
+    #[must_use]
+    pub fn new(parent: &Tracer) -> Self {
+        if parent.is_enabled() {
+            let sink = Arc::new(MemorySink::new());
+            Self {
+                tracer: Tracer::with_sink(Box::new(Arc::clone(&sink))),
+                sink: Some(sink),
+            }
+        } else {
+            Self {
+                tracer: Tracer::disabled(),
+                sink: None,
+            }
+        }
     }
+
+    /// Takes the counters and records accumulated since the last drain,
+    /// leaving the task tracer empty.
+    pub fn drain(&self) -> TaskTrace {
+        let records = self
+            .sink
+            .as_ref()
+            .map_or_else(Vec::new, |sink| sink.drain());
+        let counters = self.tracer.counters().snapshot();
+        self.tracer.counters().reset();
+        (counters, records)
+    }
+}
+
+impl core::ops::Deref for TaskTracer {
+    type Target = Tracer;
+
+    fn deref(&self) -> &Tracer {
+        &self.tracer
+    }
+}
+
+/// Maps `f` over `items` on up to `threads` workers of the
+/// [`parallel_map`] pool, each item under its own [`TaskTracer`], and
+/// returns the results in input order.
+///
+/// After the join, every task's counters and records are absorbed into
+/// `tracer` in item-index order, each task's records contiguous. Results,
+/// counter totals, and the record sequence a sink sees are therefore the
+/// same at any thread count.
+pub fn map_traced<T, R, F>(items: &[T], threads: usize, tracer: &Tracer, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T, &Tracer) -> R + Sync,
+{
+    parallel_map(items, threads, |index, item| {
+        let task = TaskTracer::new(tracer);
+        let result = f(index, item, &task);
+        (result, task.drain())
+    })
+    .into_iter()
+    .map(|(result, (counters, records))| {
+        tracer.absorb(&counters, &records);
+        result
+    })
+    .collect()
 }
 
 /// Fans [`UpdateServer::prepare_update`] calls for a batch of device
@@ -100,7 +172,7 @@ impl<'s> ParallelGenerator<'s> {
         }
     }
 
-    /// Number of worker threads this generator spawns.
+    /// Number of worker threads this generator runs on.
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
@@ -131,11 +203,6 @@ impl<'s> ParallelGenerator<'s> {
         tokens: &[DeviceToken],
         tracer: &Tracer,
     ) -> Vec<Option<PreparedUpdate>> {
-        if tokens.is_empty() {
-            return Vec::new();
-        }
-        let enabled = tracer.is_enabled();
-
         // Phase 1: warm each distinct base version once, in sorted order.
         // `warm` no-ops for bases with nothing to diff (unknown version,
         // already newest), so no further filtering is needed here.
@@ -146,26 +213,15 @@ impl<'s> ParallelGenerator<'s> {
             .collect::<BTreeSet<_>>()
             .into_iter()
             .collect();
-        let warmed = parallel_map(&bases, self.threads, |_, &base| {
-            traced_job(enabled, |job_tracer| self.server.warm(base, job_tracer)).1
+        map_traced(&bases, self.threads, tracer, |_, &base, job_tracer| {
+            self.server.warm(base, job_tracer)
         });
-        for (snapshot, records) in &warmed {
-            tracer.absorb(snapshot, records);
-        }
 
         // Phase 2: per-token manifest assembly and signing. Every diff the
         // batch needs is cached now, so these jobs only hit.
-        let prepared = parallel_map(tokens, self.threads, |_, token| {
-            traced_job(enabled, |job_tracer| {
-                self.server.prepare_update_traced(token, job_tracer)
-            })
-        });
-        let mut results = Vec::with_capacity(tokens.len());
-        for (result, (snapshot, records)) in prepared {
-            tracer.absorb(&snapshot, &records);
-            results.push(result);
-        }
-        results
+        map_traced(tokens, self.threads, tracer, |_, token, job_tracer| {
+            self.server.prepare_update_traced(token, job_tracer)
+        })
     }
 }
 
@@ -319,6 +375,68 @@ mod tests {
         let counters = second.counters().snapshot();
         assert_eq!(counters.patch_cache_misses, 0, "zero re-diffs on repeat");
         assert!(counters.patch_cache_hits > 0);
+    }
+
+    /// Runs [`map_traced`] over 40 items that emit events and bump
+    /// counters. With more than one thread, item 0 finishes only after the
+    /// last item, so workers complete out of index order. Returns the
+    /// results, the merged counters, and the merged records as NDJSON.
+    fn traced_items(threads: usize, enabled: bool) -> (Vec<u64>, CountersSnapshot, Vec<String>) {
+        let sink = Arc::new(MemorySink::new());
+        let tracer = if enabled {
+            Tracer::with_sink(Box::new(Arc::clone(&sink)))
+        } else {
+            Tracer::disabled()
+        };
+        let items: Vec<u64> = (0..40).collect();
+        let first_and_last = std::sync::Barrier::new(2);
+        let results = map_traced(&items, threads, &tracer, |index, &item, task| {
+            for chunk in 0..=item % 3 {
+                task.advance_now_to(item * 100 + chunk);
+                task.emit(|| upkit_trace::Event::ChunkDelivered {
+                    stream: item,
+                    bytes: chunk,
+                });
+            }
+            upkit_trace::Counters::add(&task.counters().frames_sent, item);
+            if threads > 1 && (item == 0 || item == 39) {
+                first_and_last.wait();
+            }
+            index as u64 * 1_000 + item
+        });
+        let records = sink.drain();
+        assert!(
+            records.windows(2).all(|w| w[0].ts_micros < w[1].ts_micros),
+            "records merge in item order, each item's records contiguous"
+        );
+        let lines = records.iter().map(TraceRecord::to_ndjson).collect();
+        (results, tracer.counters().snapshot(), lines)
+    }
+
+    #[test]
+    fn map_traced_returns_results_in_input_order() {
+        let expected: Vec<u64> = (0..40).map(|i| i * 1_001).collect();
+        for threads in [1usize, 2, 8] {
+            assert_eq!(traced_items(threads, true).0, expected, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn map_traced_merge_is_identical_across_thread_counts() {
+        for enabled in [true, false] {
+            let reference = traced_items(1, enabled);
+            for threads in [2usize, 8] {
+                assert_eq!(
+                    reference,
+                    traced_items(threads, enabled),
+                    "{threads} threads (parent enabled: {enabled})"
+                );
+            }
+            let (_, counters, lines) = reference;
+            assert_eq!(counters.frames_sent, (0..40).sum::<u64>());
+            let events = (0..40u64).map(|item| item % 3 + 1).sum::<u64>();
+            assert_eq!(lines.len() as u64, if enabled { events } else { 0 });
+        }
     }
 
     #[test]

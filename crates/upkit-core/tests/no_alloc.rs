@@ -7,9 +7,13 @@
 //! the counter did not move. This is the executable form of the `no_std`
 //! portability claim: a device can run these loops from static buffers
 //! with no heap at all.
+//!
+//! The counter is per thread. Every measured loop runs on its test's own
+//! thread, so allocations by sibling tests running concurrently under the
+//! default parallel harness cannot land in a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use upkit_core::image::{read_firmware_chunks, FIRMWARE_OFFSET};
 use upkit_core::verifier::FirmwareDigester;
@@ -17,11 +21,21 @@ use upkit_flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFla
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so the allocator can touch it
+    // without allocating or registering a destructor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    ALLOCATIONS.with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments to `System` unchanged; the
+// counting only touches a drop-free thread-local and never allocates.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -30,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -38,8 +52,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
+}
+
+/// Negative control: the per-thread counter must see an allocation made
+/// inside a measured window, or every zero below would prove nothing.
+#[test]
+fn counter_sees_one_allocation_in_a_window() {
+    let before = allocations();
+    let boxed = std::hint::black_box(Box::new(0xA5u64));
+    assert_eq!(allocations() - before, 1, "one Box::new is one allocation");
+    drop(boxed);
 }
 
 fn layout_with_firmware(fw: &[u8]) -> MemoryLayout {

@@ -256,7 +256,8 @@ pub enum SuffixAlgorithm {
     /// Linear-time SA-IS (the default).
     #[default]
     SaIs,
-    /// Manber–Myers prefix doubling, `O(n log² n)` (the fallback).
+    /// Manber–Myers prefix doubling, `O(n log² n)` (the test reference
+    /// and bench baseline).
     PrefixDoubling,
 }
 

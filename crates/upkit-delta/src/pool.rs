@@ -1,135 +1,73 @@
-//! A deterministic index-slotted worker pool.
+//! The workspace's one deterministic worker pool.
 //!
-//! Server-side fan-out — window diffs within one patch, update preparation
-//! across a token batch — shares one scheduling shape: a slice of
-//! independent jobs whose results must come back *in input order* no matter
-//! which worker finishes first. [`parallel_map`] runs a pure-per-item
-//! closure over a bounded job queue and writes each result into the slot
-//! matching its input index, so output is a deterministic function of the
-//! inputs alone. `upkit-core`'s `ParallelGenerator` is built on this same
-//! pool.
+//! Every parallel loop in UpKit — window diffs within one patch, update
+//! preparation across a token batch, fleet and campaign shards, gateway
+//! shards, chaos and adversary cases — has the same shape: a slice of
+//! independent jobs whose results must come back *in input order* no
+//! matter which worker finishes first. [`parallel_map`] is the only code
+//! that spawns threads for them. Workers claim job indices from a shared
+//! atomic cursor, keep `(index, result)` pairs, and the pairs are put back
+//! into index order after the join, so output is a deterministic function
+//! of the inputs alone. `upkit-core::parallel` layers per-job tracing on
+//! top of this pool.
 
-use alloc::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
-
-/// A fixed-capacity multi-producer/multi-consumer queue of job indices.
-///
-/// The bound keeps the producer from racing arbitrarily far ahead of the
-/// workers when batches are huge: `push` blocks once `capacity` jobs are
-/// waiting, `pop` blocks until a job or close arrives.
-struct JobQueue {
-    state: Mutex<JobQueueState>,
-    capacity: usize,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-struct JobQueueState {
-    jobs: VecDeque<usize>,
-    closed: bool,
-}
-
-impl JobQueue {
-    fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(JobQueueState {
-                jobs: VecDeque::with_capacity(capacity),
-                closed: false,
-            }),
-            capacity,
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    fn push(&self, job: usize) {
-        let mut state = self.state.lock().expect("queue lock");
-        while state.jobs.len() >= self.capacity {
-            state = self.not_full.wait(state).expect("queue lock");
-        }
-        state.jobs.push_back(job);
-        drop(state);
-        self.not_empty.notify_one();
-    }
-
-    /// Returns `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(job) = state.jobs.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return Some(job);
-            }
-            if state.closed {
-                return None;
-            }
-            state = self.not_empty.wait(state).expect("queue lock");
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
-        self.not_empty.notify_all();
-    }
-}
+use core::sync::atomic::{AtomicUsize, Ordering};
 
 /// Maps `f` over `items` on up to `threads` scoped workers, returning
 /// results in input order.
 ///
-/// `result[i] == f(i, &items[i])` exactly as if the map ran sequentially;
-/// worker scheduling cannot reorder or interleave results because each job
-/// writes only its own slot. With `threads <= 1` or a single item the map
-/// runs inline with no thread or queue overhead, so callers can use one
-/// code path for both configurations.
+/// `result[i] == f(i, &items[i])` exactly as if the map ran sequentially:
+/// each index is claimed by exactly one worker and its result is placed at
+/// that index, so scheduling cannot reorder or interleave results. With
+/// `threads <= 1` or a single item the map runs inline on the calling
+/// thread, so callers can use one code path for both configurations. A
+/// panicking job re-raises its panic on the calling thread.
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads <= 1 || items.len() == 1 {
+    let workers = threads.min(items.len());
+    if workers <= 1 {
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
-    // One result slot per item: workers write disjoint indices, so
-    // ordering is fixed by the input no matter who finishes first.
-    let results: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let queue = JobQueue::new(threads * 2);
-
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..threads.min(items.len()) {
-            scope.spawn(|_| {
-                while let Some(index) = queue.pop() {
-                    let result = f(index, &items[index]);
-                    *results[index].lock().expect("result lock") = Some(result);
-                }
-            });
+    // The cursor only hands out indices; results travel back through the
+    // joins, so `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return done;
+            };
+            done.push((index, f(index, item)));
         }
-        for index in 0..items.len() {
-            queue.push(index);
+    };
+    // The calling thread is one of the workers, so a map spawns
+    // `workers - 1` threads.
+    let mut done: Vec<(usize, R)> = crossbeam::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|_| claim())).collect();
+        let mut done = claim();
+        for helper in helpers {
+            done.extend(
+                helper
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
         }
-        queue.close();
+        done
     })
-    .expect("pool workers do not panic");
-
-    results
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result lock")
-                .expect("every job ran")
-        })
-        .collect()
+    .expect("every worker was joined");
+    done.sort_unstable_by_key(|&(index, _)| index);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn empty_input_yields_empty_output() {

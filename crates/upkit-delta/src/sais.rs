@@ -7,7 +7,8 @@
 //! when their substrings are not pairwise distinct — and the rest of the
 //! order is induced from them in two linear bucket scans. Overall `O(n)`
 //! time and `O(n)` extra space, against `O(n log² n)` for the
-//! prefix-doubling construction it replaces as the default.
+//! prefix-doubling construction it replaced, which stays as the test
+//! reference.
 
 /// Marker for an unfilled suffix-array slot during induction.
 const EMPTY: u32 = u32::MAX;

@@ -2,10 +2,11 @@
 //!
 //! `bsdiff` finds, for every position of the new firmware, the longest
 //! match anywhere in the old firmware. The classic implementation does this
-//! with a suffix array over the old image. Construction defaults to the
+//! with a suffix array over the old image. Construction uses the
 //! linear-time SA-IS algorithm ([`crate::sais`]); the Manber–Myers
-//! prefix-doubling construction (`O(n log² n)`) is kept as a cross-checked
-//! fallback, selectable crate-wide with the `prefix-doubling` feature.
+//! prefix-doubling construction (`O(n log² n)`) is kept as the reference
+//! SA-IS is checked against in tests and the baseline column of the
+//! generation bench.
 
 /// A suffix array over a byte string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -15,18 +16,11 @@ pub struct SuffixArray {
 }
 
 impl SuffixArray {
-    /// Builds the suffix array of `data` with the default construction:
-    /// SA-IS, or prefix-doubling when the `prefix-doubling` feature is on.
+    /// Builds the suffix array of `data` with the default construction,
+    /// SA-IS.
     #[must_use]
     pub fn build(data: &[u8]) -> Self {
-        #[cfg(feature = "prefix-doubling")]
-        {
-            Self::build_prefix_doubling(data)
-        }
-        #[cfg(not(feature = "prefix-doubling"))]
-        {
-            Self::build_sais(data)
-        }
+        Self::build_sais(data)
     }
 
     /// Builds the suffix array with the linear-time SA-IS construction.
@@ -38,7 +32,7 @@ impl SuffixArray {
     }
 
     /// Builds the suffix array with Manber–Myers prefix doubling
-    /// (`O(n log² n)`), the fallback construction.
+    /// (`O(n log² n)`), the reference construction.
     ///
     /// Each round sorts by a precomputed per-suffix key packing
     /// `(rank[i], rank[i + k] + 1)` into one `u64` — recomputing the pair

@@ -15,29 +15,31 @@
 //!
 //! Health decisions are global (they read the whole fleet's counters), but
 //! a stop-the-world barrier per round is exactly the scaling bug this
-//! engine exists to avoid. Instead, shards advance on **per-shard virtual
-//! clocks with bounded skew**: the decision for round `r` — which stage is
-//! open, whether the campaign halts — is a pure function of every shard's
-//! published summaries for rounds `≤ r − K − 1`, where `K` is
-//! [`HealthPolicy::decision_latency`]. Any shard may run ahead of another
-//! by at most `K + 1` rounds, workers claim whichever shard is runnable
-//! (work-stealing, no barrier), and the halt round is decided by virtual
-//! time alone — scheduling cannot move it. The first `K + 1` rounds use
+//! engine exists to avoid. Instead, shards advance in **lock-step windows
+//! of `K + 1` rounds**, where `K` is [`HealthPolicy::decision_latency`]:
+//! the decision for round `r` — which stage is open, whether the campaign
+//! halts — is a pure function of every shard's round summaries for rounds
+//! `≤ r − K − 1`, so every decision inside a window reads only summaries
+//! from before that window. The coordinator decides a whole window up
+//! front, each shard runs it as one worker-pool task without waiting on
+//! anyone, and the summaries are folded after the window's join. The cost
+//! is one join every `K + 1` rounds; the halt round is decided by virtual
+//! time alone, so scheduling cannot move it. The first `K + 1` rounds use
 //! the initial stage unconditionally, modelling the real-world lag between
 //! a metric regressing and the rollout system reacting.
 //!
-//! Per-shard, per-round trace deltas are merged after the join in
+//! Per-shard, per-round trace deltas are merged after the last window in
 //! (round, shard-index) order exactly as in [`crate::fleet`], so reports,
 //! counters, and merged traces are byte-identical at any thread count —
 //! proven by `tests/campaign_determinism.rs`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use upkit_core::generation::{UpdateServer, VendorServer};
 use upkit_crypto::ecdsa::SigningKey;
+use upkit_delta::pool::parallel_map;
 use upkit_manifest::Version;
 use upkit_trace::{Counters, CountersSnapshot, Event, TraceRecord, Tracer};
 
@@ -95,7 +97,7 @@ pub struct Stage {
 /// Fleet-health limits that halt the campaign when exceeded.
 ///
 /// All limits are on *cumulative* fleet-wide counters since campaign
-/// start, evaluated on the bounded-skew virtual clock.
+/// start, evaluated on the virtual clock of lock-step windows.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthPolicy {
     /// Maximum tolerated post-install boot failures.
@@ -107,9 +109,9 @@ pub struct HealthPolicy {
     /// re-downloading: failed boots, flaky links, or a poisoned payload).
     pub max_retries: u64,
     /// Decision latency `K` in rounds: the decision for round `r` sees
-    /// counters through round `r − K − 1`. Larger values let shards run
-    /// further ahead; the halt round moves with `K` but never with the
-    /// thread count.
+    /// counters through round `r − K − 1`. Shards run in windows of
+    /// `K + 1` rounds between joins; the halt round moves with `K` but
+    /// never with the thread count.
     pub decision_latency: u64,
 }
 
@@ -337,26 +339,17 @@ struct ShardSummary {
     forgeries: u64,
 }
 
-/// The bounded-skew virtual-clock coordinator. `decision(r)` is a pure
-/// function of the configuration and the shard summaries for rounds
-/// `≤ r − K − 1`; summaries are folded strictly in round order, so the
-/// same decisions come out whatever order workers publish in.
+/// The virtual-clock coordinator. `decide(r)` is a pure function of the
+/// configuration and the shard summaries for rounds `≤ r − K − 1`; rounds
+/// are decided strictly in order, one fold per round, so the same
+/// decisions come out whatever order shards ran in.
 struct Coordinator {
     latency: u64,
     stage_rounds: u64,
     stage_count: u32,
     health: HealthPolicy,
-    shard_count: usize,
-    state: Mutex<CoordState>,
-}
-
-struct CoordState {
-    /// `decisions[r - 1]` is the decision for 1-based round `r`.
-    decisions: Vec<Decision>,
-    /// `summaries[r - 1][shard]`, published as shards finish rounds.
-    summaries: Vec<Vec<Option<ShardSummary>>>,
-    /// Rounds already folded into the cumulative health totals.
-    folded_rounds: u64,
+    /// `summaries[shard][r - 1]`, appended after each window's join.
+    summaries: Vec<Vec<ShardSummary>>,
     boots_failed: u64,
     retries: u64,
     forgeries: u64,
@@ -374,17 +367,12 @@ impl Coordinator {
             stage_rounds: config.stage_rounds,
             stage_count: config.stages.len() as u32,
             health: config.health,
-            shard_count,
-            state: Mutex::new(CoordState {
-                decisions: Vec::new(),
-                summaries: Vec::new(),
-                folded_rounds: 0,
-                boots_failed: 0,
-                retries: 0,
-                forgeries: 0,
-                terminal: None,
-                halt: None,
-            }),
+            summaries: vec![Vec::new(); shard_count],
+            boots_failed: 0,
+            retries: 0,
+            forgeries: 0,
+            terminal: None,
+            halt: None,
         }
     }
 
@@ -393,88 +381,57 @@ impl Coordinator {
         (((round - 1) / self.stage_rounds) as u32).min(self.stage_count - 1)
     }
 
-    fn publish(&self, round: u64, shard: usize, summary: ShardSummary) {
-        let mut state = self.state.lock().expect("coordinator lock");
-        let index = (round - 1) as usize;
-        while state.summaries.len() <= index {
-            let row = vec![None; self.shard_count];
-            state.summaries.push(row);
+    /// Appends one window's summaries, given per shard in shard order.
+    fn publish(&mut self, window: Vec<Vec<ShardSummary>>) {
+        for (all, new) in self.summaries.iter_mut().zip(window) {
+            all.extend(new);
         }
-        state.summaries[index][shard] = Some(summary);
     }
 
-    /// The decision for 1-based `round`, or `None` while the virtual
-    /// clock does not yet permit it (some shard is more than `K + 1`
-    /// rounds behind). Extends the decision log as far as the published
-    /// summaries allow.
-    fn decision(&self, round: u64) -> Option<Decision> {
-        let mut state = self.state.lock().expect("coordinator lock");
-        while (state.decisions.len() as u64) < round {
-            let need = state.decisions.len() as u64 + 1;
-            if let Some(terminal) = state.terminal {
-                state.decisions.push(terminal);
-                continue;
-            }
-            if need <= self.latency + 1 {
-                // The reaction window: decisions with no visible counters
-                // yet run the schedule's initial stage.
-                let stage = self.stage_for(need);
-                state.decisions.push(Decision::Serve { stage });
-                continue;
-            }
-            let visible = need - self.latency - 1;
-            let row = match state.summaries.get((visible - 1) as usize) {
-                Some(row) if row.iter().all(Option::is_some) => row,
-                _ => break,
-            };
-            // Fold exactly round `visible` (rounds are folded in order:
-            // each extension step advances the frontier by one).
-            debug_assert_eq!(state.folded_rounds + 1, visible);
-            let mut complete = true;
-            let (mut boots, mut retries, mut forgeries) = (0, 0, 0);
-            for summary in row.iter().flatten() {
-                complete &= summary.complete;
-                boots += summary.boots_failed;
-                retries += summary.retries;
-                forgeries += summary.forgeries;
-            }
-            state.folded_rounds = visible;
-            state.boots_failed += boots;
-            state.retries += retries;
-            state.forgeries += forgeries;
-
-            let reason = if state.forgeries > self.health.max_forgeries {
-                Some("forgeries")
-            } else if state.boots_failed > self.health.max_boot_failures {
-                Some("boot_failures")
-            } else if state.retries > self.health.max_retries {
-                Some("retry_storm")
-            } else {
-                None
-            };
-            let decision = if let Some(reason) = reason {
-                state.halt = Some(CampaignHalt {
-                    round: need,
-                    reason,
-                });
-                Decision::Halted
-            } else if complete && self.stage_for(visible) == self.stage_count - 1 {
-                Decision::Done
-            } else {
-                Decision::Serve {
-                    stage: self.stage_for(need),
-                }
-            };
-            if matches!(decision, Decision::Halted | Decision::Done) {
-                state.terminal = Some(decision);
-            }
-            state.decisions.push(decision);
+    /// The decision for 1-based `round`. Must be called once per round,
+    /// in round order, after the summaries of round `round − K − 1` were
+    /// published.
+    fn decide(&mut self, round: u64) -> Decision {
+        if let Some(terminal) = self.terminal {
+            return terminal;
         }
-        state.decisions.get((round - 1) as usize).copied()
-    }
+        if round <= self.latency + 1 {
+            // The reaction window: decisions with no visible counters yet
+            // run the schedule's initial stage.
+            return Decision::Serve {
+                stage: self.stage_for(round),
+            };
+        }
+        // Fold exactly round `visible`: rounds are decided in order, so
+        // each decision advances the folded frontier by one.
+        let visible = round - self.latency - 1;
+        let mut complete = true;
+        for shard in &self.summaries {
+            let summary = shard[(visible - 1) as usize];
+            complete &= summary.complete;
+            self.boots_failed += summary.boots_failed;
+            self.retries += summary.retries;
+            self.forgeries += summary.forgeries;
+        }
 
-    fn halt(&self) -> Option<CampaignHalt> {
-        self.state.lock().expect("coordinator lock").halt
+        let reason = if self.forgeries > self.health.max_forgeries {
+            Some("forgeries")
+        } else if self.boots_failed > self.health.max_boot_failures {
+            Some("boot_failures")
+        } else if self.retries > self.health.max_retries {
+            Some("retry_storm")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            self.halt = Some(CampaignHalt { round, reason });
+            self.terminal = Some(Decision::Halted);
+        } else if complete && self.stage_for(visible) == self.stage_count - 1 {
+            self.terminal = Some(Decision::Done);
+        }
+        self.terminal.unwrap_or(Decision::Serve {
+            stage: self.stage_for(round),
+        })
     }
 }
 
@@ -487,17 +444,15 @@ struct RoundDelta {
 }
 
 struct CampaignShard {
-    index: usize,
     rng: StdRng,
     devices: Vec<CampaignDevice>,
     per_round: usize,
     ctx: ShardCtx,
-    /// 1-based round this shard runs next (its virtual clock).
-    next_round: u64,
     history: Vec<RoundDelta>,
     /// Trace delta of the halt rollback pass, if one ran.
     rollback: Option<(CountersSnapshot, Vec<TraceRecord>)>,
-    finished: bool,
+    /// Devices the halt rollback reverted.
+    rolled_back: u32,
 }
 
 impl CampaignShard {
@@ -509,6 +464,26 @@ impl CampaignShard {
         })
     }
 
+    /// Runs one lock-step window: a round per `Serve` decision, then the
+    /// halt rollback or a plain stop at a terminal decision. Returns the
+    /// summary of every round served.
+    fn run_window(
+        &mut self,
+        env: &FleetEnv<'_>,
+        config: &CampaignConfig,
+        decisions: &[Decision],
+    ) -> Vec<ShardSummary> {
+        let mut summaries = Vec::with_capacity(decisions.len());
+        for decision in decisions {
+            match *decision {
+                Decision::Serve { stage } => summaries.push(self.run_round(env, config, stage)),
+                Decision::Halted => self.roll_back(),
+                Decision::Done => {}
+            }
+        }
+        summaries
+    }
+
     /// One polling round at `stage`. The sampling loop consumes the
     /// shard RNG identically whatever the stage, so stage boundaries
     /// (which are virtual-clock decisions) never perturb the stream.
@@ -517,8 +492,7 @@ impl CampaignShard {
         env: &FleetEnv<'_>,
         config: &CampaignConfig,
         stage_index: u32,
-        coordinator: &Coordinator,
-    ) {
+    ) -> ShardSummary {
         let stage = &config.stages[stage_index as usize];
         let mut wire_bytes = 0u64;
         let mut indices: Vec<usize> = (0..self.devices.len()).collect();
@@ -577,7 +551,7 @@ impl CampaignShard {
             .iter()
             .filter(|d| d.lite.installed_version >= Version(2))
             .count() as u32;
-        let (counters, records) = self.ctx.drain_round();
+        let (counters, records) = self.ctx.tracer.drain();
         let summary = ShardSummary {
             complete: self.complete(config.stages.last().expect("stages"), &config.cohort),
             boots_failed: counters.boots_failed,
@@ -590,25 +564,21 @@ impl CampaignShard {
             counters,
             records,
         });
-        let round = self.next_round;
-        self.next_round += 1;
-        coordinator.publish(round, self.index, summary);
+        summary
     }
 
     /// Halt recovery: revert every device the campaign updated (the
     /// production analogue is serving the previous release back through
     /// the same update path).
-    fn roll_back(&mut self) -> u32 {
-        let mut rolled_back = 0u32;
+    fn roll_back(&mut self) {
         for device in &mut self.devices {
             if device.lite.installed_version >= Version(2) {
                 device.lite.roll_back_to(Version(1));
-                rolled_back += 1;
+                self.rolled_back += 1;
                 Counters::add(&self.ctx.tracer.counters().devices_rolled_back, 1);
             }
         }
-        self.rollback = Some(self.ctx.drain_round());
-        rolled_back
+        self.rollback = Some(self.ctx.tracer.drain());
     }
 }
 
@@ -643,11 +613,9 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
 
     let device_count = fleet.devices as usize;
     let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
-    let threads = config.threads.max(1).min(shard_count);
 
     let base_len = device_count / shard_count;
     let remainder = device_count % shard_count;
-    let tracing_enabled = tracer.is_enabled();
     let mut cursor = 0usize;
     let slots: Vec<Mutex<CampaignShard>> = (0..shard_count)
         .map(|index| {
@@ -658,7 +626,6 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
                 .collect();
             let per_round = ((devices.len() as f64 * fleet.poll_fraction).ceil() as usize).max(1);
             Mutex::new(CampaignShard {
-                index,
                 rng: StdRng::seed_from_u64(
                     fleet
                         .seed
@@ -666,11 +633,10 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
                 ),
                 devices,
                 per_round,
-                ctx: ShardCtx::new(tracing_enabled),
-                next_round: 1,
+                ctx: ShardCtx::new(tracer),
                 history: Vec::new(),
                 rollback: None,
-                finished: false,
+                rolled_back: 0,
             })
         })
         .collect();
@@ -683,76 +649,43 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
         verify_signatures: true,
         manifest_mode: ManifestMode::Campaign,
     };
-    let coordinator = Coordinator::new(config, shard_count);
+    let mut coordinator = Coordinator::new(config, shard_count);
     let max_rounds = (device_count / slots[0].lock().expect("slot").per_round.max(1) + 2) * 10
         + (config.stage_rounds as usize) * config.stages.len()
         + (config.health.decision_latency as usize + 2)
         + (config.faults.max_attempts as usize + 1) * 10;
-    let rolled_back_total = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|scope| {
-        let env = &env;
-        let coordinator = &coordinator;
-        let slots = &slots;
-        let rolled_back_total = &rolled_back_total;
-        for _ in 0..threads {
-            scope.spawn(move |_| loop {
-                let mut progressed = false;
-                let mut remaining = 0usize;
-                for slot in slots {
-                    // A contended slot is being run by another worker —
-                    // it is not finished; move on (work-stealing).
-                    let Ok(mut shard) = slot.try_lock() else {
-                        remaining += 1;
-                        continue;
-                    };
-                    if shard.finished {
-                        continue;
-                    }
-                    remaining += 1;
-                    assert!(
-                        (shard.next_round as usize) <= max_rounds,
-                        "campaign failed to converge after {max_rounds} rounds"
-                    );
-                    match coordinator.decision(shard.next_round) {
-                        // This shard is K + 1 rounds ahead of the
-                        // slowest one; its clock must wait.
-                        None => {}
-                        Some(Decision::Serve { stage }) => {
-                            shard.run_round(env, config, stage, coordinator);
-                            progressed = true;
-                        }
-                        Some(Decision::Halted) => {
-                            let rolled = shard.roll_back();
-                            rolled_back_total.fetch_add(u64::from(rolled), Ordering::Relaxed);
-                            shard.finished = true;
-                            progressed = true;
-                        }
-                        Some(Decision::Done) => {
-                            shard.finished = true;
-                            progressed = true;
-                        }
-                    }
-                }
-                if remaining == 0 {
-                    break;
-                }
-                if !progressed {
-                    std::thread::yield_now();
-                }
-            });
+    // Lock-step windows of K + 1 rounds: decide the window, run every
+    // shard through it as one pool task, then publish its summaries. A
+    // terminal decision ends its window and the campaign.
+    let window = config.health.decision_latency + 1;
+    let mut round = 1u64;
+    while coordinator.terminal.is_none() {
+        let mut decisions = Vec::new();
+        let end = round + window;
+        while round < end && coordinator.terminal.is_none() {
+            assert!(
+                round as usize <= max_rounds,
+                "campaign failed to converge after {max_rounds} rounds"
+            );
+            decisions.push(coordinator.decide(round));
+            round += 1;
         }
-    })
-    .expect("campaign workers do not panic");
+        let summaries = parallel_map(&slots, config.threads, |_, slot| {
+            let mut shard = slot.lock().expect("shard lock");
+            shard.run_window(&env, config, &decisions)
+        });
+        coordinator.publish(summaries);
+    }
 
     let shards: Vec<CampaignShard> = slots
         .into_iter()
         .map(|m| m.into_inner().expect("shard lock"))
         .collect();
-    let halted = coordinator.halt();
+    let halted = coordinator.halt;
 
     // Deterministic merge: every shard ran the same number of rounds (the
-    // decision log is global), absorbed in (round, shard-index) order.
+    // decisions are global), absorbed in (round, shard-index) order.
     let total_rounds = shards.iter().map(|s| s.history.len()).max().unwrap_or(0);
     debug_assert!(shards.iter().all(|s| s.history.len() == total_rounds));
     let mut rounds = Vec::with_capacity(total_rounds);
@@ -818,7 +751,7 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
         rounds,
         halted,
         updated,
-        rolled_back: rolled_back_total.load(Ordering::Relaxed) as u32,
+        rolled_back: shards.iter().map(|s| s.rolled_back).sum(),
         held,
         total_wire_bytes,
     }

@@ -21,8 +21,9 @@
 //! # Scaling
 //!
 //! Shards never share mutable state, so the sharded rollout is
-//! embarrassingly parallel: each shard runs **to completion** on whichever
-//! worker thread claims it from a work-stealing queue — there is no
+//! embarrassingly parallel: each shard is one task of the workspace
+//! worker pool ([`upkit_delta::pool::parallel_map`]), provisioned and run
+//! **to completion** by whichever worker claims it — there is no
 //! per-round stop-the-world barrier. Per-round statistics and per-round
 //! trace buffers are recorded shard-locally and merged once, after the
 //! join, in (round, shard-index) order, which keeps reports, counters, and
@@ -46,17 +47,18 @@
 //! use [`crate::campaign`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use upkit_compress::decompress;
 use upkit_core::generation::{PreparedUpdate, UpdateServer, VendorServer};
+use upkit_core::parallel::TaskTracer;
 use upkit_crypto::ecdsa::{SigningKey, VerifyingKey};
 use upkit_crypto::sha256::sha256;
+use upkit_delta::pool::parallel_map;
 use upkit_manifest::{DeviceToken, SignedManifest, Version};
-use upkit_trace::{Counters, CountersSnapshot, Event, MemorySink, TraceRecord, Tracer};
+use upkit_trace::{Counters, CountersSnapshot, Event, TraceRecord, Tracer};
 
 use crate::device::{PollOutcome, SimDevice, APP_ID, LINK_OFFSET};
 use crate::firmware::FirmwareGenerator;
@@ -348,27 +350,18 @@ impl VerifyMemo {
 pub(crate) struct ShardCtx {
     pub(crate) memo: VerifyMemo,
     responses: HashMap<u16, Option<Arc<PreparedUpdate>>>,
-    /// Shard-local tracer: counters always accumulate here; events land in
-    /// `sink` (when tracing is on) and are merged into the campaign tracer
-    /// in (round, shard-index) order, so the merged trace is independent
-    /// of how shards were scheduled onto threads.
-    pub(crate) tracer: Tracer,
-    pub(crate) sink: Option<Arc<MemorySink>>,
+    /// Shard-local tracer, drained once per round and merged into the
+    /// campaign tracer in (round, shard-index) order, so the merged trace
+    /// is independent of how shards were scheduled onto threads.
+    pub(crate) tracer: TaskTracer,
 }
 
 impl ShardCtx {
-    pub(crate) fn new(tracing_enabled: bool) -> Self {
-        let (tracer, sink) = if tracing_enabled {
-            let sink = Arc::new(MemorySink::new());
-            (Tracer::with_sink(Box::new(Arc::clone(&sink))), Some(sink))
-        } else {
-            (Tracer::disabled(), None)
-        };
+    pub(crate) fn new(parent: &Tracer) -> Self {
         Self {
             memo: VerifyMemo::default(),
             responses: HashMap::new(),
-            tracer,
-            sink,
+            tracer: TaskTracer::new(parent),
         }
     }
 
@@ -383,18 +376,6 @@ impl ShardCtx {
             .entry(version.0)
             .or_insert_with(|| env.server.prepare_campaign_update(version))
             .clone()
-    }
-
-    /// Drains the per-round trace delta: buffered records (when tracing)
-    /// plus the counter totals accumulated since the last drain.
-    pub(crate) fn drain_round(&mut self) -> (CountersSnapshot, Vec<TraceRecord>) {
-        let records = self
-            .sink
-            .as_ref()
-            .map_or_else(Vec::new, |sink| sink.drain());
-        let counters = self.tracer.counters().snapshot();
-        self.tracer.counters().reset();
-        (counters, records)
     }
 }
 
@@ -624,7 +605,7 @@ impl Shard {
                 rounds.len()
             );
             rounds.push(self.run_round(env));
-            trace.push(self.ctx.drain_round());
+            trace.push(self.ctx.tracer.drain());
         }
         ShardHistory {
             device_count: self.devices.len() as u32,
@@ -652,9 +633,8 @@ pub fn run_rollout_sharded(config: &ShardedFleetConfig) -> FleetReport {
     run_rollout_sharded_traced(config, &Tracer::disabled())
 }
 
-/// [`run_rollout_sharded`] with observability. Every shard buffers its
-/// events in a shard-local [`MemorySink`] and snapshots its counters per
-/// round; after the parallel join the buffers are merged into `tracer` in
+/// [`run_rollout_sharded`] with observability. Every shard charges a
+/// shard-local [`TaskTracer`] and drains it once per round; after the parallel join the buffers are merged into `tracer` in
 /// (round, shard-index) order, so the merged trace (and the counter
 /// totals) are identical whatever `threads` is.
 #[must_use]
@@ -671,7 +651,6 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
 
     let device_count = fleet.devices as usize;
     let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
-    let threads = config.threads.max(1).min(shard_count);
 
     // Contiguous device ranges per shard; device IDs match the sequential
     // simulator's (0x1000 + global index).
@@ -689,7 +668,7 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
     // it continues the master stream (key generation already consumed
     // from it) and reproduces `run_rollout` exactly; multiple shards get
     // independent streams derived from the fleet seed and the shard index.
-    let mut shard_rngs: Vec<StdRng> = if shard_count == 1 {
+    let shard_rngs: Vec<StdRng> = if shard_count == 1 {
         vec![rng]
     } else {
         (0..shard_count)
@@ -703,64 +682,6 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
             .collect()
     };
 
-    // Provision shard by shard, in parallel: provisioning is per-device
-    // deterministic (no RNG), so threading cannot change the outcome.
-    let tracing_enabled = tracer.is_enabled();
-    let shards: Vec<Shard> = crossbeam::thread::scope(|scope| {
-        let server = &server;
-        let vendor = &vendor;
-        let v1 = &v1;
-        let mut handles = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let rng = shard_rngs.pop().expect("one rng per shard");
-            // `shard_rngs` is drained back-to-front; build back-to-front
-            // too so shard `index` keeps its own stream.
-            let index = shard_count - 1 - index;
-            let (start, end) = (starts[index], starts[index + 1]);
-            let model = config.device_model;
-            let differential = fleet.differential;
-            let poll_fraction = fleet.poll_fraction;
-            handles.push(scope.spawn(move |_| {
-                let devices: Vec<FleetDevice> = (start..end)
-                    .map(|i| {
-                        let device_id = 0x1000 + i as u32;
-                        match model {
-                            DeviceModel::Faithful => {
-                                FleetDevice::Faithful(Box::new(SimDevice::provision_with_options(
-                                    device_id,
-                                    v1,
-                                    vendor,
-                                    server,
-                                    differential,
-                                )))
-                            }
-                            DeviceModel::Lite => {
-                                FleetDevice::Lite(LiteDevice::provision(device_id, differential))
-                            }
-                        }
-                    })
-                    .collect();
-                let per_round = (((end - start) as f64 * poll_fraction).ceil() as usize).max(1);
-                (
-                    index,
-                    Shard {
-                        rng,
-                        devices,
-                        per_round,
-                        ctx: ShardCtx::new(tracing_enabled),
-                    },
-                )
-            }));
-        }
-        let mut shards: Vec<(usize, Shard)> = handles
-            .into_iter()
-            .map(|h| h.join().expect("provisioning worker"))
-            .collect();
-        shards.sort_by_key(|(index, _)| *index);
-        shards.into_iter().map(|(_, shard)| shard).collect()
-    })
-    .expect("provisioning workers do not panic");
-
     server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
 
     let env = FleetEnv {
@@ -772,63 +693,52 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
         manifest_mode: config.manifest_mode,
     };
 
-    // Work-stealing execution: each worker claims whole shards from a
-    // shared queue and runs them to convergence — no per-round barrier,
-    // one join at the end. Shards are fully independent, so any claim
-    // order produces the same per-shard histories.
-    let mut histories: Vec<(usize, ShardHistory)> = {
-        let slots: Vec<Mutex<Option<Shard>>> =
-            shards.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            let env = &env;
-            let slots = &slots;
-            let next = &next;
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(move |_| {
-                        let mut done = Vec::new();
-                        loop {
-                            let index = next.fetch_add(1, Ordering::Relaxed);
-                            if index >= slots.len() {
-                                break;
-                            }
-                            let shard = slots[index]
-                                .lock()
-                                .expect("shard slot lock")
-                                .take()
-                                .expect("each shard claimed exactly once");
-                            done.push((index, shard.run_to_convergence(env)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("shard worker"))
-                .collect()
-        })
-        .expect("shard workers do not panic")
-    };
-    histories.sort_by_key(|(index, _)| *index);
+    // One pool task per shard: provision it, then run it to convergence —
+    // no per-round barrier. Provisioning draws no randomness and shards
+    // share no mutable state, so any claim order produces the same
+    // per-shard histories, returned in shard-index order.
+    let histories = parallel_map(&shard_rngs, config.threads, |index, rng| {
+        let (start, end) = (starts[index], starts[index + 1]);
+        let devices: Vec<FleetDevice> = (start..end)
+            .map(|i| {
+                let device_id = 0x1000 + i as u32;
+                match config.device_model {
+                    DeviceModel::Faithful => {
+                        FleetDevice::Faithful(Box::new(SimDevice::provision_with_options(
+                            device_id,
+                            &v1,
+                            &vendor,
+                            &server,
+                            fleet.differential,
+                        )))
+                    }
+                    DeviceModel::Lite => {
+                        FleetDevice::Lite(LiteDevice::provision(device_id, fleet.differential))
+                    }
+                }
+            })
+            .collect();
+        Shard {
+            rng: rng.clone(),
+            devices,
+            per_round: (((end - start) as f64 * fleet.poll_fraction).ceil() as usize).max(1),
+            ctx: ShardCtx::new(tracer),
+        }
+        .run_to_convergence(&env)
+    });
 
     // Deterministic merge: rounds in order, shards in index order within
     // each round — the same sequence the old per-round barrier produced,
     // now paid once instead of every round. Shards that converged early
     // contribute their full device count and no traffic to later rounds,
     // exactly what polling already-current devices produces.
-    let total_rounds = histories
-        .iter()
-        .map(|(_, h)| h.rounds.len())
-        .max()
-        .unwrap_or(0);
+    let total_rounds = histories.iter().map(|h| h.rounds.len()).max().unwrap_or(0);
     let mut rounds = Vec::with_capacity(total_rounds);
     let mut total_wire_bytes = 0u64;
     for round_index in 0..total_rounds {
         let mut updated = 0u32;
         let mut wire_bytes = 0u64;
-        for (_, history) in &histories {
+        for history in &histories {
             match history.rounds.get(round_index) {
                 Some(stats) => {
                     updated += stats.updated;
@@ -861,6 +771,7 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upkit_trace::MemorySink;
 
     #[test]
     fn rollout_converges_and_adoption_is_monotone() {

@@ -25,7 +25,7 @@
 //!   retransmission on one timeline.
 //! * [`campaign`] — [`run_campaign`]: staged fractional rollouts over
 //!   channels with cohort targeting and automatic health halt + rollback,
-//!   on bounded-skew per-shard virtual clocks.
+//!   in lock-step windows of virtual-clock rounds.
 
 #![warn(missing_docs)]
 

@@ -36,21 +36,20 @@
 //! under a tracing collector, the counter totals and the trace byte
 //! stream — is a pure function of the [`TopologyConfig`], independent of
 //! worker thread count. Each gateway is one shard with its own event
-//! heap, proxy, and tracer; shards share no mutable state, workers pick
-//! shards off an atomic cursor, and the per-shard traces are merged in
+//! heap, proxy, and tracer; shards share no mutable state, and
+//! [`upkit_core::parallel::map_traced`] merges the per-shard traces in
 //! gateway-index order after the join. The proof test runs at 1, 2, and
 //! 8 threads and compares reports, counters, and trace bytes for
 //! equality.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use upkit_core::agent::{AgentError, AgentPhase};
 use upkit_core::generation::{UpdateServer, VendorServer};
+use upkit_core::parallel::map_traced;
 use upkit_crypto::ecdsa::{SigningKey, VerifyingKey};
 use upkit_manifest::{DeviceToken, Version, SIGNED_MANIFEST_LEN};
 use upkit_net::lossy::splitmix64;
@@ -58,7 +57,7 @@ use upkit_net::{
     CachedOrigin, CachingProxy, LinkProfile, LossyLink, PullSession, RetryPolicy, SessionEndpoints,
     SessionOutcome, SessionStream, Step, StreamResolution, Transport,
 };
-use upkit_trace::{Counters, CountersSnapshot, Event, MemorySink, TraceRecord, Tracer};
+use upkit_trace::{Counters, Event, Tracer};
 
 use crate::device::{APP_ID, LINK_OFFSET};
 use crate::events::{LiteState, LiteVerifyCtx};
@@ -671,51 +670,17 @@ pub fn run_dissemination(config: &TopologyConfig) -> DisseminationReport {
 /// worker thread count.
 pub fn run_dissemination_traced(config: &TopologyConfig, tracer: &Tracer) -> DisseminationReport {
     let campaigns = build_campaigns(config);
-    let shard_count = config.gateways.max(1) as usize;
-    let threads = config.threads.max(1).min(shard_count);
-    let tracing_enabled = tracer.is_enabled();
+    let gateways: Vec<u32> = (0..config.gateways.max(1)).collect();
+    let shards = map_traced(
+        &gateways,
+        config.threads,
+        tracer,
+        |_, &gateway, shard_tracer| run_gateway_shard(config, &campaigns, gateway, shard_tracer),
+    );
 
-    type ShardOut = (GatewayStats, u64, CountersSnapshot, Vec<TraceRecord>);
-    let slots: Vec<Mutex<Option<ShardOut>>> = (0..shard_count).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-
-    crossbeam::thread::scope(|scope| {
-        let campaigns = &campaigns;
-        let slots = &slots;
-        let cursor = &cursor;
-        for _ in 0..threads {
-            scope.spawn(move |_| loop {
-                let index = cursor.fetch_add(1, Ordering::Relaxed);
-                if index >= shard_count {
-                    break;
-                }
-                let (shard_tracer, sink) = if tracing_enabled {
-                    let sink = Arc::new(MemorySink::new());
-                    (Tracer::with_sink(Box::new(Arc::clone(&sink))), Some(sink))
-                } else {
-                    (Tracer::disabled(), None)
-                };
-                let (stats, events) =
-                    run_gateway_shard(config, campaigns, index as u32, &shard_tracer);
-                let snapshot = shard_tracer.counters().snapshot();
-                let records = sink.map(|s| s.drain()).unwrap_or_default();
-                *slots[index].lock().expect("shard slot poisoned") =
-                    Some((stats, events, snapshot, records));
-            });
-        }
-    })
-    .expect("dissemination workers do not panic");
-
-    // Merge in gateway-index order: the parent trace and the report are
-    // independent of which worker ran which shard.
+    // The report is summed in gateway-index order, like the trace.
     let mut report = DisseminationReport::default();
-    for slot in &slots {
-        let (stats, events, snapshot, records) = slot
-            .lock()
-            .expect("shard slot poisoned")
-            .take()
-            .expect("every shard ran");
-        tracer.absorb(&snapshot, &records);
+    for (stats, events) in shards {
         report.completed += stats.completed;
         report.gave_up += stats.gave_up;
         report.installs += stats.installs;
