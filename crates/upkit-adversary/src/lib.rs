@@ -338,12 +338,7 @@ fn prepared_stream(
     let prepared = server
         .prepare_update(token)
         .expect("v2 is published, so the server always has an update");
-    let bytes = prepared.image.to_bytes();
-    let manifest_len = SIGNED_MANIFEST_LEN.min(bytes.len());
-    SessionStream {
-        manifest: bytes[..manifest_len].to_vec(),
-        payload: bytes[manifest_len..].to_vec(),
-    }
+    SessionStream::split(prepared.image.to_bytes())
 }
 
 /// Runs the scenario once, honestly (through a [`FrameAdversary`] with

@@ -27,12 +27,7 @@ fn split_stream(wire: Vec<u8>) -> StreamResolution {
     if wire.is_empty() {
         return StreamResolution::ProxyEmpty;
     }
-    let cut = SIGNED_MANIFEST_LEN.min(wire.len());
-    let (manifest, payload) = wire.split_at(cut);
-    StreamResolution::Stream(SessionStream {
-        manifest: manifest.to_vec(),
-        payload: payload.to_vec(),
-    })
+    StreamResolution::Stream(SessionStream::split(wire))
 }
 
 /// Phase reported to the session after a successful baseline delivery:

@@ -130,5 +130,5 @@ pub use generation::{PreparedUpdate, Release, ServedKind, UpdateServer, VendorSe
 pub use keys::{KeyAnchor, TrustAnchors};
 #[cfg(feature = "std")]
 pub use parallel::ParallelGenerator;
-pub use pipeline::{Pipeline, PipelineError};
+pub use pipeline::{Decoder, FirmwareSink, Pipeline, PipelineError, VecSink};
 pub use verifier::{FirmwareDigester, Verifier, VerifyContext, VerifyError};

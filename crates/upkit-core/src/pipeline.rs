@@ -18,11 +18,22 @@
 //! through the pipeline and only reconstructed firmware hits flash, so no
 //! third memory slot is needed.
 //!
+//! Stages 1–2 (plus the optional decryption stage and the exact-size
+//! check) form the [`Decoder`], which writes reconstructed firmware into
+//! any [`FirmwareSink`]. [`Pipeline`] is the decoder wired to the
+//! sector-buffered flash writer of stages 3–4; flash-free simulated
+//! devices wire the same decoder to a RAM sink.
+//!
 //! The patching stage reads the old firmware from its slot. On the paper's
 //! platforms internal flash is memory-mapped, so `bspatch` reads the old
 //! image in place; here the pipeline snapshots the old slot once at
 //! construction, which is behaviourally identical because the old slot is
 //! immutable for the duration of the update.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use alloc::boxed::Box;
 use alloc::vec;
@@ -107,20 +118,53 @@ impl From<LayoutError> for PipelineError {
     }
 }
 
-/// Buffer + writer stages: sector-buffered sequential writes into the
-/// destination slot's firmware region.
+/// Where a [`Decoder`] puts reconstructed firmware: a flash slot for the
+/// update agent, RAM for flash-free simulated devices.
+pub trait FirmwareSink {
+    /// Accepts the next run of firmware bytes, in image order.
+    fn write(&mut self, firmware: &[u8]) -> Result<(), PipelineError>;
+
+    /// Persists anything still buffered; called once by
+    /// [`Decoder::finish`] after the decode stages completed.
+    fn flush(&mut self) -> Result<(), PipelineError> {
+        Ok(())
+    }
+
+    /// The counters a decode-budget rejection is charged to.
+    fn counters(&self) -> &Counters;
+}
+
+/// A RAM [`FirmwareSink`]: appends the reconstructed image to a `Vec`.
+pub struct VecSink<'a> {
+    /// The image reconstructed so far.
+    pub image: &'a mut Vec<u8>,
+    /// Where decode-budget rejections are charged.
+    pub counters: &'a Counters,
+}
+
+impl FirmwareSink for VecSink<'_> {
+    fn write(&mut self, firmware: &[u8]) -> Result<(), PipelineError> {
+        self.image.extend_from_slice(firmware);
+        Ok(())
+    }
+
+    fn counters(&self) -> &Counters {
+        self.counters
+    }
+}
+
+/// State of the buffer + writer stages: sector-buffered sequential writes
+/// into the destination slot's firmware region.
 #[derive(Debug)]
 struct BufferedWriter {
     dst: SlotId,
     buffer: Vec<u8>,
     capacity: usize,
     write_pos: u32,
-    expected: u64,
-    written: u64,
 }
 
 impl BufferedWriter {
-    fn new(layout: &MemoryLayout, dst: SlotId, expected: u64) -> Result<Self, PipelineError> {
+    fn new(layout: &MemoryLayout, dst: SlotId) -> Result<Self, PipelineError> {
         let spec = layout.slot(dst)?;
         let capacity = layout
             .device_geometry(spec.device)
@@ -131,44 +175,61 @@ impl BufferedWriter {
             buffer: Vec::with_capacity(capacity),
             capacity,
             write_pos: FIRMWARE_OFFSET,
-            expected,
-            written: 0,
         })
     }
+}
 
-    fn push(&mut self, layout: &mut MemoryLayout, mut data: &[u8]) -> Result<(), PipelineError> {
-        if self.written + data.len() as u64 > self.expected {
-            return Err(PipelineError::Overflow);
-        }
-        self.written += data.len() as u64;
-        while !data.is_empty() {
-            let room = self.capacity - self.buffer.len();
-            let take = room.min(data.len());
-            self.buffer.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if self.buffer.len() == self.capacity {
-                self.flush(layout)?;
+/// The buffer + writer stages, bound to the flash for one call.
+struct FlashSink<'a>(&'a mut BufferedWriter, &'a mut MemoryLayout);
+
+impl FirmwareSink for FlashSink<'_> {
+    fn write(&mut self, mut firmware: &[u8]) -> Result<(), PipelineError> {
+        while !firmware.is_empty() {
+            let room = self.0.capacity - self.0.buffer.len();
+            let take = room.min(firmware.len());
+            self.0.buffer.extend_from_slice(&firmware[..take]);
+            firmware = &firmware[take..];
+            if self.0.buffer.len() == self.0.capacity {
+                self.flush()?;
             }
         }
         Ok(())
     }
 
-    fn flush(&mut self, layout: &mut MemoryLayout) -> Result<(), PipelineError> {
-        if self.buffer.is_empty() {
-            return Ok(());
+    fn flush(&mut self) -> Result<(), PipelineError> {
+        let Self(writer, layout) = self;
+        if !writer.buffer.is_empty() {
+            layout.write_slot(writer.dst, writer.write_pos, &writer.buffer)?;
+            writer.write_pos += writer.buffer.len() as u32;
+            writer.buffer.clear();
         }
-        layout.write_slot(self.dst, self.write_pos, &self.buffer)?;
-        self.write_pos += self.buffer.len() as u32;
-        self.buffer.clear();
         Ok(())
     }
 
-    fn finish(&mut self, layout: &mut MemoryLayout) -> Result<u64, PipelineError> {
-        self.flush(layout)?;
-        if self.written != self.expected {
-            return Err(PipelineError::Incomplete);
+    fn counters(&self) -> &Counters {
+        self.1.tracer().counters()
+    }
+}
+
+/// The exact-size check: firmware handed to the sink never exceeds the
+/// manifest's (verified) size.
+#[derive(Debug)]
+struct Output {
+    expected: u64,
+    produced: u64,
+}
+
+impl Output {
+    fn emit<S: FirmwareSink + ?Sized>(
+        &mut self,
+        sink: &mut S,
+        firmware: &[u8],
+    ) -> Result<(), PipelineError> {
+        if self.produced + firmware.len() as u64 > self.expected {
+            return Err(PipelineError::Overflow);
         }
-        Ok(self.written)
+        self.produced += firmware.len() as u64;
+        sink.write(firmware)
     }
 }
 
@@ -232,83 +293,214 @@ impl DiffStage {
     }
 }
 
-/// Runs payload bytes through a resolved differential decode chain,
-/// charging `decode_overruns` whenever a stage rejects a declared length
-/// for exceeding its budget.
+/// Charges `decode_overruns` when a stage rejected a declared length for
+/// exceeding its budget.
+fn charge_overrun(counters: &Counters, budget_rejection: bool) {
+    if budget_rejection {
+        Counters::add(&counters.decode_overruns, 1);
+    }
+}
+
+/// Runs payload bytes through the differential decode chain, resolving
+/// the container sniff first.
 ///
 /// Intermediate products (decompressed patch bytes, reconstructed
 /// firmware) move through fixed stack scratch buffers sized to the
 /// decoders' worst-case expansion, never through heap allocations.
-fn push_differential(
+fn push_differential<S: FirmwareSink + ?Sized>(
     stage: &mut DiffStage,
-    writer: &mut BufferedWriter,
-    layout: &mut MemoryLayout,
+    output: &mut Output,
+    sink: &mut S,
     data: &[u8],
 ) -> Result<(), PipelineError> {
     match stage {
-        DiffStage::Sniff { .. } => unreachable!("sniff is resolved before decoding"),
+        DiffStage::Sniff {
+            old,
+            firmware_size,
+            buffered,
+        } => {
+            buffered.extend_from_slice(data);
+            if buffered.len() < 4 {
+                return Ok(());
+            }
+            let pending = core::mem::take(buffered);
+            *stage = DiffStage::begin(core::mem::take(old), *firmware_size, &pending);
+            push_differential(stage, output, sink, &pending)
+        }
         DiffStage::Lzss {
             decompressor,
             patcher,
         } => {
             let mut patch_scratch = [0u8; SCRATCH_LEN];
             let mut firmware_scratch = [0u8; SCRATCH_LEN];
-            let mut done = 0usize;
-            while done < data.len() {
-                let n = (data.len() - done).min(DECODE_CHUNK);
+            for piece in data.chunks(DECODE_CHUNK) {
                 let mut patch_bytes = FixedBuf::new(&mut patch_scratch);
                 decompressor
-                    .push(&data[done..done + n], &mut patch_bytes)
+                    .push(piece, &mut patch_bytes)
                     .inspect_err(|e| {
-                        if matches!(e, LzssError::BudgetExceeded) {
-                            Counters::add(&layout.tracer().counters().decode_overruns, 1);
-                        }
+                        charge_overrun(sink.counters(), matches!(e, LzssError::BudgetExceeded));
                     })?;
                 debug_assert!(!patch_bytes.overflowed(), "scratch sized to worst case");
                 let mut firmware = FixedBuf::new(&mut firmware_scratch);
                 patcher
                     .push(patch_bytes.as_slice(), &mut firmware)
                     .inspect_err(|e| {
-                        if matches!(e, PatchError::BudgetExceeded) {
-                            Counters::add(&layout.tracer().counters().decode_overruns, 1);
-                        }
+                        charge_overrun(sink.counters(), matches!(e, PatchError::BudgetExceeded));
                     })?;
                 debug_assert!(!firmware.overflowed(), "bspatch never expands its input");
-                writer.push(layout, firmware.as_slice())?;
-                done += n;
+                output.emit(sink, firmware.as_slice())?;
             }
             Ok(())
         }
         DiffStage::Framed { patcher } => {
             let mut firmware_scratch = [0u8; SCRATCH_LEN];
-            let mut done = 0usize;
-            while done < data.len() {
-                let n = (data.len() - done).min(DECODE_CHUNK);
+            for piece in data.chunks(DECODE_CHUNK) {
                 let mut firmware = FixedBuf::new(&mut firmware_scratch);
                 patcher
-                    .push(&data[done..done + n], &mut firmware)
-                    .inspect_err(|e| {
-                        if e.is_budget_rejection() {
-                            Counters::add(&layout.tracer().counters().decode_overruns, 1);
-                        }
-                    })?;
+                    .push(piece, &mut firmware)
+                    .inspect_err(|e| charge_overrun(sink.counters(), e.is_budget_rejection()))?;
                 debug_assert!(!firmware.overflowed(), "scratch sized to worst case");
-                writer.push(layout, firmware.as_slice())?;
-                done += n;
+                output.emit(sink, firmware.as_slice())?;
             }
             Ok(())
         }
     }
 }
 
-/// The assembled pipeline for one incoming update.
+/// The decode half of the pipeline: optional decryption, the container
+/// sniff, budgeted decompression and patching, and the exact-size check,
+/// writing reconstructed firmware into a caller-supplied [`FirmwareSink`].
+///
+/// Every decode stage is budgeted from the firmware size the decoder was
+/// built with (the manifest's verified size), and the steady-state
+/// [`Decoder::push`] loop moves bytes through fixed stack buffers only.
 #[derive(Debug)]
-pub struct Pipeline {
+pub struct Decoder {
     /// Optional decryption stage (the paper's future-work extension): runs
     /// before decompression/patching so confidentiality does not depend on
     /// the transport.
     cipher: Option<ChaCha20>,
     transform: Transform,
+    output: Output,
+}
+
+impl Decoder {
+    /// A decoder for a **full** update: payload bytes are the
+    /// `firmware_size`-byte image.
+    #[must_use]
+    pub fn full(firmware_size: u32) -> Self {
+        Self::new(Transform::Passthrough, firmware_size)
+    }
+
+    /// A decoder for a **differential** update: the payload is a patch
+    /// container against `old`, producing `firmware_size` bytes. The
+    /// container (LZSS-wrapped raw bsdiff or framed) is chosen by the
+    /// payload's first 4 bytes; every decode stage behind the sniff is
+    /// budgeted from `firmware_size`.
+    #[must_use]
+    pub fn differential(old: Vec<u8>, firmware_size: u32) -> Self {
+        let stage = DiffStage::Sniff {
+            old,
+            firmware_size,
+            buffered: Vec::with_capacity(4),
+        };
+        Self::new(Transform::Differential(Box::new(stage)), firmware_size)
+    }
+
+    fn new(transform: Transform, firmware_size: u32) -> Self {
+        Self {
+            cipher: None,
+            transform,
+            output: Output {
+                expected: u64::from(firmware_size),
+                produced: 0,
+            },
+        }
+    }
+
+    /// Prepends a decryption stage: every wire byte is ChaCha20-decrypted
+    /// before it reaches decompression/patching. Must be called before the
+    /// first [`Decoder::push`].
+    pub fn enable_decryption(&mut self, cipher: ChaCha20) {
+        self.cipher = Some(cipher);
+    }
+
+    /// Feeds the next chunk of wire payload through every decode stage
+    /// into `sink`.
+    pub fn push<S: FirmwareSink + ?Sized>(
+        &mut self,
+        data: &[u8],
+        sink: &mut S,
+    ) -> Result<(), PipelineError> {
+        let Some(mut cipher) = self.cipher.take() else {
+            return self.push_plain(data, sink);
+        };
+        // Decrypt through a fixed stack buffer (ChaCha20 keeps its
+        // keystream position across calls, so chunked application is
+        // byte-identical to one-shot).
+        let mut chunk = [0u8; CIPHER_CHUNK];
+        let result = data.chunks(CIPHER_CHUNK).try_for_each(|piece| {
+            let plain = &mut chunk[..piece.len()];
+            plain.copy_from_slice(piece);
+            cipher.apply(plain);
+            self.push_plain(plain, sink)
+        });
+        self.cipher = Some(cipher);
+        result
+    }
+
+    fn push_plain<S: FirmwareSink + ?Sized>(
+        &mut self,
+        data: &[u8],
+        sink: &mut S,
+    ) -> Result<(), PipelineError> {
+        match &mut self.transform {
+            Transform::Passthrough => self.output.emit(sink, data),
+            Transform::Differential(stage) => {
+                push_differential(stage.as_mut(), &mut self.output, sink, data)
+            }
+        }
+    }
+
+    /// Completes the decode stages, flushes `sink`, and checks that
+    /// exactly the declared firmware size was produced. Returns that size.
+    pub fn finish<S: FirmwareSink + ?Sized>(&self, sink: &mut S) -> Result<u64, PipelineError> {
+        if let Transform::Differential(stage) = &self.transform {
+            match stage.as_ref() {
+                // Too few payload bytes to even identify a container; the
+                // classic decode chain would have reported the same.
+                DiffStage::Sniff { .. } => {
+                    return Err(PipelineError::Decompress(LzssError::Truncated))
+                }
+                DiffStage::Lzss {
+                    decompressor,
+                    patcher,
+                } => {
+                    decompressor.finish()?;
+                    patcher.finish()?;
+                }
+                DiffStage::Framed { patcher } => patcher.finish()?,
+            }
+        }
+        sink.flush()?;
+        if self.output.produced != self.output.expected {
+            return Err(PipelineError::Incomplete);
+        }
+        Ok(self.output.produced)
+    }
+
+    /// Firmware bytes produced so far.
+    #[must_use]
+    pub fn produced(&self) -> u64 {
+        self.output.produced
+    }
+}
+
+/// The assembled pipeline for one incoming update: a [`Decoder`] writing
+/// into the sector-buffered flash writer.
+#[derive(Debug)]
+pub struct Pipeline {
+    decoder: Decoder,
     writer: BufferedWriter,
 }
 
@@ -321,9 +513,8 @@ impl Pipeline {
         firmware_size: u32,
     ) -> Result<Self, PipelineError> {
         Ok(Self {
-            cipher: None,
-            transform: Transform::Passthrough,
-            writer: BufferedWriter::new(layout, dst, u64::from(firmware_size))?,
+            decoder: Decoder::full(firmware_size),
+            writer: BufferedWriter::new(layout, dst)?,
         })
     }
 
@@ -341,17 +532,9 @@ impl Pipeline {
         // Snapshot the (immutable-during-update) old image; see module docs.
         let mut old = vec![0u8; old_size as usize];
         layout.read_slot_counted(old_slot, FIRMWARE_OFFSET, &mut old)?;
-        // The container is chosen by the payload's first 4 bytes; every
-        // decode stage behind the sniff is budgeted from the manifest's
-        // (verified, slot-bounded) firmware size — see `DiffStage::begin`.
         Ok(Self {
-            cipher: None,
-            transform: Transform::Differential(Box::new(DiffStage::Sniff {
-                old,
-                firmware_size,
-                buffered: Vec::with_capacity(4),
-            })),
-            writer: BufferedWriter::new(layout, dst, u64::from(firmware_size))?,
+            decoder: Decoder::differential(old, firmware_size),
+            writer: BufferedWriter::new(layout, dst)?,
         })
     }
 
@@ -359,7 +542,7 @@ impl Pipeline {
     /// before it reaches decompression/patching. Must be called before the
     /// first [`Pipeline::push`].
     pub fn enable_decryption(&mut self, cipher: ChaCha20) {
-        self.cipher = Some(cipher);
+        self.decoder.enable_decryption(cipher);
     }
 
     /// Overrides the buffer stage's capacity (default: the destination
@@ -381,88 +564,21 @@ impl Pipeline {
 
     /// Feeds the next chunk of wire payload through all stages.
     pub fn push(&mut self, layout: &mut MemoryLayout, data: &[u8]) -> Result<(), PipelineError> {
-        if self.cipher.is_some() {
-            // Decrypt through a fixed stack buffer (ChaCha20 keeps its
-            // keystream position across calls, so chunked application is
-            // byte-identical to one-shot).
-            let mut cipher = self.cipher.take().expect("checked above");
-            let result = self.push_encrypted(&mut cipher, layout, data);
-            self.cipher = Some(cipher);
-            return result;
-        }
-        self.push_plain(layout, data)
-    }
-
-    fn push_encrypted(
-        &mut self,
-        cipher: &mut ChaCha20,
-        layout: &mut MemoryLayout,
-        data: &[u8],
-    ) -> Result<(), PipelineError> {
-        let mut chunk = [0u8; CIPHER_CHUNK];
-        let mut done = 0usize;
-        while done < data.len() {
-            let n = (data.len() - done).min(CIPHER_CHUNK);
-            chunk[..n].copy_from_slice(&data[done..done + n]);
-            cipher.apply(&mut chunk[..n]);
-            self.push_plain(layout, &chunk[..n])?;
-            done += n;
-        }
-        Ok(())
-    }
-
-    fn push_plain(&mut self, layout: &mut MemoryLayout, data: &[u8]) -> Result<(), PipelineError> {
-        match &mut self.transform {
-            Transform::Passthrough => self.writer.push(layout, data),
-            Transform::Differential(stage) => {
-                let stage = stage.as_mut();
-                if let DiffStage::Sniff {
-                    old,
-                    firmware_size,
-                    buffered,
-                } = stage
-                {
-                    buffered.extend_from_slice(data);
-                    if buffered.len() < 4 {
-                        return Ok(());
-                    }
-                    let resolved = DiffStage::begin(core::mem::take(old), *firmware_size, buffered);
-                    let pending = core::mem::take(buffered);
-                    *stage = resolved;
-                    return push_differential(stage, &mut self.writer, layout, &pending);
-                }
-                push_differential(stage, &mut self.writer, layout, data)
-            }
-        }
+        self.decoder
+            .push(data, &mut FlashSink(&mut self.writer, layout))
     }
 
     /// Flushes the buffer stage and validates completeness. Returns the
     /// number of firmware bytes written.
     pub fn finish(&mut self, layout: &mut MemoryLayout) -> Result<u64, PipelineError> {
-        if let Transform::Differential(stage) = &self.transform {
-            match stage.as_ref() {
-                // Too few payload bytes to even identify a container; the
-                // classic decode chain would have reported the same.
-                DiffStage::Sniff { .. } => {
-                    return Err(PipelineError::Decompress(LzssError::Truncated))
-                }
-                DiffStage::Lzss {
-                    decompressor,
-                    patcher,
-                } => {
-                    decompressor.finish()?;
-                    patcher.finish()?;
-                }
-                DiffStage::Framed { patcher } => patcher.finish()?,
-            }
-        }
-        self.writer.finish(layout)
+        self.decoder
+            .finish(&mut FlashSink(&mut self.writer, layout))
     }
 
     /// Firmware bytes produced so far.
     #[must_use]
     pub fn produced(&self) -> u64 {
-        self.writer.written
+        self.decoder.produced()
     }
 }
 

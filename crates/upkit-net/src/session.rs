@@ -175,6 +175,20 @@ pub struct SessionStream {
     pub payload: Vec<u8>,
 }
 
+impl SessionStream {
+    /// Cuts a serialized update image into its signed-manifest region and
+    /// its payload region (a stream shorter than a manifest is all
+    /// manifest).
+    #[must_use]
+    pub fn split(mut wire: Vec<u8>) -> Self {
+        let payload = wire.split_off(SIGNED_MANIFEST_LEN.min(wire.len()));
+        Self {
+            manifest: wire,
+            payload,
+        }
+    }
+}
+
 /// What the proxy path answered when asked for an update.
 #[derive(Debug)]
 pub enum StreamResolution {
@@ -729,11 +743,7 @@ impl SessionEndpoints for PullEndpoints<'_> {
         };
         // The border router forwards the (logical) byte stream end to end.
         let stream = self.router.forward(&prepared.image.to_bytes());
-        let manifest_len = SIGNED_MANIFEST_LEN.min(stream.len());
-        let payload = stream[manifest_len..].to_vec();
-        let mut manifest = stream;
-        manifest.truncate(manifest_len);
-        StreamResolution::Stream(SessionStream { manifest, payload })
+        StreamResolution::Stream(SessionStream::split(stream))
     }
 
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {

@@ -37,15 +37,13 @@ use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use upkit_core::generation::{UpdateServer, VendorServer};
-use upkit_crypto::ecdsa::SigningKey;
 use upkit_delta::pool::parallel_map;
 use upkit_manifest::Version;
 use upkit_trace::{Counters, CountersSnapshot, Event, TraceRecord, Tracer};
 
-use crate::device::{PollOutcome, APP_ID, LINK_OFFSET};
-use crate::firmware::FirmwareGenerator;
-use crate::fleet::{FleetConfig, FleetEnv, LiteDevice, ManifestMode, ShardCtx};
+use crate::device::PollOutcome;
+use crate::fleet::{FleetConfig, FleetEnv, ManifestMode, ShardCtx};
+use crate::lite::{LiteDevice, LiteEnv, UpgradeWorld};
 
 /// Release channel a device is enrolled in. Ordered by how early the
 /// channel sees a release: dogfood first, prod last.
@@ -293,7 +291,7 @@ impl CampaignDevice {
             Channel::Prod
         };
         Self {
-            lite: LiteDevice::provision(device_id, config.fleet.differential),
+            lite: LiteDevice::new(device_id, config.fleet.differential),
             channel,
             os_profile: (mix(seed ^ 0x05_F11E ^ u64::from(device_id)) % 3) as u8,
             percentile_bps: bucket_bps(seed, 0xF4AC_7104, device_id),
@@ -305,7 +303,7 @@ impl CampaignDevice {
 
     fn in_cohort(&self, cohort: &CohortFilter) -> bool {
         cohort.os_profile.is_none_or(|p| p == self.os_profile)
-            && self.lite.installed_version >= cohort.min_version
+            && self.lite.installed >= cohort.min_version
     }
 
     /// Whether `stage` enrolls this device: earlier channels are fully
@@ -459,9 +457,9 @@ impl CampaignShard {
     /// All devices this shard must converge under the final stage are
     /// updated or held out.
     fn complete(&self, final_stage: &Stage, cohort: &CohortFilter) -> bool {
-        self.devices.iter().all(|d| {
-            d.held || d.lite.installed_version >= Version(2) || !d.enrolled(final_stage, cohort)
-        })
+        self.devices
+            .iter()
+            .all(|d| d.held || d.lite.installed >= Version(2) || !d.enrolled(final_stage, cohort))
     }
 
     /// Runs one lock-step window: a round per `Serve` decision, then the
@@ -505,21 +503,21 @@ impl CampaignShard {
             if device.held || !device.enrolled(stage, &config.cohort) {
                 continue;
             }
-            let pending = device.lite.installed_version < Version(2);
+            let pending = device.lite.installed < Version(2);
             if pending && device.attempts > 0 {
                 // A re-download after a failed boot: retry pressure the
                 // health policy watches for.
                 Counters::add(&self.ctx.tracer.counters().retries, 1);
             }
             let device_id = u64::from(device.lite.device_id);
-            match device.lite.poll(env, &mut self.ctx) {
+            match self.ctx.poll(env, &mut device.lite) {
                 PollOutcome::Updated { wire_bytes: b, .. } => {
                     wire_bytes += b;
                     if device.faulty {
                         // Post-install boot failure: the bootloader falls
                         // back to the old slot, so the device reverts and
                         // will retry — until it exhausts its attempts.
-                        device.lite.roll_back_to(Version(1));
+                        device.lite.installed = Version(1);
                         device.attempts += 1;
                         Counters::add(&self.ctx.tracer.counters().boots_failed, 1);
                         if device.attempts >= config.faults.max_attempts {
@@ -539,7 +537,7 @@ impl CampaignShard {
                 PollOutcome::AlreadyCurrent => {}
                 PollOutcome::Rejected => {
                     assert!(
-                        device.lite.installed_version >= Version(2),
+                        device.lite.installed >= Version(2),
                         "pending device rejected an honest update"
                     );
                 }
@@ -549,7 +547,7 @@ impl CampaignShard {
         let updated = self
             .devices
             .iter()
-            .filter(|d| d.lite.installed_version >= Version(2))
+            .filter(|d| d.lite.installed >= Version(2))
             .count() as u32;
         let (counters, records) = self.ctx.tracer.drain();
         let summary = ShardSummary {
@@ -572,8 +570,8 @@ impl CampaignShard {
     /// the same update path).
     fn roll_back(&mut self) {
         for device in &mut self.devices {
-            if device.lite.installed_version >= Version(2) {
-                device.lite.roll_back_to(Version(1));
+            if device.lite.installed >= Version(2) {
+                device.lite.installed = Version(1);
                 self.rolled_back += 1;
                 Counters::add(&self.ctx.tracer.counters().devices_rolled_back, 1);
             }
@@ -601,15 +599,7 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
 #[must_use]
 pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> CampaignReport {
     let fleet = &config.fleet;
-    let mut rng = StdRng::seed_from_u64(fleet.seed);
-    let vendor = VendorServer::new(SigningKey::generate(&mut rng));
-    let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-
-    let generator = FirmwareGenerator::new(fleet.seed ^ 0xF00D);
-    let v1 = generator.base(fleet.firmware_size);
-    let v2 = generator.os_version_change(&v1);
-    server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
-    server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
+    let world = UpgradeWorld::build(fleet.seed, fleet.firmware_size);
 
     let device_count = fleet.devices as usize;
     let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
@@ -642,10 +632,8 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
         .collect();
 
     let env = FleetEnv {
-        server: &server,
-        vendor_key: vendor.verifying_key(),
-        server_key: server.verifying_key(),
-        base_image: &v1,
+        server: &world.server,
+        lite: LiteEnv::new(&world, false),
         verify_signatures: true,
         manifest_mode: ManifestMode::Campaign,
     };
@@ -740,7 +728,7 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
     let updated = shards
         .iter()
         .flat_map(|s| &s.devices)
-        .filter(|d| d.lite.installed_version >= Version(2))
+        .filter(|d| d.lite.installed >= Version(2))
         .count() as u32;
     let held = shards
         .iter()

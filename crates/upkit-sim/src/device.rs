@@ -64,6 +64,13 @@ pub const APP_ID: u32 = 0xF1;
 /// Link offset used by provisioned devices.
 pub const LINK_OFFSET: u32 = 0;
 
+/// Slot size of a device provisioned with a `firmware_len`-byte image:
+/// header and image rounded up to whole sectors, plus four sectors of
+/// headroom for larger releases.
+pub(crate) fn slot_size_for(firmware_len: usize) -> u32 {
+    (firmware_len as u32 + FIRMWARE_OFFSET).div_ceil(4096) * 4096 + 4096 * 4
+}
+
 impl SimDevice {
     /// Factory-provisions a device running `firmware` as version 1, signed
     /// by the given servers and trusting their keys.
@@ -93,10 +100,7 @@ impl SimDevice {
         server: &UpdateServer,
         supports_differential: bool,
     ) -> Self {
-        let slot_size = {
-            let needed = firmware.len() as u32 + FIRMWARE_OFFSET;
-            needed.div_ceil(4096) * 4096 + 4096 * 4
-        };
+        let slot_size = slot_size_for(firmware.len());
         let mut layout = configuration_a(
             Box::new(SimFlash::new(FlashGeometry {
                 size: (slot_size * 2).next_power_of_two().max(64 * 1024),

@@ -23,24 +23,17 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use upkit_compress::decompress;
-use upkit_core::agent::{AgentError, AgentPhase, AgentState};
-use upkit_core::generation::{UpdateServer, VendorServer};
-use upkit_core::verifier::VerifyError;
-use upkit_crypto::ecdsa::{SigningKey, VerifyingKey};
-use upkit_crypto::sha256::sha256;
-use upkit_manifest::{DeviceToken, Manifest, SignedManifest, Version, SIGNED_MANIFEST_LEN};
+use upkit_core::agent::{AgentError, AgentPhase};
+use upkit_core::generation::UpdateServer;
+use upkit_manifest::{DeviceToken, Version};
 use upkit_net::lossy::splitmix64;
 use upkit_net::{
     LinkProfile, LossyLink, PullSession, RetryPolicy, SessionEndpoints, SessionOutcome,
     SessionStream, Step, StreamResolution, Transport,
 };
-use upkit_trace::{Event, Tracer};
+use upkit_trace::{Counters, Event, Tracer};
 
-use crate::device::{APP_ID, LINK_OFFSET};
-use crate::firmware::FirmwareGenerator;
+use crate::lite::{LiteDevice, LiteEnv, SignatureCheck, UpgradeWorld};
 
 /// Parameters of an event-driven v1→v2 update campaign.
 #[derive(Clone, Copy, Debug)]
@@ -66,10 +59,11 @@ pub struct EventFleetConfig {
     pub verify_signatures: bool,
     /// `true` = full protocol fidelity: every device requests its own
     /// device/nonce-bound manifest from the server (one ECDSA signature
-    /// per request). `false` = scale mode: one canonical manifest is
-    /// prepared up front and served to every session, and the device/nonce
-    /// binding checks are skipped — the wire protocol, chunking, loss, and
-    /// digest verification stay exact, enabling 10k–1M-session campaigns.
+    /// per request). `false` = scale mode: one canonical manifest for
+    /// device id 0 is prepared up front and served to every session, and
+    /// devices check it as a broadcast manifest (device id 0, no nonce) —
+    /// the wire protocol, chunking, loss, and every other check stay
+    /// exact, enabling 10k–1M-session campaigns.
     pub device_bound_manifests: bool,
     /// Bucket width of the adoption histogram (0 = no histogram).
     pub adoption_bucket_micros: u64,
@@ -125,167 +119,17 @@ pub struct EventFleetReport {
 /// Immutable campaign-wide context every session endpoint reads.
 struct CampaignEnv {
     server: UpdateServer,
-    vendor_key: VerifyingKey,
-    server_key: VerifyingKey,
-    /// The v1 image (differential patch base).
-    base_image: Vec<u8>,
+    lite: LiteEnv,
     latest: Version,
     verify_signatures: bool,
-    device_bound_manifests: bool,
     /// Scale mode: the one canonical stream served to every session.
     canonical: Option<SessionStream>,
 }
 
-/// The campaign-wide verification context a lite device checks incoming
-/// streams against. Shared read-only between [`events`](self) and the
-/// multi-hop [`crate::topology`] simulator.
-pub(crate) struct LiteVerifyCtx<'a> {
-    pub(crate) vendor_key: &'a VerifyingKey,
-    pub(crate) server_key: &'a VerifyingKey,
-    /// The device's currently installed image (differential patch base).
-    pub(crate) base_image: &'a [u8],
-    pub(crate) verify_signatures: bool,
-    /// Whether the device/nonce manifest binding is enforced (off in
-    /// campaign/broadcast mode).
-    pub(crate) device_bound: bool,
-}
-
-/// Per-device protocol state: the lightweight analogue of an
-/// `UpdateAgent` + flash, mirroring `fleet::LiteDevice`'s checks but
-/// driven chunk-by-chunk through [`SessionEndpoints`].
-pub(crate) struct LiteState {
-    pub(crate) device_id: u32,
-    pub(crate) nonce_counter: u32,
-    pub(crate) installed: Version,
-    pub(crate) supports_differential: bool,
-    /// Completed installs (must end at one per version step — the
-    /// duplicate-install guard the duty-cycle tests pin).
-    pub(crate) installs: u32,
-    /// The last fully verified firmware image (what the device now runs).
-    pub(crate) last_installed: Option<Vec<u8>>,
-    manifest_buf: Vec<u8>,
-    accepted: Option<Manifest>,
-    payload: Vec<u8>,
-}
-
-impl LiteState {
-    pub(crate) fn new(device_id: u32, supports_differential: bool) -> Self {
-        Self {
-            device_id,
-            // Same per-device nonce schedule as `SimDevice`.
-            nonce_counter: device_id.wrapping_mul(2_654_435_761),
-            installed: Version(1),
-            supports_differential,
-            installs: 0,
-            last_installed: None,
-            manifest_buf: Vec::new(),
-            accepted: None,
-            payload: Vec::new(),
-        }
-    }
-
-    /// Discards any half-received update (a fresh session starts clean).
-    pub(crate) fn reset_transfer(&mut self) {
-        self.manifest_buf.clear();
-        self.accepted = None;
-        self.payload.clear();
-    }
-
-    /// The next device token this device would present.
-    pub(crate) fn next_token(&mut self) -> DeviceToken {
-        self.nonce_counter = self.nonce_counter.wrapping_add(0x9E37_79B9) | 1;
-        DeviceToken {
-            device_id: self.device_id,
-            nonce: self.nonce_counter,
-            current_version: if self.supports_differential {
-                self.installed
-            } else {
-                Version(0)
-            },
-        }
-    }
-
-    /// Accepts one link chunk: accumulates and verifies the manifest
-    /// region, then the payload region, reconstructing (and, for
-    /// differential payloads, patching) the firmware and digest-checking
-    /// it against the accepted manifest. The full `fleet::LiteDevice`
-    /// check sequence, driven incrementally.
-    pub(crate) fn deliver_chunk(
-        &mut self,
-        ctx: &LiteVerifyCtx<'_>,
-        chunk: &[u8],
-    ) -> Result<AgentPhase, AgentError> {
-        if self.accepted.is_none() {
-            // Manifest region: accumulate, then verify once complete.
-            self.manifest_buf.extend_from_slice(chunk);
-            if self.manifest_buf.len() < SIGNED_MANIFEST_LEN {
-                return Ok(AgentPhase::NeedMore);
-            }
-            let signed = SignedManifest::from_bytes(&self.manifest_buf)
-                .map_err(|_| AgentError::Verify(VerifyError::VendorSignature))?;
-            let manifest = signed.manifest;
-            if ctx.device_bound {
-                if manifest.device_id != self.device_id {
-                    return Err(AgentError::Verify(VerifyError::WrongDevice));
-                }
-                if manifest.nonce != self.nonce_counter {
-                    return Err(AgentError::Verify(VerifyError::WrongNonce));
-                }
-            }
-            if manifest.version <= self.installed {
-                return Err(AgentError::Verify(VerifyError::StaleVersion));
-            }
-            if ctx.verify_signatures
-                && signed
-                    .verify_with_keys(ctx.vendor_key, ctx.server_key)
-                    .is_err()
-            {
-                return Err(AgentError::Verify(VerifyError::VendorSignature));
-            }
-            self.accepted = Some(manifest);
-            return Ok(AgentPhase::ManifestAccepted);
-        }
-
-        // The payload region is only entered after the manifest was
-        // accepted above; losing it would be state-machine corruption.
-        // Surface a typed error instead of panicking mid-campaign.
-        let Some(manifest) = self.accepted.as_ref() else {
-            debug_assert!(false, "payload chunk delivered before manifest acceptance");
-            return Err(AgentError::WrongState(AgentState::ReceiveFirmware));
-        };
-        if self.payload.len() + chunk.len() > manifest.payload_size as usize {
-            return Err(AgentError::TooMuchData);
-        }
-        self.payload.extend_from_slice(chunk);
-        if self.payload.len() < manifest.payload_size as usize {
-            return Ok(AgentPhase::NeedMore);
-        }
-
-        // Whole payload arrived: reconstruct and digest-verify.
-        let firmware = if manifest.old_version.0 == 0 {
-            self.payload.clone()
-        } else {
-            let Ok(patch_stream) = decompress(&self.payload) else {
-                return Err(AgentError::Verify(VerifyError::DigestMismatch));
-            };
-            let Ok(firmware) = upkit_delta::patch(ctx.base_image, &patch_stream) else {
-                return Err(AgentError::Verify(VerifyError::DigestMismatch));
-            };
-            firmware
-        };
-        if sha256(&firmware) != manifest.digest || firmware.len() as u32 != manifest.size {
-            return Err(AgentError::Verify(VerifyError::DigestMismatch));
-        }
-        self.installed = manifest.version;
-        self.installs += 1;
-        self.last_installed = Some(firmware);
-        Ok(AgentPhase::Complete)
-    }
-}
-
 struct LiteEndpoints<'a> {
     env: &'a CampaignEnv,
-    state: &'a mut LiteState,
+    state: &'a mut LiteDevice,
+    counters: &'a Counters,
 }
 
 impl SessionEndpoints for LiteEndpoints<'_> {
@@ -305,29 +149,19 @@ impl SessionEndpoints for LiteEndpoints<'_> {
         let Some(prepared) = self.env.server.prepare_update(token) else {
             return StreamResolution::NoUpdate;
         };
-        let stream = prepared.image.to_bytes();
-        let manifest_len = SIGNED_MANIFEST_LEN.min(stream.len());
-        let payload = stream[manifest_len..].to_vec();
-        let mut manifest = stream;
-        manifest.truncate(manifest_len);
-        StreamResolution::Stream(SessionStream { manifest, payload })
+        StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes()))
     }
 
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        let ctx = LiteVerifyCtx {
-            vendor_key: &self.env.vendor_key,
-            server_key: &self.env.server_key,
-            base_image: &self.env.base_image,
-            verify_signatures: self.env.verify_signatures,
-            device_bound: self.env.device_bound_manifests,
-        };
-        self.state.deliver_chunk(&ctx, chunk)
+        let mut signatures = SignatureCheck::uncounted(self.env.verify_signatures);
+        self.state
+            .deliver(&self.env.lite, &mut signatures, self.counters, chunk)
     }
 }
 
 /// One device's scheduler-side bookkeeping.
 struct DeviceSlot {
-    state: LiteState,
+    state: LiteDevice,
     session: Option<PullSession>,
     session_started_at: u64,
     poll_attempts: u32,
@@ -355,16 +189,7 @@ pub fn run_event_rollout(config: &EventFleetConfig) -> EventFleetReport {
 #[must_use]
 pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> EventFleetReport {
     // --- World: same derivation scheme as the round-based fleet ----------
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let vendor = VendorServer::new(SigningKey::generate(&mut rng));
-    let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-
-    let generator = FirmwareGenerator::new(config.seed ^ 0xF00D);
-    let v1 = generator.base(config.firmware_size);
-    let v2 = generator.os_version_change(&v1);
-    server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
-    server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
-
+    let world = UpgradeWorld::build(config.seed, config.firmware_size);
     let canonical = if config.device_bound_manifests {
         None
     } else {
@@ -379,27 +204,18 @@ pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> E
                 Version(0)
             },
         };
-        let prepared = server
+        let prepared = world
+            .server
             .prepare_update(&token)
             .expect("v2 is published and newer");
-        let stream = prepared.image.to_bytes();
-        let manifest_len = SIGNED_MANIFEST_LEN.min(stream.len());
-        let payload = stream[manifest_len..].to_vec();
-        let mut manifest = stream;
-        manifest.truncate(manifest_len);
-        Some(SessionStream { manifest, payload })
+        Some(SessionStream::split(prepared.image.to_bytes()))
     };
 
-    let vendor_key = vendor.verifying_key();
-    let server_key = server.verifying_key();
     let env = CampaignEnv {
-        server,
-        vendor_key,
-        server_key,
-        base_image: v1,
+        lite: LiteEnv::new(&world, config.device_bound_manifests),
+        server: world.server,
         latest: Version(2),
         verify_signatures: config.verify_signatures,
-        device_bound_manifests: config.device_bound_manifests,
         canonical,
     };
 
@@ -410,7 +226,7 @@ pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> E
     let device_count = config.devices as usize;
     let mut slots: Vec<DeviceSlot> = (0..config.devices)
         .map(|i| DeviceSlot {
-            state: LiteState::new(0x1000 + i, config.differential),
+            state: LiteDevice::new(0x1000 + i, config.differential),
             session: None,
             session_started_at: 0,
             poll_attempts: 0,
@@ -487,6 +303,7 @@ pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> E
             let mut endpoints = LiteEndpoints {
                 env: &env,
                 state: &mut slot.state,
+                counters: tracer.counters(),
             };
             session.step(&mut endpoints)
         };

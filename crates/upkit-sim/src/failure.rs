@@ -47,7 +47,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::firmware::FirmwareGenerator;
-use crate::scenario::{APP_ID, DEVICE_ID, LINK_OFFSET};
+use crate::scenario::{install_signed, APP_ID, DEVICE_ID, LINK_OFFSET};
 
 /// Outcome of a power-loss scenario.
 #[derive(Debug)]
@@ -300,7 +300,14 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
         let mut images = Vec::new();
         for c in 0..components {
             let module_v1 = generator.module(c, config.firmware_size);
-            install_signed(&mut layout, SlotId(c * 2), &vendor, &server, &module_v1);
+            install_signed(
+                &mut layout,
+                SlotId(c * 2),
+                &vendor,
+                &server,
+                &module_v1,
+                Version(1),
+            );
             let module_v2 = generator.module_version_change(c, &module_v1);
             let manifest = Manifest {
                 device_id: DEVICE_ID,
@@ -363,9 +370,16 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
             journal: SlotId(components * 2),
         })
     } else {
-        install_signed(&mut layout, standard::SLOT_A, &vendor, &server, &v1);
+        install_signed(
+            &mut layout,
+            standard::SLOT_A,
+            &vendor,
+            &server,
+            &v1,
+            Version(1),
+        );
         if let Some(recovery) = recovery_slot {
-            install_signed(&mut layout, recovery, &vendor, &server, &v1);
+            install_signed(&mut layout, recovery, &vendor, &server, &v1, Version(1));
         }
         None
     };
@@ -608,36 +622,6 @@ pub fn run_power_loss_at_event(cut_after_events: u64, seed: u64) -> PowerLossRep
         bytes_written_before_cut,
         boots_to_recovery,
     }
-}
-
-fn install_signed(
-    layout: &mut MemoryLayout,
-    slot: SlotId,
-    vendor: &upkit_core::generation::VendorServer,
-    server: &upkit_core::generation::UpdateServer,
-    firmware: &[u8],
-) {
-    let manifest = Manifest {
-        device_id: DEVICE_ID,
-        nonce: 0,
-        old_version: Version(0),
-        version: Version(1),
-        size: firmware.len() as u32,
-        payload_size: firmware.len() as u32,
-        digest: sha256(firmware),
-        link_offset: LINK_OFFSET,
-        app_id: APP_ID,
-    };
-    let signed = SignedManifest {
-        manifest,
-        vendor_signature: vendor.sign_manifest_core(&manifest),
-        server_signature: server.sign_manifest(&manifest),
-    };
-    layout.erase_slot(slot).expect("fresh flash");
-    upkit_core::image::write_manifest(layout, slot, &signed).expect("fresh flash");
-    layout
-        .write_slot(slot, FIRMWARE_OFFSET, firmware)
-        .expect("slot fits");
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@
 //!   `tests/zero_serialization.rs`);
 //! * under [`ManifestMode::Campaign`] the server signs one broadcast
 //!   manifest per transition and each shard verifies it **once** through a
-//!   digest-keyed memo ([`VerifyMemo`]), so ECDSA cost scales with
+//!   memo keyed on the received manifest bytes
+//!   ([`VerifyMemo`](crate::lite::VerifyMemo)), so ECDSA cost scales with
 //!   *distinct manifests × shards*, not with fleet size.
 //!
 //! Both entry points advance each polled device one *whole* update at a
@@ -51,17 +52,15 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use upkit_compress::decompress;
-use upkit_core::generation::{PreparedUpdate, UpdateServer, VendorServer};
+use upkit_core::agent::AgentPhase;
+use upkit_core::generation::{PreparedUpdate, UpdateServer};
 use upkit_core::parallel::TaskTracer;
-use upkit_crypto::ecdsa::{SigningKey, VerifyingKey};
-use upkit_crypto::sha256::sha256;
 use upkit_delta::pool::parallel_map;
-use upkit_manifest::{DeviceToken, SignedManifest, Version};
+use upkit_manifest::Version;
 use upkit_trace::{Counters, CountersSnapshot, Event, TraceRecord, Tracer};
 
-use crate::device::{PollOutcome, SimDevice, APP_ID, LINK_OFFSET};
-use crate::firmware::FirmwareGenerator;
+use crate::device::{PollOutcome, SimDevice};
+use crate::lite::{LiteDevice, LiteEnv, SignatureCheck, UpgradeWorld, VerifyMemo};
 
 /// Parameters of a rollout campaign.
 #[derive(Clone, Copy, Debug)]
@@ -133,15 +132,12 @@ pub fn run_rollout(config: &FleetConfig) -> FleetReport {
 /// through `tracer`.
 #[must_use]
 pub fn run_rollout_traced(config: &FleetConfig, tracer: &Tracer) -> FleetReport {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let vendor = VendorServer::new(SigningKey::generate(&mut rng));
-    let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-
-    let generator = FirmwareGenerator::new(config.seed ^ 0xF00D);
-    let v1 = generator.base(config.firmware_size);
-    let v2 = generator.os_version_change(&v1);
-    server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
-
+    let UpgradeWorld {
+        mut rng,
+        vendor,
+        server,
+        v1,
+    } = UpgradeWorld::build(config.seed, config.firmware_size);
     let mut devices: Vec<SimDevice> = (0..config.devices)
         .map(|i| {
             SimDevice::provision_with_options(
@@ -153,8 +149,6 @@ pub fn run_rollout_traced(config: &FleetConfig, tracer: &Tracer) -> FleetReport 
             )
         })
         .collect();
-
-    server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
 
     let per_round = ((f64::from(config.devices) * config.poll_fraction).ceil() as usize).max(1);
     let mut rounds = Vec::new();
@@ -229,10 +223,10 @@ pub enum DeviceModel {
     /// Full [`SimDevice`]s: per-device flash, agent FSM, and bootloader.
     /// Highest fidelity, ≥64 KiB of simulated flash per device.
     Faithful,
-    /// Protocol-faithful lightweight devices: same token sequence,
-    /// signature/digest verification, decompression, and patching as the
-    /// full device, but no per-device flash or boot simulation — a few
-    /// dozen bytes per device, enabling 100k–1M-device campaigns.
+    /// Protocol-faithful lightweight devices: same token sequence, and
+    /// the agent's own verifier and pipeline decoder, but no per-device
+    /// flash or boot simulation — a few dozen bytes per device, enabling
+    /// 100k–1M-device campaigns.
     Lite,
 }
 
@@ -248,8 +242,8 @@ pub enum ManifestMode {
     /// Omaha-style campaign propagation: the server signs one broadcast
     /// manifest per version transition (token fields zero) and serves the
     /// identical response to every device on that base. Each shard then
-    /// verifies each distinct manifest exactly once through a
-    /// digest-keyed [`VerifyMemo`]; downgrade protection is preserved by
+    /// verifies each distinct manifest exactly once through a memo keyed
+    /// on the received manifest bytes; downgrade protection is preserved by
     /// the manifest version-monotonicity check every device performs
     /// before trusting anything else. Wire sizes are unchanged (the
     /// manifest is fixed-size), so reports are byte-identical to
@@ -299,48 +293,9 @@ impl Default for ShardedFleetConfig {
 /// Everything a polling device reads, shared by all shards and threads.
 pub(crate) struct FleetEnv<'a> {
     pub(crate) server: &'a UpdateServer,
-    pub(crate) vendor_key: VerifyingKey,
-    pub(crate) server_key: VerifyingKey,
-    /// The v1 image every device was provisioned with (the old image for
-    /// differential patching on lite devices).
-    pub(crate) base_image: &'a [u8],
+    pub(crate) lite: LiteEnv,
     pub(crate) verify_signatures: bool,
     pub(crate) manifest_mode: ManifestMode,
-}
-
-/// Digest-keyed memo of signed-manifest verification verdicts.
-///
-/// Keyed by the SHA-256 of the 166-byte signed-manifest wire encoding, so
-/// two byte-identical broadcast manifests verify once. Each shard owns its
-/// own memo: the counter totals (`sig_verifications`,
-/// `sig_verify_memo_hits`) and any trace events stay a pure function of
-/// the configuration, never of which thread raced first.
-#[derive(Default)]
-pub(crate) struct VerifyMemo {
-    verdicts: HashMap<[u8; 32], bool>,
-}
-
-impl VerifyMemo {
-    /// Verifies `signed` against the trust anchors, consulting the memo
-    /// first. Charges two `sig_verifications` on a miss (vendor + server
-    /// signature) and two `sig_verify_memo_hits` on a hit.
-    pub(crate) fn verify(
-        &mut self,
-        signed: &SignedManifest,
-        vendor_key: &VerifyingKey,
-        server_key: &VerifyingKey,
-        tracer: &Tracer,
-    ) -> bool {
-        let key = sha256(&signed.to_bytes());
-        if let Some(&verdict) = self.verdicts.get(&key) {
-            Counters::add(&tracer.counters().sig_verify_memo_hits, 2);
-            return verdict;
-        }
-        Counters::add(&tracer.counters().sig_verifications, 2);
-        let verdict = signed.verify_with_keys(vendor_key, server_key).is_ok();
-        self.verdicts.insert(key, verdict);
-        verdict
-    }
 }
 
 /// Shard-local polling context: the verification memo plus a cache of the
@@ -348,7 +303,7 @@ impl VerifyMemo {
 /// so a lite poll in campaign mode touches no server-side locks at all
 /// after the first request per (shard, version).
 pub(crate) struct ShardCtx {
-    pub(crate) memo: VerifyMemo,
+    memo: VerifyMemo,
     responses: HashMap<u16, Option<Arc<PreparedUpdate>>>,
     /// Shard-local tracer, drained once per round and merged into the
     /// campaign tracer in (round, shard-index) order, so the merged trace
@@ -365,136 +320,67 @@ impl ShardCtx {
         }
     }
 
-    /// The broadcast response the server would serve a device advertising
-    /// `version`, fetched once per shard and shared thereafter.
-    fn campaign_response(
-        &mut self,
-        env: &FleetEnv<'_>,
-        version: Version,
-    ) -> Option<Arc<PreparedUpdate>> {
-        self.responses
-            .entry(version.0)
-            .or_insert_with(|| env.server.prepare_campaign_update(version))
-            .clone()
-    }
-}
-
-/// A protocol-faithful device without per-device flash state.
-pub(crate) struct LiteDevice {
-    pub(crate) device_id: u32,
-    nonce_counter: u32,
-    pub(crate) installed_version: Version,
-    supports_differential: bool,
-}
-
-impl LiteDevice {
-    pub(crate) fn provision(device_id: u32, supports_differential: bool) -> Self {
-        Self {
-            device_id,
-            // Same per-device nonce schedule as `SimDevice`.
-            nonce_counter: device_id.wrapping_mul(2_654_435_761),
-            installed_version: Version(1),
-            supports_differential,
-        }
-    }
-
-    /// Roll the running version back to `to` (campaign halt recovery).
-    pub(crate) fn roll_back_to(&mut self, to: Version) {
-        self.installed_version = to;
-    }
-
-    /// One poll: token → server → verify → (decompress → patch) → digest
-    /// check. Mirrors `SimDevice::poll` outcomes exactly for an honest
+    /// One lite poll: token → server → the device's manifest and payload
+    /// steps. Mirrors `SimDevice::poll` outcomes exactly for an honest
     /// server in the v1→v2 campaign.
-    pub(crate) fn poll(&mut self, env: &FleetEnv<'_>, ctx: &mut ShardCtx) -> PollOutcome {
-        self.nonce_counter = self.nonce_counter.wrapping_add(0x9E37_79B9) | 1;
-        let advertised = if self.supports_differential {
-            self.installed_version
-        } else {
-            Version(0)
-        };
+    pub(crate) fn poll(&mut self, env: &FleetEnv<'_>, device: &mut LiteDevice) -> PollOutcome {
+        let token = device.next_token();
         match env.manifest_mode {
-            ManifestMode::PerDevice => {
-                let token = DeviceToken {
-                    device_id: self.device_id,
-                    nonce: self.nonce_counter,
-                    current_version: advertised,
-                };
-                let Some(prepared) = env.server.prepare_update(&token) else {
-                    return PollOutcome::AlreadyCurrent;
-                };
-                self.accept(env, ctx, &prepared)
-            }
-            ManifestMode::Campaign => {
-                let Some(prepared) = ctx.campaign_response(env, advertised) else {
-                    return PollOutcome::AlreadyCurrent;
-                };
-                self.accept(env, ctx, &prepared)
-            }
+            ManifestMode::PerDevice => match env.server.prepare_update(&token) {
+                Some(prepared) => self.deliver(env, device, &prepared),
+                None => PollOutcome::AlreadyCurrent,
+            },
+            // The broadcast response for the advertised version, fetched
+            // once per shard and shared thereafter.
+            ManifestMode::Campaign => match self
+                .responses
+                .entry(token.current_version.0)
+                .or_insert_with(|| env.server.prepare_campaign_update(token.current_version))
+                .clone()
+            {
+                Some(prepared) => self.deliver(env, device, &prepared),
+                None => PollOutcome::AlreadyCurrent,
+            },
         }
     }
 
-    /// The device half of a poll, shared by both manifest modes: freshness
-    /// check, (memoized) dual-signature verification, decompression,
-    /// patching, and the firmware digest check.
-    fn accept(
+    /// Feeds one served update to `device` as a whole session: the
+    /// received manifest, then the payload. A fleet device keeps nothing
+    /// of the session afterwards.
+    fn deliver(
         &mut self,
         env: &FleetEnv<'_>,
-        ctx: &mut ShardCtx,
+        device: &mut LiteDevice,
         prepared: &PreparedUpdate,
     ) -> PollOutcome {
-        // Precomputed at preparation time — a poll never serializes the
-        // full image just to count wire bytes.
-        let wire_bytes = prepared.wire_bytes;
-        let signed = &prepared.image.signed_manifest;
-        let manifest = signed.manifest;
-
-        // Freshness: a re-offer of a version we already run is stale
-        // (non-differential devices advertise version 0 and see these).
-        if manifest.version <= self.installed_version {
-            return PollOutcome::Rejected;
-        }
-        if env.verify_signatures {
-            let ok = match env.manifest_mode {
-                // Per-token manifests are distinct per request — a memo
-                // could never hit, so verify directly.
-                ManifestMode::PerDevice => {
-                    Counters::add(&ctx.tracer.counters().sig_verifications, 2);
-                    signed
-                        .verify_with_keys(&env.vendor_key, &env.server_key)
-                        .is_ok()
-                }
-                ManifestMode::Campaign => {
-                    ctx.memo
-                        .verify(signed, &env.vendor_key, &env.server_key, &ctx.tracer)
-                }
-            };
-            if !ok {
-                return PollOutcome::Rejected;
-            }
-        }
-
-        let firmware = if manifest.old_version.0 == 0 {
-            prepared.image.payload.clone()
-        } else {
-            // Only v1 is ever a differential base in this campaign.
-            assert_eq!(manifest.old_version, Version(1), "unexpected patch base");
-            let Ok(patch_stream) = decompress(&prepared.image.payload) else {
-                return PollOutcome::Rejected;
-            };
-            let Ok(firmware) = upkit_delta::patch(env.base_image, &patch_stream) else {
-                return PollOutcome::Rejected;
-            };
-            firmware
+        let mut signatures = match (env.verify_signatures, env.manifest_mode) {
+            (false, _) => SignatureCheck::Skip,
+            // Per-token manifests are distinct per request — a memo could
+            // never hit, so verify directly.
+            (true, ManifestMode::PerDevice) => SignatureCheck::Counted,
+            (true, ManifestMode::Campaign) => SignatureCheck::Memo(&mut self.memo),
         };
-        if sha256(&firmware) != manifest.digest || firmware.len() as u32 != manifest.size {
-            return PollOutcome::Rejected;
-        }
-
-        self.installed_version = manifest.version;
-        PollOutcome::Updated {
-            to: manifest.version,
-            wire_bytes,
+        let counters = self.tracer.counters();
+        let manifest = prepared.image.signed_manifest.to_bytes();
+        let outcome = device
+            .deliver(&env.lite, &mut signatures, counters, &manifest)
+            .and_then(|_| {
+                device.deliver(
+                    &env.lite,
+                    &mut signatures,
+                    counters,
+                    &prepared.image.payload,
+                )
+            });
+        device.reset_transfer();
+        match outcome {
+            Ok(AgentPhase::Complete) => PollOutcome::Updated {
+                to: device.installed,
+                // Precomputed at preparation time — a poll never
+                // serializes the full image just to count wire bytes.
+                wire_bytes: prepared.wire_bytes,
+            },
+            _ => PollOutcome::Rejected,
         }
     }
 }
@@ -509,14 +395,14 @@ impl FleetDevice {
     fn installed_version(&self) -> Version {
         match self {
             Self::Faithful(device) => device.installed_version(),
-            Self::Lite(device) => device.installed_version,
+            Self::Lite(device) => device.installed,
         }
     }
 
     fn poll(&mut self, env: &FleetEnv<'_>, ctx: &mut ShardCtx) -> PollOutcome {
         match self {
             Self::Faithful(device) => device.poll(env.server).expect("healthy fleet"),
-            Self::Lite(device) => device.poll(env, ctx),
+            Self::Lite(device) => ctx.poll(env, device),
         }
     }
 }
@@ -640,14 +526,13 @@ pub fn run_rollout_sharded(config: &ShardedFleetConfig) -> FleetReport {
 #[must_use]
 pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) -> FleetReport {
     let fleet = &config.fleet;
-    let mut rng = StdRng::seed_from_u64(fleet.seed);
-    let vendor = VendorServer::new(SigningKey::generate(&mut rng));
-    let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-
-    let generator = FirmwareGenerator::new(fleet.seed ^ 0xF00D);
-    let v1 = generator.base(fleet.firmware_size);
-    let v2 = generator.os_version_change(&v1);
-    server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
+    let world = UpgradeWorld::build(fleet.seed, fleet.firmware_size);
+    let env = FleetEnv {
+        server: &world.server,
+        lite: LiteEnv::new(&world, config.manifest_mode == ManifestMode::PerDevice),
+        verify_signatures: config.verify_signatures,
+        manifest_mode: config.manifest_mode,
+    };
 
     let device_count = fleet.devices as usize;
     let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
@@ -669,7 +554,7 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
     // from it) and reproduces `run_rollout` exactly; multiple shards get
     // independent streams derived from the fleet seed and the shard index.
     let shard_rngs: Vec<StdRng> = if shard_count == 1 {
-        vec![rng]
+        vec![world.rng]
     } else {
         (0..shard_count)
             .map(|index| {
@@ -680,17 +565,6 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
                 )
             })
             .collect()
-    };
-
-    server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
-
-    let env = FleetEnv {
-        server: &server,
-        vendor_key: vendor.verifying_key(),
-        server_key: server.verifying_key(),
-        base_image: &v1,
-        verify_signatures: config.verify_signatures,
-        manifest_mode: config.manifest_mode,
     };
 
     // One pool task per shard: provision it, then run it to convergence —
@@ -706,14 +580,14 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
                     DeviceModel::Faithful => {
                         FleetDevice::Faithful(Box::new(SimDevice::provision_with_options(
                             device_id,
-                            &v1,
-                            &vendor,
-                            &server,
+                            &world.v1,
+                            &world.vendor,
+                            &world.server,
                             fleet.differential,
                         )))
                     }
                     DeviceModel::Lite => {
-                        FleetDevice::Lite(LiteDevice::provision(device_id, fleet.differential))
+                        FleetDevice::Lite(LiteDevice::new(device_id, fleet.differential))
                     }
                 }
             })

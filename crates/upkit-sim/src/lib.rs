@@ -20,6 +20,8 @@
 //!   static endurance).
 //! * [`device`] / [`fleet`] — a self-contained simulated device (poll →
 //!   verify → reboot lifecycle) and fleet-rollout campaigns built on it.
+//!   Fleet-scale engines simulate the flash-free *lite device* instead:
+//!   the agent's own verifier and pipeline decoder, writing into RAM.
 //! * [`events`] — [`run_event_rollout`]: the virtual-clock event scheduler
 //!   interleaving thousands of in-flight stepped sessions with loss and
 //!   retransmission on one timeline.
@@ -36,6 +38,7 @@ pub mod failure;
 pub mod firmware;
 pub mod fleet;
 pub mod lifetime;
+mod lite;
 pub mod platform;
 pub mod scenario;
 pub mod topology;

@@ -30,7 +30,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::firmware::FirmwareGenerator;
-use crate::scenario::{APP_ID, DEVICE_ID, LINK_OFFSET};
+use crate::scenario::{install_signed, APP_ID, DEVICE_ID, LINK_OFFSET};
 
 /// Slot strategy under test.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,13 +84,13 @@ pub fn run_lifetime(mode: LifetimeMode, updates: u32, seed: u64) -> LifetimeRepo
 
     let generator = FirmwareGenerator::new(seed ^ 0x11FE);
     let mut current_fw = generator.base(6_000);
-    install(
+    install_signed(
         &mut layout,
+        standard::SLOT_A,
         &vendor,
         &server,
         &current_fw,
-        1,
-        standard::SLOT_A,
+        Version(1),
     );
 
     let mut agent = UpdateAgent::new(
@@ -174,39 +174,6 @@ pub fn run_lifetime(mode: LifetimeMode, updates: u32, seed: u64) -> LifetimeRepo
         max_sector_wear: layout.max_sector_wear(),
         total_erases: layout.total_stats().sectors_erased,
     }
-}
-
-fn install(
-    layout: &mut upkit_flash::MemoryLayout,
-    vendor: &upkit_core::generation::VendorServer,
-    server: &upkit_core::generation::UpdateServer,
-    firmware: &[u8],
-    version: u16,
-    slot: SlotId,
-) {
-    use upkit_crypto::sha256::sha256;
-    use upkit_manifest::{Manifest, SignedManifest};
-    let manifest = Manifest {
-        device_id: DEVICE_ID,
-        nonce: 0,
-        old_version: Version(0),
-        version: Version(version),
-        size: firmware.len() as u32,
-        payload_size: firmware.len() as u32,
-        digest: sha256(firmware),
-        link_offset: LINK_OFFSET,
-        app_id: APP_ID,
-    };
-    let signed = SignedManifest {
-        manifest,
-        vendor_signature: vendor.sign_manifest_core(&manifest),
-        server_signature: server.sign_manifest(&manifest),
-    };
-    layout.erase_slot(slot).expect("fresh flash");
-    upkit_core::image::write_manifest(layout, slot, &signed).expect("fresh flash");
-    layout
-        .write_slot(slot, FIRMWARE_OFFSET, firmware)
-        .expect("fits");
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use upkit_crypto::ecdsa::SigningKey;
 use upkit_crypto::hsm::SimulatedHsm;
 use upkit_crypto::sha256::sha256;
 use upkit_flash::{
-    configuration_a, configuration_b, standard, FlashDevice, MemoryLayout, SimFlash,
+    configuration_a, configuration_b, standard, FlashDevice, MemoryLayout, SimFlash, SlotId,
 };
 use upkit_manifest::{Manifest, SignedManifest, Version};
 use upkit_net::{
@@ -297,7 +297,14 @@ pub fn run_scenario_with_cut(
     };
 
     // --- Install v1 --------------------------------------------------------
-    install_current(&mut layout, &vendor, &server, &v1);
+    install_signed(
+        &mut layout,
+        standard::SLOT_A,
+        &vendor,
+        &server,
+        &v1,
+        Version(1),
+    );
 
     // --- Publish releases ---------------------------------------------------
     server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
@@ -469,19 +476,22 @@ fn build_flash_size(cfg: &ScenarioConfig) -> u32 {
         .map_or(100_000, |f| f.flash)
 }
 
-/// Installs `firmware` as the running version 1 image in slot A, with a
-/// correctly double-signed manifest so the bootloader accepts it.
-fn install_current(
+/// Installs `firmware` as the running `version` image in `slot`, with a
+/// correctly double-signed manifest so the bootloader accepts it: erase
+/// the slot, then write the header and the image.
+pub(crate) fn install_signed(
     layout: &mut MemoryLayout,
+    slot: SlotId,
     vendor: &VendorServer,
     server: &UpdateServer,
     firmware: &[u8],
+    version: Version,
 ) {
     let manifest = Manifest {
         device_id: DEVICE_ID,
         nonce: 0,
         old_version: Version(0),
-        version: Version(1),
+        version,
         size: firmware.len() as u32,
         payload_size: firmware.len() as u32,
         digest: sha256(firmware),
@@ -493,9 +503,9 @@ fn install_current(
         vendor_signature: vendor.sign_manifest_core(&manifest),
         server_signature: server.sign_manifest(&manifest),
     };
-    layout.erase_slot(standard::SLOT_A).expect("fresh flash");
-    write_manifest(layout, standard::SLOT_A, &signed).expect("fresh flash");
+    layout.erase_slot(slot).expect("fresh flash");
+    write_manifest(layout, slot, &signed).expect("fresh flash");
     layout
-        .write_slot(standard::SLOT_A, FIRMWARE_OFFSET, firmware)
+        .write_slot(slot, FIRMWARE_OFFSET, firmware)
         .expect("slot sized for firmware");
 }

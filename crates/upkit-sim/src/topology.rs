@@ -45,13 +45,9 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use upkit_core::agent::{AgentError, AgentPhase};
-use upkit_core::generation::{UpdateServer, VendorServer};
 use upkit_core::parallel::map_traced;
-use upkit_crypto::ecdsa::{SigningKey, VerifyingKey};
-use upkit_manifest::{DeviceToken, Version, SIGNED_MANIFEST_LEN};
+use upkit_manifest::{DeviceToken, Version};
 use upkit_net::lossy::splitmix64;
 use upkit_net::{
     CachedOrigin, CachingProxy, LinkProfile, LossyLink, PullSession, RetryPolicy, SessionEndpoints,
@@ -59,9 +55,7 @@ use upkit_net::{
 };
 use upkit_trace::{Counters, Event, Tracer};
 
-use crate::device::{APP_ID, LINK_OFFSET};
-use crate::events::{LiteState, LiteVerifyCtx};
-use crate::firmware::FirmwareGenerator;
+use crate::lite::{LiteDevice, LiteEnv, SignatureCheck, UpgradeWorld};
 
 /// A device sleep schedule: wake events that land inside a sleep window
 /// are deferred to the next awake instant. Sessions are resumable, so a
@@ -273,55 +267,27 @@ pub struct DisseminationReport {
 }
 
 /// One campaign's shared, read-only world: the origin stream every
-/// gateway caches, the keys devices verify against, and the reference
+/// gateway caches, what devices check it against, and the reference
 /// image a direct (proxy-free, loss-free, single-hop) fetch installs.
 struct Campaign {
     origin: CachedOrigin,
-    vendor_key: VerifyingKey,
-    server_key: VerifyingKey,
-    base_image: Vec<u8>,
+    lite: LiteEnv,
     latest: Version,
     /// What a direct single-hop fetch of this campaign installs —
     /// obtained by actually running one, not assumed.
     expected_image: Vec<u8>,
 }
 
-/// Serves a fixed stream directly (no proxy, no loss): the single-hop
-/// reference fetch the dissemination results are compared against.
-struct DirectEndpoints<'a> {
-    campaign: &'a Campaign,
-    state: &'a mut LiteState,
-    verify_signatures: bool,
-}
-
-impl SessionEndpoints for DirectEndpoints<'_> {
-    fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
-        Ok(self.state.next_token())
-    }
-
-    fn resolve_stream(&mut self, _token: &DeviceToken) -> StreamResolution {
-        StreamResolution::Stream(self.campaign.origin.direct_stream())
-    }
-
-    fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        let ctx = LiteVerifyCtx {
-            vendor_key: &self.campaign.vendor_key,
-            server_key: &self.campaign.server_key,
-            base_image: &self.campaign.base_image,
-            verify_signatures: self.verify_signatures,
-            device_bound: false,
-        };
-        self.state.deliver_chunk(&ctx, chunk)
-    }
-}
-
-/// Serves a campaign's stream through the gateway's caching proxy.
+/// Serves a campaign's stream through the gateway's caching proxy, or
+/// directly (no proxy, no loss) for the single-hop reference fetch the
+/// dissemination results are compared against.
 struct MeshEndpoints<'a> {
     campaign: &'a Campaign,
-    proxy: &'a mut CachingProxy,
-    state: &'a mut LiteState,
+    proxy: Option<&'a mut CachingProxy>,
+    state: &'a mut LiteDevice,
     verify_signatures: bool,
     now_micros: u64,
+    counters: &'a Counters,
 }
 
 impl SessionEndpoints for MeshEndpoints<'_> {
@@ -333,18 +299,16 @@ impl SessionEndpoints for MeshEndpoints<'_> {
         if self.state.installed >= self.campaign.latest {
             return StreamResolution::NoUpdate;
         }
-        self.proxy.resolve(&self.campaign.origin, self.now_micros)
+        match self.proxy.as_deref_mut() {
+            Some(proxy) => proxy.resolve(&self.campaign.origin, self.now_micros),
+            None => StreamResolution::Stream(self.campaign.origin.direct_stream()),
+        }
     }
 
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        let ctx = LiteVerifyCtx {
-            vendor_key: &self.campaign.vendor_key,
-            server_key: &self.campaign.server_key,
-            base_image: &self.campaign.base_image,
-            verify_signatures: self.verify_signatures,
-            device_bound: false,
-        };
-        self.state.deliver_chunk(&ctx, chunk)
+        let mut signatures = SignatureCheck::uncounted(self.verify_signatures);
+        self.state
+            .deliver(&self.campaign.lite, &mut signatures, self.counters, chunk)
     }
 }
 
@@ -358,18 +322,11 @@ fn build_campaigns(config: &TopologyConfig) -> Vec<Campaign> {
             let seed = config
                 .seed
                 .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(c)));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let vendor = VendorServer::new(SigningKey::generate(&mut rng));
-            let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-            let generator = FirmwareGenerator::new(seed ^ 0xF00D);
-            let v1 = generator.base(config.firmware_size);
-            let v2 = generator.os_version_change(&v1);
-            server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
-            server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
+            let world = UpgradeWorld::build(seed, config.firmware_size);
 
-            // One canonical stream for the whole campaign (broadcast
-            // manifests: devices check signatures + digest + version, not
-            // device/nonce binding).
+            // One canonical stream for the whole campaign: a broadcast
+            // manifest, which devices check against device id 0 with no
+            // nonce.
             let token = DeviceToken {
                 device_id: 0,
                 nonce: 1,
@@ -379,21 +336,15 @@ fn build_campaigns(config: &TopologyConfig) -> Vec<Campaign> {
                     Version(0)
                 },
             };
-            let prepared = server
+            let prepared = world
+                .server
                 .prepare_update(&token)
                 .expect("v2 is published and newer");
-            let stream = prepared.image.to_bytes();
-            let manifest_len = SIGNED_MANIFEST_LEN.min(stream.len());
-            let payload = stream[manifest_len..].to_vec();
-            let mut manifest = stream;
-            manifest.truncate(manifest_len);
-            let origin = CachedOrigin::new(&SessionStream { manifest, payload });
+            let origin = CachedOrigin::new(&SessionStream::split(prepared.image.to_bytes()));
 
             let mut campaign = Campaign {
                 origin,
-                vendor_key: vendor.verifying_key(),
-                server_key: server.verifying_key(),
-                base_image: v1,
+                lite: LiteEnv::new(&world, false),
                 latest: Version(2),
                 expected_image: Vec::new(),
             };
@@ -409,14 +360,18 @@ fn build_campaigns(config: &TopologyConfig) -> Vec<Campaign> {
 fn direct_reference_fetch(config: &TopologyConfig, campaign: &Campaign) -> Vec<u8> {
     let link = LinkProfile::ieee802154_6lowpan();
     let lossless = LossyLink::bernoulli(link, 0.0, config.seed);
-    let mut state = LiteState::new(0x0FFF, config.differential);
+    let mut state = LiteDevice::new(0x0FFF, config.differential);
     let mut session = PullSession::new(lossless, config.retry, u64::MAX);
+    let counters = Counters::default();
     loop {
         let step = {
-            let mut endpoints = DirectEndpoints {
+            let mut endpoints = MeshEndpoints {
                 campaign,
+                proxy: None,
                 state: &mut state,
                 verify_signatures: config.verify_signatures,
+                now_micros: 0,
+                counters: &counters,
             };
             session.step(&mut endpoints)
         };
@@ -430,13 +385,14 @@ fn direct_reference_fetch(config: &TopologyConfig, campaign: &Campaign) -> Vec<u
         }
     }
     state
-        .last_installed
+        .installed_image()
         .expect("a completed reference fetch installed an image")
+        .to_vec()
 }
 
 /// Per-device scheduler slot.
 struct TopoSlot {
-    state: LiteState,
+    state: LiteDevice,
     campaign: usize,
     session: Option<PullSession>,
     session_started_at: u64,
@@ -495,7 +451,7 @@ fn run_gateway_shard(
                 splitmix64(config.seed ^ 0xD07A_0000u64.wrapping_add(gi as u64)) % duty_period
             };
             TopoSlot {
-                state: LiteState::new(0x1000 + gi as u32, config.differential),
+                state: LiteDevice::new(0x1000 + gi as u32, config.differential),
                 campaign: gi % campaigns.len(),
                 session: None,
                 session_started_at: 0,
@@ -577,10 +533,11 @@ fn run_gateway_shard(
         let step = {
             let mut endpoints = MeshEndpoints {
                 campaign: &campaigns[slot.campaign],
-                proxy: &mut proxy,
+                proxy: Some(&mut proxy),
                 state: &mut slot.state,
                 verify_signatures: config.verify_signatures,
                 now_micros: now,
+                counters: tracer.counters(),
             };
             session.step(&mut endpoints)
         };
@@ -641,8 +598,8 @@ fn run_gateway_shard(
         }
         stats.installs += u64::from(slot.state.installs);
         stats.slept += slot.slept;
-        if let Some(image) = &slot.state.last_installed {
-            if image == &campaigns[slot.campaign].expected_image {
+        if let Some(image) = slot.state.installed_image() {
+            if image == campaigns[slot.campaign].expected_image {
                 stats.image_matches += 1;
             } else {
                 stats.image_mismatches += 1;

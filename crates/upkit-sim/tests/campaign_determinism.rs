@@ -3,7 +3,7 @@
 //! traces at 1, 2, and 8 threads, and the halt triggers at the same
 //! virtual-clock round regardless of scheduling.
 //!
-//! This is the contract that makes the bounded-skew scheduler safe to
+//! This is the contract that makes the lock-step windows safe to
 //! parallelise: health decisions live on the virtual clock (a pure
 //! function of shard round summaries), never on wall-clock racing.
 

@@ -25,13 +25,13 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use upkit_compress::decompress;
 use upkit_core::generation::{Release, UpdateServer, VendorServer};
+use upkit_core::pipeline::{Decoder, VecSink};
 use upkit_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
 use upkit_crypto::sha256::sha256;
 pub use upkit_delta::PatchFormat;
-use upkit_delta::{patch, patch_framed};
 use upkit_manifest::{DeviceToken, Manifest, SignedManifest, UpdateImage, Version, MANIFEST_LEN};
+use upkit_trace::Counters;
 
 /// Length of a release file's fixed header (manifest + vendor signature).
 pub const RELEASE_HEADER_LEN: usize = MANIFEST_LEN + 64;
@@ -287,28 +287,28 @@ pub fn verify_image(
         .map_err(|e| ToolError::VerifyFailed(format!("signature check: {e}")))?;
 
     let m = image.signed_manifest.manifest;
-    let firmware = if m.is_differential() {
+    let mut decoder = if m.is_differential() {
         let Some(base_path) = base_firmware_path else {
             return Ok(
                 "signatures OK (differential payload: supply --base to check the digest)".into(),
             );
         };
-        let base = read(base_path)?;
-        // Same container sniff the device pipeline performs: a framed
-        // payload is applied directly, anything else is the legacy
-        // LZSS-compressed bsdiff stream.
-        if PatchFormat::detect(&image.payload) == Some(PatchFormat::Framed) {
-            patch_framed(&base, &image.payload)
-                .map_err(|e| ToolError::VerifyFailed(format!("framed patch: {e}")))?
-        } else {
-            let raw_patch = decompress(&image.payload)
-                .map_err(|e| ToolError::VerifyFailed(format!("payload decompression: {e}")))?;
-            patch(&base, &raw_patch)
-                .map_err(|e| ToolError::VerifyFailed(format!("patch application: {e}")))?
-        }
+        Decoder::differential(read(base_path)?, m.size)
     } else {
-        image.payload.clone()
+        Decoder::full(m.size)
     };
+    // The device's own decoder: the container sniff, the decode budgets
+    // (the signature-checked firmware size) and the exact-size check.
+    let mut firmware = Vec::new();
+    let counters = Counters::default();
+    let mut sink = VecSink {
+        image: &mut firmware,
+        counters: &counters,
+    };
+    decoder
+        .push(&image.payload, &mut sink)
+        .and_then(|()| decoder.finish(&mut sink))
+        .map_err(|e| ToolError::VerifyFailed(format!("payload decode: {e}")))?;
     if sha256(&firmware) != m.digest {
         return Err(ToolError::VerifyFailed("firmware digest mismatch".into()));
     }

@@ -832,7 +832,7 @@ counters! {
     patch_cache_hits,
     /// Patch requests that had to run a fresh diff (cache miss).
     patch_cache_misses,
-    /// Verifications skipped by the digest-keyed signed-manifest memo.
+    /// Verifications skipped by the per-shard signed-manifest memo.
     sig_verify_memo_hits,
     /// Devices whose post-install boot failed (fell back to the old slot).
     boots_failed,
