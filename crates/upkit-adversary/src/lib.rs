@@ -66,55 +66,11 @@ use upkit_net::{
     PushEndpoints, PushSession, RetryPolicy, SessionEndpoints, SessionStream, StreamResolution,
     Transport,
 };
+pub use upkit_sim::failure::{mode_from_label, mode_label};
 use upkit_sim::failure::{update_world, world_geometry, UpdateWorld, WorldConfig, WorldMode};
 use upkit_sim::scenario::DEVICE_ID;
 use upkit_sim::FirmwareGenerator;
 use upkit_trace::{Counters, Event, Tracer};
-
-pub use upkit_chaos_labels::{mode_from_label, mode_label};
-
-/// Re-exported scenario-mode labels, shared with the chaos explorer so
-/// both reproducer command lines speak the same dialect.
-mod upkit_chaos_labels {
-    use upkit_sim::failure::WorldMode;
-
-    /// Stable label for a scenario mode, used in reproducer commands.
-    #[must_use]
-    pub fn mode_label(mode: WorldMode) -> &'static str {
-        match mode {
-            WorldMode::Ab => "ab",
-            WorldMode::StaticSwap { recovery: false } => "static",
-            WorldMode::StaticSwap { recovery: true } => "static-recovery",
-            WorldMode::Multi { components } => match components {
-                2 => "multi-2",
-                3 => "multi-3",
-                4 => "multi-4",
-                5 => "multi-5",
-                6 => "multi-6",
-                7 => "multi-7",
-                8 => "multi-8",
-                _ => "multi",
-            },
-        }
-    }
-
-    /// Inverse of [`mode_label`].
-    #[must_use]
-    pub fn mode_from_label(label: &str) -> Option<WorldMode> {
-        if let Some(n) = label.strip_prefix("multi-") {
-            let components: u8 = n.parse().ok()?;
-            return (2..=8)
-                .contains(&components)
-                .then_some(WorldMode::Multi { components });
-        }
-        match label {
-            "ab" => Some(WorldMode::Ab),
-            "static" => Some(WorldMode::StaticSwap { recovery: false }),
-            "static-recovery" => Some(WorldMode::StaticSwap { recovery: true }),
-            _ => None,
-        }
-    }
-}
 
 /// The mutation surfaces, in canonical exploration order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]

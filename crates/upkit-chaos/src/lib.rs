@@ -44,7 +44,8 @@
 use upkit_core::parallel::map_traced;
 use upkit_flash::fault::{FaultFlash, FaultKind, FaultPlan, FlashOp};
 use upkit_flash::SimFlash;
-use upkit_sim::failure::{update_world, world_geometry, WorldConfig, WorldMode};
+pub use upkit_sim::failure::{mode_from_label, mode_label};
+use upkit_sim::failure::{update_world, world_geometry, WorldConfig};
 use upkit_trace::{Event, Tracer};
 
 /// The five fault classes injected at every explored boundary.
@@ -109,43 +110,6 @@ impl FaultClass {
             kind,
             recovery_cut,
         }
-    }
-}
-
-/// Stable label for a scenario mode, used in reproducer commands.
-#[must_use]
-pub fn mode_label(mode: WorldMode) -> &'static str {
-    match mode {
-        WorldMode::Ab => "ab",
-        WorldMode::StaticSwap { recovery: false } => "static",
-        WorldMode::StaticSwap { recovery: true } => "static-recovery",
-        WorldMode::Multi { components } => match components {
-            2 => "multi-2",
-            3 => "multi-3",
-            4 => "multi-4",
-            5 => "multi-5",
-            6 => "multi-6",
-            7 => "multi-7",
-            8 => "multi-8",
-            _ => "multi",
-        },
-    }
-}
-
-/// Inverse of [`mode_label`].
-#[must_use]
-pub fn mode_from_label(label: &str) -> Option<WorldMode> {
-    if let Some(n) = label.strip_prefix("multi-") {
-        let components: u8 = n.parse().ok()?;
-        return (2..=8)
-            .contains(&components)
-            .then_some(WorldMode::Multi { components });
-    }
-    match label {
-        "ab" => Some(WorldMode::Ab),
-        "static" => Some(WorldMode::StaticSwap { recovery: false }),
-        "static-recovery" => Some(WorldMode::StaticSwap { recovery: true }),
-        _ => None,
     }
 }
 
@@ -477,6 +441,7 @@ pub fn shrink_violation(config: &ChaosConfig, report: &ChaosReport) -> Option<Sh
 #[cfg(test)]
 mod tests {
     use super::*;
+    use upkit_sim::failure::WorldMode;
 
     #[test]
     fn labels_round_trip() {

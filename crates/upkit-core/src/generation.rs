@@ -499,18 +499,34 @@ impl UpdateServer {
         }
 
         let base = if token.supports_differential() {
-            self.releases.get(&token.current_version.0)
+            self.releases
+                .get(&token.current_version.0)
+                .filter(|release| release.version < latest.version)
         } else {
             None
         };
+        Some(self.respond(latest, base, token.device_id, token.nonce, tracer))
+    }
 
-        let cached = match base {
-            Some(base_release) if base_release.version < latest.version => Some((
-                base_release.version,
-                self.differential_payload(base_release, latest, tracer),
-            )),
-            _ => None,
-        };
+    /// Builds the response serving `latest` to a device on `base` (a
+    /// release older than `latest`, or `None` for the full image): selects
+    /// the payload through the patch cache, encrypts it, and signs the
+    /// manifest bound to `device_id` and `nonce` (both zero for a
+    /// broadcast response).
+    fn respond(
+        &self,
+        latest: &Release,
+        base: Option<&Release>,
+        device_id: u32,
+        nonce: u32,
+        tracer: &Tracer,
+    ) -> PreparedUpdate {
+        let cached = base.map(|base| {
+            (
+                base.version,
+                self.differential_payload(base, latest, tracer),
+            )
+        });
         let (plain, old_version, kind) = match &cached {
             Some((from, patch)) if patch.differential => (
                 patch.payload.as_slice(),
@@ -524,16 +540,13 @@ impl UpdateServer {
         };
 
         let payload = match &self.content_key {
-            Some(key) => {
-                let nonce = content_nonce(token.device_id, token.nonce, latest.version);
-                chacha20_xor(key, &nonce, plain)
-            }
+            Some(key) => chacha20_xor(key, &content_nonce(device_id, nonce, latest.version), plain),
             None => plain.to_vec(),
         };
 
         let manifest = Manifest {
-            device_id: token.device_id,
-            nonce: token.nonce,
+            device_id,
+            nonce,
             old_version,
             version: latest.version,
             size: latest.firmware.len() as u32,
@@ -551,11 +564,11 @@ impl UpdateServer {
             signed_manifest,
             payload,
         };
-        Some(PreparedUpdate {
+        PreparedUpdate {
             wire_bytes: image.wire_len() as u64,
             image,
             kind,
-        })
+        }
     }
 
     /// Campaign (broadcast) propagation: one signed response per
@@ -624,53 +637,10 @@ impl UpdateServer {
                 }
             }
         };
+        // Broadcast responses share one ciphertext: the content nonce is
+        // derived from the zero device/nonce pair and the version.
         Some(Arc::clone(cell.get_or_init(|| {
-            let cached = base_release.map(|base_release| {
-                (
-                    base_release.version,
-                    self.differential_payload(base_release, latest, tracer),
-                )
-            });
-            let (plain, old_version, kind) = match &cached {
-                Some((from, patch)) if patch.differential => (
-                    patch.payload.as_slice(),
-                    *from,
-                    ServedKind::Differential { from: *from },
-                ),
-                Some((_, patch)) => (patch.payload.as_slice(), Version(0), ServedKind::Full),
-                None => (latest.firmware.as_slice(), Version(0), ServedKind::Full),
-            };
-            let payload = match &self.content_key {
-                // Broadcast responses share one ciphertext: the nonce is
-                // derived from the zero device/nonce pair and the version.
-                Some(key) => chacha20_xor(key, &content_nonce(0, 0, latest.version), plain),
-                None => plain.to_vec(),
-            };
-            let manifest = Manifest {
-                device_id: 0,
-                nonce: 0,
-                old_version,
-                version: latest.version,
-                size: latest.firmware.len() as u32,
-                payload_size: payload.len() as u32,
-                digest: latest.digest,
-                link_offset: latest.link_offset,
-                app_id: latest.app_id,
-            };
-            let signed_manifest = SignedManifest {
-                manifest,
-                vendor_signature: latest.vendor_signature,
-                server_signature: server_sign(&manifest, &self.key),
-            };
-            let image = UpdateImage {
-                signed_manifest,
-                payload,
-            };
-            Arc::new(PreparedUpdate {
-                wire_bytes: image.wire_len() as u64,
-                image,
-                kind,
-            })
+            Arc::new(self.respond(latest, base_release, 0, 0, tracer))
         })))
     }
 }

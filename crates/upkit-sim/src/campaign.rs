@@ -36,13 +36,14 @@
 use std::sync::Mutex;
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use upkit_delta::pool::parallel_map;
 use upkit_manifest::Version;
 use upkit_trace::{Counters, CountersSnapshot, Event, TraceRecord, Tracer};
 
 use crate::device::PollOutcome;
-use crate::fleet::{FleetConfig, FleetEnv, ManifestMode, ShardCtx};
+use crate::fleet::{
+    per_round, poll_sample, shard_plan, FleetConfig, FleetEnv, ManifestMode, ShardCtx,
+};
 use crate::lite::{LiteDevice, LiteEnv, UpgradeWorld};
 
 /// Release channel a device is enrolled in. Ordered by how early the
@@ -493,13 +494,8 @@ impl CampaignShard {
     ) -> ShardSummary {
         let stage = &config.stages[stage_index as usize];
         let mut wire_bytes = 0u64;
-        let mut indices: Vec<usize> = (0..self.devices.len()).collect();
-        for _ in 0..self.per_round {
-            if indices.is_empty() {
-                break;
-            }
-            let pick = self.rng.random_range(0..indices.len());
-            let device = &mut self.devices[indices.swap_remove(pick)];
+        for index in poll_sample(&mut self.rng, self.devices.len(), self.per_round) {
+            let device = &mut self.devices[index];
             if device.held || !device.enrolled(stage, &config.cohort) {
                 continue;
             }
@@ -602,27 +598,16 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
     let world = UpgradeWorld::build(fleet.seed, fleet.firmware_size);
 
     let device_count = fleet.devices as usize;
-    let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
-
-    let base_len = device_count / shard_count;
-    let remainder = device_count % shard_count;
-    let mut cursor = 0usize;
-    let slots: Vec<Mutex<CampaignShard>> = (0..shard_count)
-        .map(|index| {
-            let start = cursor;
-            cursor += base_len + usize::from(index < remainder);
-            let devices: Vec<CampaignDevice> = (start..cursor)
+    let slots: Vec<Mutex<CampaignShard>> = shard_plan(fleet.seed, device_count, config.shards)
+        .into_iter()
+        .map(|(range, rng)| {
+            let devices: Vec<CampaignDevice> = range
                 .map(|i| CampaignDevice::provision(fleet.seed, 0x1000 + i as u32, config))
                 .collect();
-            let per_round = ((devices.len() as f64 * fleet.poll_fraction).ceil() as usize).max(1);
             Mutex::new(CampaignShard {
-                rng: StdRng::seed_from_u64(
-                    fleet
-                        .seed
-                        .wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1)),
-                ),
+                rng,
+                per_round: per_round(devices.len(), fleet.poll_fraction),
                 devices,
-                per_round,
                 ctx: ShardCtx::new(tracer),
                 history: Vec::new(),
                 rollback: None,
@@ -637,7 +622,7 @@ pub fn run_campaign_traced(config: &CampaignConfig, tracer: &Tracer) -> Campaign
         verify_signatures: true,
         manifest_mode: ManifestMode::Campaign,
     };
-    let mut coordinator = Coordinator::new(config, shard_count);
+    let mut coordinator = Coordinator::new(config, slots.len());
     let max_rounds = (device_count / slots[0].lock().expect("slot").per_round.max(1) + 2) * 10
         + (config.stage_rounds as usize) * config.stages.len()
         + (config.health.decision_latency as usize + 2)

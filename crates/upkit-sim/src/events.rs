@@ -1,4 +1,4 @@
-//! Virtual-clock event scheduler: thousands of in-flight update sessions
+//! Virtual-clock session scheduler: thousands of in-flight update sessions
 //! interleaved on one simulated timeline.
 //!
 //! The round-based fleet loop ([`crate::fleet`]) advances every device one
@@ -10,6 +10,14 @@
 //! once, and re-inserts it at `now + cost`. Thousands of sessions are
 //! genuinely concurrent on the virtual timeline, with per-session Bernoulli
 //! loss and retransmission backoff interleaving naturally.
+//!
+//! That loop, `run_sessions`, is the one event loop of both timing
+//! engines. It owns poll spread, duty-cycle sleep, session opening and
+//! stepping, re-polls and give-ups; its only seam is a `StreamSource`,
+//! which names what each device checks updates against and which stream
+//! it is served. [`run_event_rollout`] serves devices straight from the
+//! update server; [`crate::topology`] serves them through a gateway's
+//! caching proxy, and runs its loss-free reference fetch on the same loop.
 //!
 //! **Determinism guarantee.** The final [`EventFleetReport`] is a pure
 //! function of the [`EventFleetConfig`] — independent of heap tie-breaking
@@ -34,6 +42,7 @@ use upkit_net::{
 use upkit_trace::{Counters, Event, Tracer};
 
 use crate::lite::{LiteDevice, LiteEnv, SignatureCheck, UpgradeWorld};
+use crate::topology::DutyCycle;
 
 /// Parameters of an event-driven v1→v2 update campaign.
 #[derive(Clone, Copy, Debug)]
@@ -116,57 +125,317 @@ pub struct EventFleetReport {
     pub adoption: Vec<u32>,
 }
 
-/// Immutable campaign-wide context every session endpoint reads.
-struct CampaignEnv {
-    server: UpdateServer,
-    lite: LiteEnv,
-    latest: Version,
-    verify_signatures: bool,
-    /// Scale mode: the one canonical stream served to every session.
-    canonical: Option<SessionStream>,
+/// Where a scheduled device's update stream comes from: the one seam
+/// between [`run_sessions`] and the engines that run it.
+pub(crate) trait StreamSource {
+    /// What device `index` (fleet-wide) checks its updates against.
+    fn lite(&self, index: usize) -> &LiteEnv;
+    /// The stream device `index` is served for `token` at virtual time
+    /// `now`.
+    fn resolve(
+        &mut self,
+        index: usize,
+        device: &LiteDevice,
+        token: &DeviceToken,
+        now: u64,
+    ) -> StreamResolution;
 }
 
-struct LiteEndpoints<'a> {
-    env: &'a CampaignEnv,
-    state: &'a mut LiteDevice,
+/// One scheduled device's session endpoints: its lite device on one side,
+/// the stream source on the other.
+struct LiteEndpoints<'a, S> {
+    source: &'a mut S,
+    index: usize,
+    device: &'a mut LiteDevice,
+    verify_signatures: bool,
+    now_micros: u64,
     counters: &'a Counters,
 }
 
-impl SessionEndpoints for LiteEndpoints<'_> {
+impl<S: StreamSource> SessionEndpoints for LiteEndpoints<'_, S> {
     fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
-        Ok(self.state.next_token())
+        Ok(self.device.next_token())
     }
 
     fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution {
-        if let Some(canonical) = &self.env.canonical {
-            // Scale mode: serve the canonical stream unless the device is
-            // already current.
-            if self.state.installed >= self.env.latest {
-                return StreamResolution::NoUpdate;
-            }
-            return StreamResolution::Stream(canonical.clone());
-        }
-        let Some(prepared) = self.env.server.prepare_update(token) else {
-            return StreamResolution::NoUpdate;
-        };
-        StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes()))
+        self.source
+            .resolve(self.index, self.device, token, self.now_micros)
     }
 
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        let mut signatures = SignatureCheck::uncounted(self.env.verify_signatures);
-        self.state
-            .deliver(&self.env.lite, &mut signatures, self.counters, chunk)
+        let mut signatures = if self.verify_signatures {
+            SignatureCheck::Uncounted
+        } else {
+            SignatureCheck::Skip
+        };
+        self.device.deliver(
+            self.source.lite(self.index),
+            &mut signatures,
+            self.counters,
+            chunk,
+        )
     }
 }
 
+/// How [`run_sessions`] paces one fleet's sessions.
+pub(crate) struct Schedule {
+    /// The link every session runs over. Its seed also derives the poll
+    /// spread and the duty phases.
+    pub(crate) link: LossyLink,
+    pub(crate) retry: RetryPolicy,
+    /// Fleet-wide index of the first scheduled device: poll spreads, duty
+    /// phases and loss streams derive from the fleet-wide index.
+    pub(crate) first_index: usize,
+    pub(crate) poll_window_micros: u64,
+    pub(crate) retry_poll_delay_micros: u64,
+    pub(crate) max_poll_attempts: u32,
+    pub(crate) verify_signatures: bool,
+    pub(crate) duty: Option<DutyCycle>,
+    /// Flips the heap's tie-breaking direction for equal wake times.
+    pub(crate) reverse_tie_break: bool,
+}
+
+/// How one scheduled device ended.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct DeviceOutcome {
+    /// When the session that completed it ended.
+    pub(crate) completed_at: Option<u64>,
+    /// Exhausted every poll attempt without completing.
+    pub(crate) gave_up: bool,
+    /// Sleep deferrals applied to it.
+    pub(crate) slept: u64,
+}
+
+/// Everything [`run_sessions`] measured.
+pub(crate) struct SessionRun {
+    /// Per device, in device order.
+    pub(crate) outcomes: Vec<DeviceOutcome>,
+    /// Link events stepped.
+    pub(crate) events: u64,
+    /// Bytes that crossed the radio (both directions, all attempts).
+    pub(crate) wire_bytes: u64,
+    /// Virtual time the last session ended.
+    pub(crate) makespan_micros: u64,
+    /// `(start, end)` of every session, failed ones included.
+    pub(crate) spans: Vec<(u64, u64)>,
+}
+
 /// One device's scheduler-side bookkeeping.
-struct DeviceSlot {
-    state: LiteDevice,
+#[derive(Default)]
+struct Slot {
     session: Option<PullSession>,
-    session_started_at: u64,
+    started_at: u64,
+    /// Sleep time accumulated inside the current session (its end shifts
+    /// by this; radio accounting does not).
+    sleep_micros: u64,
     poll_attempts: u32,
-    completed_at: Option<u64>,
-    gave_up: bool,
+    duty_phase: u64,
+    outcome: DeviceOutcome,
+}
+
+/// The virtual-clock session scheduler both timing engines run: a heap of
+/// `(wake, tie)` keys pops whichever device's next link event is
+/// earliest, opens a session when its poll fires, steps it once, and
+/// re-inserts it at `now + cost` (deferred past any sleep window). A
+/// failed session re-polls after `retry_poll_delay_micros` until
+/// `max_poll_attempts` are spent. `tie` is the device index, reversed
+/// under `reverse_tie_break`.
+pub(crate) fn run_sessions<S: StreamSource>(
+    schedule: &Schedule,
+    devices: &mut [LiteDevice],
+    source: &mut S,
+    tracer: &Tracer,
+) -> SessionRun {
+    let seed = schedule.link.seed;
+    let duty_period = match schedule.duty {
+        Some(DutyCycle::Periodic {
+            awake_micros,
+            asleep_micros,
+        }) => awake_micros.saturating_add(asleep_micros),
+        _ => 0,
+    };
+    let mut slots: Vec<Slot> = (schedule.first_index..schedule.first_index + devices.len())
+        .map(|i| Slot {
+            duty_phase: splitmix64(seed ^ 0xD07A_0000u64.wrapping_add(i as u64))
+                .checked_rem(duty_period)
+                .unwrap_or(0),
+            ..Slot::default()
+        })
+        .collect();
+
+    // Defers a wake to the device's next awake instant, charging the
+    // sleep to the slot and the counters.
+    let defer = |slot: &mut Slot, device: &LiteDevice, t: u64, in_session: bool| -> u64 {
+        let Some(duty) = schedule.duty else { return t };
+        let wake = duty.defer(slot.duty_phase, t);
+        if wake > t {
+            slot.outcome.slept += 1;
+            if in_session {
+                slot.sleep_micros += wake - t;
+            }
+            Counters::add(&tracer.counters().devices_slept, 1);
+            let device = u64::from(device.device_id);
+            tracer.emit(|| Event::DeviceSleep {
+                device,
+                until_micros: wake,
+            });
+        }
+        wake
+    };
+
+    // Reversing is an involution, so `tie` also recovers the index.
+    let tie = |idx: u32| -> u32 {
+        if schedule.reverse_tie_break {
+            u32::MAX - idx
+        } else {
+            idx
+        }
+    };
+    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(devices.len());
+    for (i, (slot, device)) in slots.iter_mut().zip(devices.iter()).enumerate() {
+        // Deterministic per-device first poll, uniform over the window.
+        let spread =
+            splitmix64(seed ^ 0x57A2_7000u64.wrapping_add((schedule.first_index + i) as u64))
+                .checked_rem(schedule.poll_window_micros)
+                .unwrap_or(0);
+        heap.push(Reverse((defer(slot, device, spread, false), tie(i as u32))));
+    }
+
+    let mut run = SessionRun {
+        outcomes: Vec::new(),
+        events: 0,
+        wire_bytes: 0,
+        makespan_micros: 0,
+        spans: Vec::with_capacity(devices.len()),
+    };
+    while let Some(Reverse((now, t))) = heap.pop() {
+        let idx = tie(t) as usize;
+        let (slot, device) = (&mut slots[idx], &mut devices[idx]);
+        let index = schedule.first_index + idx;
+        // The heap pops in non-decreasing time order, so this only ever
+        // pushes the trace clock forward.
+        tracer.advance_now_to(now);
+
+        let session = match &mut slot.session {
+            Some(session) => session,
+            none @ None => {
+                // A poll fires: open a fresh session. The loss stream is
+                // unique per (device, attempt) so no session's pattern
+                // depends on any other's, or on when it runs.
+                let stream_id = (index as u64) << 16 | u64::from(slot.poll_attempts);
+                let mut session = PullSession::new(schedule.link, schedule.retry, stream_id);
+                session.set_tracer(tracer.clone());
+                slot.started_at = now;
+                slot.sleep_micros = 0;
+                slot.poll_attempts += 1;
+                device.reset_transfer();
+                let device = u64::from(device.device_id);
+                tracer.emit(|| Event::SchedulerDispatch {
+                    device,
+                    at_micros: now,
+                });
+                none.insert(session)
+            }
+        };
+        let step = session.step(&mut LiteEndpoints {
+            source: &mut *source,
+            index,
+            device: &mut *device,
+            verify_signatures: schedule.verify_signatures,
+            now_micros: now,
+            counters: tracer.counters(),
+        });
+        match step {
+            Step::Progress(event) => {
+                run.events += 1;
+                let wake = defer(slot, device, now + event.cost_micros, true);
+                heap.push(Reverse((wake, t)));
+            }
+            Step::Done(report) => {
+                let end = slot.started_at + session.virtual_elapsed_micros() + slot.sleep_micros;
+                slot.session = None;
+                run.spans.push((slot.started_at, end));
+                run.makespan_micros = run.makespan_micros.max(end);
+                run.wire_bytes +=
+                    report.accounting.bytes_to_device + report.accounting.bytes_from_device;
+                let id = u64::from(device.device_id);
+                if matches!(
+                    report.outcome,
+                    SessionOutcome::Complete | SessionOutcome::NoUpdateAvailable
+                ) {
+                    slot.outcome.completed_at = Some(end);
+                    tracer.emit(|| Event::DeviceComplete {
+                        device: id,
+                        outcome: "complete",
+                    });
+                } else if slot.poll_attempts < schedule.max_poll_attempts {
+                    let wake = defer(slot, device, end + schedule.retry_poll_delay_micros, false);
+                    heap.push(Reverse((wake, t)));
+                } else {
+                    slot.outcome.gave_up = true;
+                    tracer.emit(|| Event::DeviceComplete {
+                        device: id,
+                        outcome: "gave_up",
+                    });
+                }
+            }
+        }
+    }
+    run.outcomes = slots.iter().map(|slot| slot.outcome).collect();
+    run
+}
+
+/// The one canonical broadcast stream of `world`'s v2, prepared for
+/// device id 0: devices check it as a broadcast manifest (device id 0, no
+/// nonce), so a whole campaign costs one ECDSA signature instead of one
+/// per device.
+pub(crate) fn broadcast_stream(world: &UpgradeWorld, differential: bool) -> SessionStream {
+    let token = DeviceToken {
+        device_id: 0,
+        nonce: 1,
+        current_version: if differential { Version(1) } else { Version(0) },
+    };
+    let prepared = world
+        .server
+        .prepare_update(&token)
+        .expect("v2 is published and newer");
+    SessionStream::split(prepared.image.to_bytes())
+}
+
+/// The event engine's stream source: the update server answers each
+/// request directly, or (scale mode) every session is served the one
+/// canonical broadcast stream.
+struct DirectSource {
+    server: UpdateServer,
+    lite: LiteEnv,
+    canonical: Option<SessionStream>,
+}
+
+impl StreamSource for DirectSource {
+    fn lite(&self, _: usize) -> &LiteEnv {
+        &self.lite
+    }
+
+    fn resolve(
+        &mut self,
+        _: usize,
+        device: &LiteDevice,
+        token: &DeviceToken,
+        _: u64,
+    ) -> StreamResolution {
+        match &self.canonical {
+            // Scale mode: serve the canonical stream unless the device is
+            // already current.
+            Some(_) if device.installed >= Version(2) => StreamResolution::NoUpdate,
+            Some(canonical) => StreamResolution::Stream(canonical.clone()),
+            None => match self.server.prepare_update(token) {
+                Some(prepared) => {
+                    StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes()))
+                }
+                None => StreamResolution::NoUpdate,
+            },
+        }
+    }
 }
 
 /// Runs an event-driven v1→v2 campaign: every device's pull session is
@@ -188,175 +457,43 @@ pub fn run_event_rollout(config: &EventFleetConfig) -> EventFleetReport {
 /// so merged traces stay monotone.
 #[must_use]
 pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> EventFleetReport {
-    // --- World: same derivation scheme as the round-based fleet ----------
+    // Same world derivation scheme as the round-based fleet.
     let world = UpgradeWorld::build(config.seed, config.firmware_size);
-    let canonical = if config.device_bound_manifests {
-        None
-    } else {
-        // Scale mode: prepare one stream up front (one ECDSA signature for
-        // the whole campaign instead of one per device).
-        let token = DeviceToken {
-            device_id: 0,
-            nonce: 1,
-            current_version: if config.differential {
-                Version(1)
-            } else {
-                Version(0)
-            },
-        };
-        let prepared = world
-            .server
-            .prepare_update(&token)
-            .expect("v2 is published and newer");
-        Some(SessionStream::split(prepared.image.to_bytes()))
-    };
-
-    let env = CampaignEnv {
+    let mut source = DirectSource {
+        canonical: (!config.device_bound_manifests)
+            .then(|| broadcast_stream(&world, config.differential)),
         lite: LiteEnv::new(&world, config.device_bound_manifests),
         server: world.server,
-        latest: Version(2),
+    };
+    let schedule = Schedule {
+        link: LossyLink::bernoulli(
+            LinkProfile::ieee802154_6lowpan(),
+            config.loss_rate,
+            config.seed,
+        ),
+        retry: config.retry,
+        first_index: 0,
+        poll_window_micros: config.poll_window_micros,
+        retry_poll_delay_micros: config.retry_poll_delay_micros,
+        max_poll_attempts: config.max_poll_attempts,
         verify_signatures: config.verify_signatures,
-        canonical,
+        duty: None,
+        reverse_tie_break: config.reverse_tie_break,
     };
-
-    let link = LinkProfile::ieee802154_6lowpan();
-    let lossy = LossyLink::bernoulli(link, config.loss_rate, config.seed);
-
-    // --- Devices and their first poll times -------------------------------
-    let device_count = config.devices as usize;
-    let mut slots: Vec<DeviceSlot> = (0..config.devices)
-        .map(|i| DeviceSlot {
-            state: LiteDevice::new(0x1000 + i, config.differential),
-            session: None,
-            session_started_at: 0,
-            poll_attempts: 0,
-            completed_at: None,
-            gave_up: false,
-        })
+    let mut devices: Vec<LiteDevice> = (0..config.devices)
+        .map(|i| LiteDevice::new(0x1000 + i, config.differential))
         .collect();
-
-    // Heap of (wake time, tie) — tie encodes the device index, optionally
-    // reversed, purely to prove the report ignores tie-break order.
-    let tie = |idx: u32| -> u32 {
-        if config.reverse_tie_break {
-            u32::MAX - idx
-        } else {
-            idx
-        }
-    };
-    let untie = |t: u32| -> u32 {
-        if config.reverse_tie_break {
-            u32::MAX - t
-        } else {
-            t
-        }
-    };
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(device_count);
-    for (i, _) in slots.iter().enumerate() {
-        let spread = if config.poll_window_micros == 0 {
-            0
-        } else {
-            // Deterministic per-device start, uniform over the window.
-            splitmix64(config.seed ^ 0x57A2_7000u64.wrapping_add(i as u64))
-                % config.poll_window_micros
-        };
-        heap.push(Reverse((spread, tie(i as u32))));
-    }
-
-    // --- Event loop --------------------------------------------------------
-    let mut events = 0u64;
-    let mut total_wire_bytes = 0u64;
-    let mut makespan_micros = 0u64;
-    let mut spans: Vec<(u64, u64)> = Vec::with_capacity(device_count);
-    let mut completion_times: Vec<u64> = Vec::new();
-
-    while let Some(Reverse((now, t))) = heap.pop() {
-        let idx = untie(t) as usize;
-        let slot = &mut slots[idx];
-        // The heap pops in non-decreasing time order, so this only ever
-        // pushes the trace clock forward.
-        tracer.advance_now_to(now);
-
-        if slot.session.is_none() {
-            // A poll fires: open a fresh session. The loss stream is unique
-            // per (device, attempt) so no session's pattern depends on any
-            // other's, or on when it runs.
-            let stream_id = (idx as u64) << 16 | u64::from(slot.poll_attempts);
-            let mut session = PullSession::new(lossy, config.retry, stream_id);
-            session.set_tracer(tracer.clone());
-            slot.session = Some(session);
-            slot.session_started_at = now;
-            slot.poll_attempts += 1;
-            slot.state.reset_transfer();
-            let device = u64::from(slot.state.device_id);
-            tracer.emit(|| Event::SchedulerDispatch {
-                device,
-                at_micros: now,
-            });
-        }
-
-        let Some(session) = slot.session.as_mut() else {
-            debug_assert!(false, "session just ensured above");
-            continue;
-        };
-        let step = {
-            let mut endpoints = LiteEndpoints {
-                env: &env,
-                state: &mut slot.state,
-                counters: tracer.counters(),
-            };
-            session.step(&mut endpoints)
-        };
-        match step {
-            Step::Progress(event) => {
-                events += 1;
-                heap.push(Reverse((now + event.cost_micros, t)));
-            }
-            Step::Done(report) => {
-                let Some(session) = slot.session.take() else {
-                    debug_assert!(false, "session was stepped above");
-                    continue;
-                };
-                let end = slot.session_started_at + session.virtual_elapsed_micros();
-                spans.push((slot.session_started_at, end));
-                makespan_micros = makespan_micros.max(end);
-                total_wire_bytes +=
-                    report.accounting.bytes_to_device + report.accounting.bytes_from_device;
-                let device = u64::from(slot.state.device_id);
-                match report.outcome {
-                    SessionOutcome::Complete | SessionOutcome::NoUpdateAvailable => {
-                        slot.completed_at = Some(end);
-                        completion_times.push(end);
-                        tracer.emit(|| Event::DeviceComplete {
-                            device,
-                            outcome: "complete",
-                        });
-                    }
-                    _ => {
-                        if slot.poll_attempts < config.max_poll_attempts {
-                            heap.push(Reverse((end + config.retry_poll_delay_micros, t)));
-                        } else {
-                            slot.gave_up = true;
-                            tracer.emit(|| Event::DeviceComplete {
-                                device,
-                                outcome: "gave_up",
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let run = run_sessions(&schedule, &mut devices, &mut source, tracer);
 
     // --- Post-hoc aggregates (order-independent by construction) ----------
-    let completed = slots.iter().filter(|s| s.completed_at.is_some()).count() as u32;
-    let gave_up = slots.iter().filter(|s| s.gave_up).count() as u32;
+    let completion_times: Vec<u64> = run.outcomes.iter().filter_map(|o| o.completed_at).collect();
+    let gave_up = run.outcomes.iter().filter(|o| o.gave_up).count() as u32;
 
     // Peak concurrency: sweep the session spans. At equal timestamps ends
     // sort before starts (delta -1 < +1), so back-to-back sessions don't
     // double-count.
-    let mut sweep: Vec<(u64, i32)> = Vec::with_capacity(spans.len() * 2);
-    for &(start, end) in &spans {
+    let mut sweep: Vec<(u64, i32)> = Vec::with_capacity(run.spans.len() * 2);
+    for &(start, end) in &run.spans {
         sweep.push((start, 1));
         sweep.push((end, -1));
     }
@@ -368,29 +505,29 @@ pub fn run_event_rollout_traced(config: &EventFleetConfig, tracer: &Tracer) -> E
         peak_in_flight = peak_in_flight.max(in_flight);
     }
 
-    let adoption =
-        if let Some(full_buckets) = makespan_micros.checked_div(config.adoption_bucket_micros) {
-            completion_times.sort_unstable();
-            let buckets = full_buckets + 1;
-            let mut histogram = vec![0u32; buckets as usize];
-            for &at in &completion_times {
-                histogram[(at / config.adoption_bucket_micros) as usize] += 1;
-            }
-            // Cumulative adoption curve.
-            for i in 1..histogram.len() {
-                histogram[i] += histogram[i - 1];
-            }
-            histogram
-        } else {
-            Vec::new()
-        };
+    let adoption = if let Some(full_buckets) = run
+        .makespan_micros
+        .checked_div(config.adoption_bucket_micros)
+    {
+        let mut histogram = vec![0u32; full_buckets as usize + 1];
+        for &at in &completion_times {
+            histogram[(at / config.adoption_bucket_micros) as usize] += 1;
+        }
+        // Cumulative adoption curve.
+        for i in 1..histogram.len() {
+            histogram[i] += histogram[i - 1];
+        }
+        histogram
+    } else {
+        Vec::new()
+    };
 
     EventFleetReport {
-        completed,
+        completed: completion_times.len() as u32,
         gave_up,
-        total_wire_bytes,
-        events,
-        makespan_micros,
+        total_wire_bytes: run.wire_bytes,
+        events: run.events,
+        makespan_micros: run.makespan_micros,
         peak_in_flight: peak_in_flight.max(0) as u32,
         adoption,
     }

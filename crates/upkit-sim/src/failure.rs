@@ -88,6 +88,44 @@ pub enum WorldMode {
     },
 }
 
+/// Stable label for a scenario mode, used in the chaos and adversary
+/// explorers' reproducer commands.
+#[must_use]
+pub fn mode_label(mode: WorldMode) -> &'static str {
+    match mode {
+        WorldMode::Ab => "ab",
+        WorldMode::StaticSwap { recovery: false } => "static",
+        WorldMode::StaticSwap { recovery: true } => "static-recovery",
+        WorldMode::Multi { components } => match components {
+            2 => "multi-2",
+            3 => "multi-3",
+            4 => "multi-4",
+            5 => "multi-5",
+            6 => "multi-6",
+            7 => "multi-7",
+            8 => "multi-8",
+            _ => "multi",
+        },
+    }
+}
+
+/// Inverse of [`mode_label`].
+#[must_use]
+pub fn mode_from_label(label: &str) -> Option<WorldMode> {
+    if let Some(n) = label.strip_prefix("multi-") {
+        let components: u8 = n.parse().ok()?;
+        return (2..=8)
+            .contains(&components)
+            .then_some(WorldMode::Multi { components });
+    }
+    match label {
+        "ab" => Some(WorldMode::Ab),
+        "static" => Some(WorldMode::StaticSwap { recovery: false }),
+        "static-recovery" => Some(WorldMode::StaticSwap { recovery: true }),
+        _ => None,
+    }
+}
+
 /// Parameters of [`update_world`]: everything that determines the
 /// scenario, so two worlds built from equal configs behave identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -48,6 +48,7 @@
 //! use [`crate::campaign`].
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -115,6 +116,42 @@ impl FleetReport {
     }
 }
 
+/// Devices that poll per round: `poll_fraction` of `devices`, at least
+/// one.
+pub(crate) fn per_round(devices: usize, poll_fraction: f64) -> usize {
+    ((devices as f64 * poll_fraction).ceil() as usize).max(1)
+}
+
+/// The devices (indices below `devices`) that poll this round, in poll
+/// order: `per_round` draws from `rng` without replacement.
+pub(crate) fn poll_sample(
+    rng: &mut StdRng,
+    devices: usize,
+    per_round: usize,
+) -> impl Iterator<Item = usize> + '_ {
+    let mut indices: Vec<usize> = (0..devices).collect();
+    (0..per_round.min(devices))
+        .map(move |_| indices.swap_remove(rng.random_range(0..indices.len())))
+}
+
+/// Splits `devices` into at most `shards` contiguous index ranges (device
+/// IDs stay `0x1000 +` the fleet-wide index), each with its own RNG
+/// stream derived from the fleet seed and the shard index.
+pub(crate) fn shard_plan(seed: u64, devices: usize, shards: u32) -> Vec<(Range<usize>, StdRng)> {
+    let count = (shards.max(1) as usize).min(devices.max(1));
+    let mut end = 0;
+    (0..count)
+        .map(|index| {
+            let start = end;
+            end += devices / count + usize::from(index < devices % count);
+            let rng = StdRng::seed_from_u64(
+                seed.wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1)),
+            );
+            (start..end, rng)
+        })
+        .collect()
+}
+
 /// Runs a rollout of version 2 across a fleet provisioned at version 1.
 ///
 /// # Panics
@@ -150,7 +187,7 @@ pub fn run_rollout_traced(config: &FleetConfig, tracer: &Tracer) -> FleetReport 
         })
         .collect();
 
-    let per_round = ((f64::from(config.devices) * config.poll_fraction).ceil() as usize).max(1);
+    let per_round = per_round(devices.len(), config.poll_fraction);
     let mut rounds = Vec::new();
     let mut total_wire_bytes = 0u64;
     let max_rounds = (config.devices as usize / per_round + 2) * 10;
@@ -165,13 +202,8 @@ pub fn run_rollout_traced(config: &FleetConfig, tracer: &Tracer) -> FleetReport 
         // real fleets poll independently of update state; updated devices
         // polling is a cheap no-op we also exercise).
         let mut wire_bytes = 0u64;
-        let mut indices: Vec<usize> = (0..devices.len()).collect();
-        for _ in 0..per_round {
-            if indices.is_empty() {
-                break;
-            }
-            let pick = rng.random_range(0..indices.len());
-            let device = &mut devices[indices.swap_remove(pick)];
+        for index in poll_sample(&mut rng, devices.len(), per_round) {
+            let device = &mut devices[index];
             match device.poll(&server).expect("healthy fleet") {
                 PollOutcome::Updated { wire_bytes: b, .. } => {
                     wire_bytes += b;
@@ -436,13 +468,8 @@ impl Shard {
     /// shard's devices and driven by the shard's own RNG.
     fn run_round(&mut self, env: &FleetEnv<'_>) -> RoundStats {
         let mut wire_bytes = 0u64;
-        let mut indices: Vec<usize> = (0..self.devices.len()).collect();
-        for _ in 0..self.per_round {
-            if indices.is_empty() {
-                break;
-            }
-            let pick = self.rng.random_range(0..indices.len());
-            let device = &mut self.devices[indices.swap_remove(pick)];
+        for index in poll_sample(&mut self.rng, self.devices.len(), self.per_round) {
+            let device = &mut self.devices[index];
             let device_id = u64::from(match device {
                 FleetDevice::Faithful(d) => d.device_id,
                 FleetDevice::Lite(d) => d.device_id,
@@ -534,46 +561,21 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
         manifest_mode: config.manifest_mode,
     };
 
-    let device_count = fleet.devices as usize;
-    let shard_count = (config.shards.max(1) as usize).min(device_count.max(1));
-
-    // Contiguous device ranges per shard; device IDs match the sequential
-    // simulator's (0x1000 + global index).
-    let base_len = device_count / shard_count;
-    let remainder = device_count % shard_count;
-    let mut starts = Vec::with_capacity(shard_count + 1);
-    let mut cursor = 0usize;
-    for index in 0..shard_count {
-        starts.push(cursor);
-        cursor += base_len + usize::from(index < remainder);
+    // A single shard *is* the sequential fleet, so it continues the master
+    // stream (key generation already consumed from it) and reproduces
+    // `run_rollout` exactly; multiple shards get independent streams.
+    let mut plan = shard_plan(fleet.seed, fleet.devices as usize, config.shards);
+    if let [(_, rng)] = plan.as_mut_slice() {
+        *rng = world.rng;
     }
-    starts.push(device_count);
-
-    // Per-shard RNG streams. A single shard *is* the sequential fleet, so
-    // it continues the master stream (key generation already consumed
-    // from it) and reproduces `run_rollout` exactly; multiple shards get
-    // independent streams derived from the fleet seed and the shard index.
-    let shard_rngs: Vec<StdRng> = if shard_count == 1 {
-        vec![world.rng]
-    } else {
-        (0..shard_count)
-            .map(|index| {
-                StdRng::seed_from_u64(
-                    fleet
-                        .seed
-                        .wrapping_add(0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(index as u64 + 1)),
-                )
-            })
-            .collect()
-    };
 
     // One pool task per shard: provision it, then run it to convergence —
     // no per-round barrier. Provisioning draws no randomness and shards
     // share no mutable state, so any claim order produces the same
     // per-shard histories, returned in shard-index order.
-    let histories = parallel_map(&shard_rngs, config.threads, |index, rng| {
-        let (start, end) = (starts[index], starts[index + 1]);
-        let devices: Vec<FleetDevice> = (start..end)
+    let histories = parallel_map(&plan, config.threads, |_, (range, rng)| {
+        let devices: Vec<FleetDevice> = range
+            .clone()
             .map(|i| {
                 let device_id = 0x1000 + i as u32;
                 match config.device_model {
@@ -594,8 +596,8 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
             .collect();
         Shard {
             rng: rng.clone(),
+            per_round: per_round(devices.len(), fleet.poll_fraction),
             devices,
-            per_round: (((end - start) as f64 * fleet.poll_fraction).ceil() as usize).max(1),
             ctx: ShardCtx::new(tracer),
         }
         .run_to_convergence(&env)

@@ -22,9 +22,13 @@
 //!   verify → reboot lifecycle) and fleet-rollout campaigns built on it.
 //!   Fleet-scale engines simulate the flash-free *lite device* instead:
 //!   the agent's own verifier and pipeline decoder, writing into RAM.
-//! * [`events`] — [`run_event_rollout`]: the virtual-clock event scheduler
-//!   interleaving thousands of in-flight stepped sessions with loss and
-//!   retransmission on one timeline.
+//! * [`events`] — the virtual-clock session scheduler interleaving
+//!   thousands of in-flight stepped sessions with loss and retransmission
+//!   on one timeline; [`run_event_rollout`] runs it straight against the
+//!   update server.
+//! * [`topology`] — [`run_dissemination`]: the same scheduler behind
+//!   caching gateway proxies on lossy multi-hop meshes, with duty-cycled
+//!   devices and concurrent campaigns.
 //! * [`campaign`] — [`run_campaign`]: staged fractional rollouts over
 //!   channels with cohort targeting and automatic health halt + rollback,
 //!   in lock-step windows of virtual-clock rounds.

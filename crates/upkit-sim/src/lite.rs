@@ -108,18 +108,6 @@ pub(crate) enum SignatureCheck<'a> {
     Memo(&'a mut VerifyMemo),
 }
 
-impl SignatureCheck<'_> {
-    /// The event and mesh engines' policy: checked or skipped, never
-    /// counted.
-    pub(crate) fn uncounted(verify: bool) -> Self {
-        if verify {
-            Self::Uncounted
-        } else {
-            Self::Skip
-        }
-    }
-}
-
 /// Signature verdicts keyed by the received 166-byte signed manifest, so
 /// two byte-identical broadcast manifests verify once. Each shard owns
 /// its own memo: the counter totals (`sig_verifications`,

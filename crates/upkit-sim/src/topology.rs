@@ -1,12 +1,13 @@
 //! Multi-hop dissemination: caching gateway proxies, lossy mesh
 //! topologies, duty-cycled devices, and concurrent campaigns.
 //!
-//! The event scheduler ([`crate::events`]) runs every device's
+//! The event rollout ([`crate::events`]) runs every device's
 //! [`PullSession`](upkit_net::PullSession) straight against the update
 //! server: one upstream transfer per device. Real deployments put a
 //! gateway between the constrained mesh and the Internet, and the whole
 //! point of a gateway is that it only has to fetch each update **once**.
-//! This module models that:
+//! This module models that on the same session scheduler, with a stream
+//! source that serves each device through its gateway's proxy:
 //!
 //! * **Topology.** A two-tier tree/mesh: each gateway serves
 //!   `devices_per_gateway` devices over an 802.15.4 access radio relayed
@@ -32,30 +33,29 @@
 //!   resumable by construction) and only its wall-clock completion time
 //!   moves.
 //!
+//! Every installed image is compared byte for byte with what a direct
+//! single-hop fetch installs: one poll of a lone device on a loss-free
+//! link with no proxy, run on the same scheduler.
+//!
 //! **Determinism guarantee.** The final [`DisseminationReport`] — and,
 //! under a tracing collector, the counter totals and the trace byte
 //! stream — is a pure function of the [`TopologyConfig`], independent of
-//! worker thread count. Each gateway is one shard with its own event
-//! heap, proxy, and tracer; shards share no mutable state, and
+//! worker thread count. Each gateway is one shard with its own scheduler
+//! run, proxy, and tracer; shards share no mutable state, and
 //! [`upkit_core::parallel::map_traced`] merges the per-shard traces in
 //! gateway-index order after the join. The proof test runs at 1, 2, and
 //! 8 threads and compares reports, counters, and trace bytes for
 //! equality.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-use upkit_core::agent::{AgentError, AgentPhase};
 use upkit_core::parallel::map_traced;
 use upkit_manifest::{DeviceToken, Version};
-use upkit_net::lossy::splitmix64;
 use upkit_net::{
-    CachedOrigin, CachingProxy, LinkProfile, LossyLink, PullSession, RetryPolicy, SessionEndpoints,
-    SessionOutcome, SessionStream, Step, StreamResolution, Transport,
+    CachedOrigin, CachingProxy, LinkProfile, LossyLink, RetryPolicy, StreamResolution,
 };
-use upkit_trace::{Counters, Event, Tracer};
+use upkit_trace::Tracer;
 
-use crate::lite::{LiteDevice, LiteEnv, SignatureCheck, UpgradeWorld};
+use crate::events::{broadcast_stream, run_sessions, Schedule, StreamSource};
+use crate::lite::{LiteDevice, LiteEnv, UpgradeWorld};
 
 /// A device sleep schedule: wake events that land inside a sleep window
 /// are deferred to the next awake instant. Sessions are resumable, so a
@@ -272,43 +272,63 @@ pub struct DisseminationReport {
 struct Campaign {
     origin: CachedOrigin,
     lite: LiteEnv,
-    latest: Version,
     /// What a direct single-hop fetch of this campaign installs —
     /// obtained by actually running one, not assumed.
     expected_image: Vec<u8>,
 }
 
-/// Serves a campaign's stream through the gateway's caching proxy, or
-/// directly (no proxy, no loss) for the single-hop reference fetch the
+/// Serves each device its campaign's stream (campaign chosen by
+/// fleet-wide device index) through the gateway's caching proxy, or
+/// directly (no proxy) for the single-hop reference fetch the
 /// dissemination results are compared against.
-struct MeshEndpoints<'a> {
-    campaign: &'a Campaign,
+struct GatewaySource<'a> {
+    campaigns: &'a [Campaign],
     proxy: Option<&'a mut CachingProxy>,
-    state: &'a mut LiteDevice,
-    verify_signatures: bool,
-    now_micros: u64,
-    counters: &'a Counters,
 }
 
-impl SessionEndpoints for MeshEndpoints<'_> {
-    fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
-        Ok(self.state.next_token())
+/// The campaign of fleet-wide device `index` (assigned round-robin).
+fn campaign_of(campaigns: &[Campaign], index: usize) -> &Campaign {
+    &campaigns[index % campaigns.len()]
+}
+
+impl StreamSource for GatewaySource<'_> {
+    fn lite(&self, index: usize) -> &LiteEnv {
+        &campaign_of(self.campaigns, index).lite
     }
 
-    fn resolve_stream(&mut self, _token: &DeviceToken) -> StreamResolution {
-        if self.state.installed >= self.campaign.latest {
+    fn resolve(
+        &mut self,
+        index: usize,
+        device: &LiteDevice,
+        _: &DeviceToken,
+        now: u64,
+    ) -> StreamResolution {
+        if device.installed >= Version(2) {
             return StreamResolution::NoUpdate;
         }
+        let origin = &campaign_of(self.campaigns, index).origin;
         match self.proxy.as_deref_mut() {
-            Some(proxy) => proxy.resolve(&self.campaign.origin, self.now_micros),
-            None => StreamResolution::Stream(self.campaign.origin.direct_stream()),
+            Some(proxy) => proxy.resolve(origin, now),
+            None => StreamResolution::Stream(origin.direct_stream()),
         }
     }
+}
 
-    fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        let mut signatures = SignatureCheck::uncounted(self.verify_signatures);
-        self.state
-            .deliver(&self.campaign.lite, &mut signatures, self.counters, chunk)
+impl TopologyConfig {
+    /// The session schedule of the devices from fleet-wide index
+    /// `first_index` on, over `link`.
+    fn schedule(&self, link: LossyLink, first_index: usize) -> Schedule {
+        Schedule {
+            link,
+            retry: self.retry,
+            first_index,
+            poll_window_micros: self.poll_window_micros,
+            retry_poll_delay_micros: self.retry_poll_delay_micros,
+            max_poll_attempts: self.max_poll_attempts,
+            verify_signatures: self.verify_signatures,
+            duty: self.duty,
+            reverse_tie_break: false,
+        }
     }
 }
 
@@ -323,29 +343,9 @@ fn build_campaigns(config: &TopologyConfig) -> Vec<Campaign> {
                 .seed
                 .wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(c)));
             let world = UpgradeWorld::build(seed, config.firmware_size);
-
-            // One canonical stream for the whole campaign: a broadcast
-            // manifest, which devices check against device id 0 with no
-            // nonce.
-            let token = DeviceToken {
-                device_id: 0,
-                nonce: 1,
-                current_version: if config.differential {
-                    Version(1)
-                } else {
-                    Version(0)
-                },
-            };
-            let prepared = world
-                .server
-                .prepare_update(&token)
-                .expect("v2 is published and newer");
-            let origin = CachedOrigin::new(&SessionStream::split(prepared.image.to_bytes()));
-
             let mut campaign = Campaign {
-                origin,
+                origin: CachedOrigin::new(&broadcast_stream(&world, config.differential)),
                 lite: LiteEnv::new(&world, false),
-                latest: Version(2),
                 expected_image: Vec::new(),
             };
             campaign.expected_image = direct_reference_fetch(config, &campaign);
@@ -354,61 +354,31 @@ fn build_campaigns(config: &TopologyConfig) -> Vec<Campaign> {
         .collect()
 }
 
-/// Runs the direct single-hop reference fetch: a lone device on a
-/// loss-free access link, no proxy in the path. Returns the image it
+/// Runs the direct single-hop reference fetch: one poll of a lone device
+/// on a loss-free access link, no proxy in the path. Returns the image it
 /// installs — the byte-exact target every proxied device must match.
 fn direct_reference_fetch(config: &TopologyConfig, campaign: &Campaign) -> Vec<u8> {
-    let link = LinkProfile::ieee802154_6lowpan();
-    let lossless = LossyLink::bernoulli(link, 0.0, config.seed);
-    let mut state = LiteDevice::new(0x0FFF, config.differential);
-    let mut session = PullSession::new(lossless, config.retry, u64::MAX);
-    let counters = Counters::default();
-    loop {
-        let step = {
-            let mut endpoints = MeshEndpoints {
-                campaign,
-                proxy: None,
-                state: &mut state,
-                verify_signatures: config.verify_signatures,
-                now_micros: 0,
-                counters: &counters,
-            };
-            session.step(&mut endpoints)
-        };
-        if let Step::Done(report) = step {
-            assert_eq!(
-                report.outcome,
-                SessionOutcome::Complete,
-                "the loss-free direct reference fetch must complete"
-            );
-            break;
-        }
-    }
-    state
+    let lossless = LossyLink::bernoulli(LinkProfile::ieee802154_6lowpan(), 0.0, config.seed);
+    let schedule = Schedule {
+        max_poll_attempts: 1,
+        duty: None,
+        ..config.schedule(lossless, 0)
+    };
+    let mut device = [LiteDevice::new(0x0FFF, config.differential)];
+    let mut source = GatewaySource {
+        campaigns: std::slice::from_ref(campaign),
+        proxy: None,
+    };
+    run_sessions(&schedule, &mut device, &mut source, &Tracer::disabled());
+    device[0]
         .installed_image()
-        .expect("a completed reference fetch installed an image")
+        .expect("the loss-free direct reference fetch installs an image")
         .to_vec()
 }
 
-/// Per-device scheduler slot.
-struct TopoSlot {
-    state: LiteDevice,
-    campaign: usize,
-    session: Option<PullSession>,
-    session_started_at: u64,
-    /// Sleep time accumulated inside the current session (wall-clock
-    /// completion shifts by this; radio accounting does not).
-    session_sleep_micros: u64,
-    poll_attempts: u32,
-    duty_phase: u64,
-    completed_at: Option<u64>,
-    gave_up: bool,
-    slept: u64,
-}
-
-/// Runs one gateway's shard: its caching proxy, its devices, and its own
-/// virtual-clock event heap. Pure function of `(config, campaigns,
-/// gateway)` — shards share no mutable state.
+/// Runs one gateway's shard: its caching proxy and its devices on the
+/// session scheduler. Pure function of `(config, campaigns, gateway)` —
+/// shards share no mutable state.
 fn run_gateway_shard(
     config: &TopologyConfig,
     campaigns: &[Campaign],
@@ -434,172 +404,33 @@ fn run_gateway_shard(
     let lossy = LossyLink::bernoulli(access, 1.0 - survive, config.seed);
 
     let dpg = config.devices_per_gateway as usize;
-    let first_global = gateway as usize * dpg;
-    let duty_period = match config.duty {
-        Some(DutyCycle::Periodic {
-            awake_micros,
-            asleep_micros,
-        }) => awake_micros.saturating_add(asleep_micros),
-        _ => 0,
-    };
-    let mut slots: Vec<TopoSlot> = (0..dpg)
-        .map(|i| {
-            let gi = first_global + i;
-            let duty_phase = if duty_period == 0 {
-                0
-            } else {
-                splitmix64(config.seed ^ 0xD07A_0000u64.wrapping_add(gi as u64)) % duty_period
-            };
-            TopoSlot {
-                state: LiteDevice::new(0x1000 + gi as u32, config.differential),
-                campaign: gi % campaigns.len(),
-                session: None,
-                session_started_at: 0,
-                session_sleep_micros: 0,
-                poll_attempts: 0,
-                duty_phase,
-                completed_at: None,
-                gave_up: false,
-                slept: 0,
-            }
-        })
+    let first = gateway as usize * dpg;
+    let mut devices: Vec<LiteDevice> = (first..first + dpg)
+        .map(|i| LiteDevice::new(0x1000 + i as u32, config.differential))
         .collect();
+    let run = run_sessions(
+        &config.schedule(lossy, first),
+        &mut devices,
+        &mut GatewaySource {
+            campaigns,
+            proxy: Some(&mut proxy),
+        },
+        tracer,
+    );
 
-    let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(dpg);
     let mut stats = GatewayStats {
         gateway,
+        downstream_wire_bytes: run.wire_bytes,
+        makespan_micros: run.makespan_micros,
         ..GatewayStats::default()
     };
-    let mut events = 0u64;
-
-    // Defers a wake to the device's next awake instant, charging the
-    // sleep to the slot and the counters.
-    let defer_wake = |slot: &mut TopoSlot, t: u64, in_session: bool, tracer: &Tracer| -> u64 {
-        let Some(duty) = config.duty else { return t };
-        let wake = duty.defer(slot.duty_phase, t);
-        if wake > t {
-            slot.slept += 1;
-            if in_session {
-                slot.session_sleep_micros += wake - t;
-            }
-            Counters::add(&tracer.counters().devices_slept, 1);
-            let device = u64::from(slot.state.device_id);
-            tracer.emit(|| Event::DeviceSleep {
-                device,
-                until_micros: wake,
-            });
-        }
-        wake
-    };
-
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let gi = first_global + i;
-        let spread = if config.poll_window_micros == 0 {
-            0
-        } else {
-            splitmix64(config.seed ^ 0x57A2_7000u64.wrapping_add(gi as u64))
-                % config.poll_window_micros
-        };
-        let wake = defer_wake(slot, spread, false, tracer);
-        heap.push(Reverse((wake, i as u32)));
-    }
-
-    while let Some(Reverse((now, t))) = heap.pop() {
-        let idx = t as usize;
-        let slot = &mut slots[idx];
-        tracer.advance_now_to(now);
-
-        if slot.session.is_none() {
-            let gi = first_global + idx;
-            let stream_id = (gi as u64) << 16 | u64::from(slot.poll_attempts);
-            let mut session = PullSession::new(lossy, config.retry, stream_id);
-            session.set_tracer(tracer.clone());
-            slot.session = Some(session);
-            slot.session_started_at = now;
-            slot.session_sleep_micros = 0;
-            slot.poll_attempts += 1;
-            slot.state.reset_transfer();
-            let device = u64::from(slot.state.device_id);
-            tracer.emit(|| Event::SchedulerDispatch {
-                device,
-                at_micros: now,
-            });
-        }
-
-        let Some(session) = slot.session.as_mut() else {
-            debug_assert!(false, "session just ensured above");
-            continue;
-        };
-        let step = {
-            let mut endpoints = MeshEndpoints {
-                campaign: &campaigns[slot.campaign],
-                proxy: Some(&mut proxy),
-                state: &mut slot.state,
-                verify_signatures: config.verify_signatures,
-                now_micros: now,
-                counters: tracer.counters(),
-            };
-            session.step(&mut endpoints)
-        };
-        match step {
-            Step::Progress(event) => {
-                events += 1;
-                let wake = defer_wake(slot, now + event.cost_micros, true, tracer);
-                heap.push(Reverse((wake, t)));
-            }
-            Step::Done(report) => {
-                let Some(session) = slot.session.take() else {
-                    debug_assert!(false, "session was stepped above");
-                    continue;
-                };
-                let end = slot.session_started_at
-                    + session.virtual_elapsed_micros()
-                    + slot.session_sleep_micros;
-                stats.makespan_micros = stats.makespan_micros.max(end);
-                stats.downstream_wire_bytes +=
-                    report.accounting.bytes_to_device + report.accounting.bytes_from_device;
-                let device = u64::from(slot.state.device_id);
-                match report.outcome {
-                    SessionOutcome::Complete | SessionOutcome::NoUpdateAvailable => {
-                        slot.completed_at = Some(end);
-                        tracer.emit(|| Event::DeviceComplete {
-                            device,
-                            outcome: "complete",
-                        });
-                    }
-                    _ => {
-                        if slot.poll_attempts < config.max_poll_attempts {
-                            let wake = defer_wake(
-                                slot,
-                                end + config.retry_poll_delay_micros,
-                                false,
-                                tracer,
-                            );
-                            heap.push(Reverse((wake, t)));
-                        } else {
-                            slot.gave_up = true;
-                            tracer.emit(|| Event::DeviceComplete {
-                                device,
-                                outcome: "gave_up",
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    for slot in &slots {
-        if slot.completed_at.is_some() {
-            stats.completed += 1;
-        }
-        if slot.gave_up {
-            stats.gave_up += 1;
-        }
-        stats.installs += u64::from(slot.state.installs);
-        stats.slept += slot.slept;
-        if let Some(image) = slot.state.installed_image() {
-            if image == campaigns[slot.campaign].expected_image {
+    for (i, (device, outcome)) in devices.iter().zip(&run.outcomes).enumerate() {
+        stats.completed += u32::from(outcome.completed_at.is_some());
+        stats.gave_up += u32::from(outcome.gave_up);
+        stats.installs += u64::from(device.installs);
+        stats.slept += outcome.slept;
+        if let Some(image) = device.installed_image() {
+            if image == campaign_of(campaigns, first + i).expected_image {
                 stats.image_matches += 1;
             } else {
                 stats.image_mismatches += 1;
@@ -613,7 +444,7 @@ fn run_gateway_shard(
     stats.cache_misses = pstats.cache_misses;
     stats.single_flight_joins = pstats.single_flight_joins;
     stats.evictions = pstats.evictions;
-    (stats, events)
+    (stats, run.events)
 }
 
 /// Runs a dissemination campaign without tracing.

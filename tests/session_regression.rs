@@ -281,3 +281,105 @@ mod dissemination_pins {
         );
     }
 }
+
+mod event_rollout_pins {
+    use std::sync::Arc;
+
+    use upkit::sim::{run_event_rollout_traced, EventFleetConfig, EventFleetReport};
+    use upkit::trace::{MemorySink, Tracer};
+
+    struct EventRun {
+        report: EventFleetReport,
+        frames: (u64, u64, u64),
+        records: usize,
+    }
+
+    fn run(config: &EventFleetConfig) -> EventRun {
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
+        let report = run_event_rollout_traced(config, &tracer);
+        let counters = tracer.counters().snapshot();
+        EventRun {
+            report,
+            frames: (counters.frames_sent, counters.frames_lost, counters.retries),
+            records: sink.len(),
+        }
+    }
+
+    // The two pins below freeze the event engine end to end: the poll
+    // spread, the virtual-clock heap, session opening, re-polls and
+    // give-ups, the per-session loss streams, and the trace each emits.
+    // Any reordering inside the scheduler moves these integers.
+
+    #[test]
+    fn fidelity_mode_rollout_is_pinned() {
+        let run = run(&EventFleetConfig {
+            devices: 12,
+            firmware_size: 6_000,
+            differential: true,
+            loss_rate: 0.10,
+            poll_window_micros: 50_000,
+            verify_signatures: true,
+            device_bound_manifests: true,
+            adoption_bucket_micros: 1_000_000,
+            seed: 0xE002,
+            ..EventFleetConfig::default()
+        });
+        assert_eq!(
+            run.report,
+            EventFleetReport {
+                completed: 12,
+                gave_up: 0,
+                total_wire_bytes: 38_320,
+                events: 620,
+                makespan_micros: 1_508_458,
+                peak_in_flight: 12,
+                adoption: vec![0, 12],
+            }
+        );
+        assert_eq!(
+            run.frames,
+            (608, 68, 68),
+            "seeded loss stream accounting moved"
+        );
+        assert_eq!(run.records, 668, "trace record count moved");
+    }
+
+    #[test]
+    fn scale_mode_repolls_and_give_ups_are_pinned() {
+        let run = run(&EventFleetConfig {
+            devices: 40,
+            firmware_size: 1_000,
+            loss_rate: 0.45,
+            max_poll_attempts: 3,
+            verify_signatures: true,
+            device_bound_manifests: false,
+            adoption_bucket_micros: 1_000_000,
+            seed: 0xE004,
+            ..EventFleetConfig::default()
+        });
+        assert_eq!(
+            run.report,
+            EventFleetReport {
+                completed: 35,
+                gave_up: 5,
+                total_wire_bytes: 217_820,
+                events: 3_474,
+                makespan_micros: 30_317_347,
+                peak_in_flight: 40,
+                adoption: [
+                    [0, 0, 4, 16, 23, 30, 33, 33, 34, 34].as_slice(),
+                    &[34; 12],
+                    &[35; 9],
+                ]
+                .concat(),
+            }
+        );
+        assert_eq!(
+            run.frames,
+            (3_422, 1_614, 1_597),
+            "seeded loss stream accounting moved"
+        );
+        assert_eq!(run.records, 3_670, "trace record count moved");
+    }
+}
