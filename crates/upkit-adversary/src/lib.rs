@@ -66,7 +66,7 @@ use upkit_net::{
     PushEndpoints, PushSession, RetryPolicy, SessionEndpoints, SessionStream, StreamResolution,
     Transport,
 };
-pub use upkit_sim::failure::{mode_from_label, mode_label};
+pub use upkit_sim::failure::{mode_from_label, mode_label, select_cases};
 use upkit_sim::failure::{update_world, world_geometry, UpdateWorld, WorldConfig, WorldMode};
 use upkit_sim::scenario::DEVICE_ID;
 use upkit_sim::FirmwareGenerator;
@@ -992,18 +992,6 @@ pub fn run_case(
     }
 }
 
-/// The case indices to explore for a surface universe of `total` cases:
-/// all of them, or `limit` evenly strided (always including index 0).
-#[must_use]
-pub fn select_cases(total: u64, limit: Option<usize>) -> Vec<u64> {
-    match limit {
-        Some(limit) if (limit as u64) < total => (0..limit as u64)
-            .map(|i| i * total / limit as u64)
-            .collect(),
-        _ => (0..total).collect(),
-    }
-}
-
 /// Everything one exploration run learned.
 #[derive(Debug)]
 pub struct AdversaryReport {
@@ -1190,13 +1178,6 @@ mod tests {
         ] {
             assert_eq!(mode_from_label(mode_label(mode)), Some(mode));
         }
-    }
-
-    #[test]
-    fn case_selection_is_total_or_evenly_strided() {
-        assert_eq!(select_cases(4, None), vec![0, 1, 2, 3]);
-        assert_eq!(select_cases(4, Some(10)), vec![0, 1, 2, 3]);
-        assert_eq!(select_cases(100, Some(4)), vec![0, 25, 50, 75]);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! ```
 //!
 //! `--smoke` shrinks the scenario and strides each surface's universe so
-//! CI covers every surface in seconds; `--repro` replays exactly
-//! one case (the command shape the shrinker emits) and exits non-zero if
-//! the invariant fails.
+//! CI covers every surface in seconds, then compares the output byte for
+//! byte with `crates/upkit-bench/baselines/BENCH_adversary_smoke.json`;
+//! `--repro` replays exactly one case (the command shape the shrinker
+//! emits) and exits non-zero if the invariant fails.
 
 use upkit_adversary::{
     explore_traced, mode_from_label, record_baseline, repro_command, shrink_violation,
@@ -113,7 +114,7 @@ fn main() {
     // One tracer across every case, merged in deterministic case order:
     // the `metrics` section (including `packages_rejected` and the
     // all-important `forgeries_accepted = 0`) is reproducible bit for
-    // bit, so `bench_diff` gates it in CI.
+    // bit, so CI pins it to the committed baseline.
     let tracer = Tracer::disabled();
     let report = explore_traced(&config, &tracer);
     assert!(

@@ -20,9 +20,11 @@
 //! seconds; `--components N` (2 ..= 8) adds an N-component transactional
 //! scenario, whose cases additionally assert the never-mixed-set
 //! invariant (`mixed_set_violations` in the metrics section, pinned to
-//! zero by `bench_diff`); `--repro` replays exactly one case (the
-//! command shape the shrinker emits) and exits non-zero if the invariant
-//! fails.
+//! zero by the committed baseline); `--repro` replays exactly one case
+//! (the command shape the shrinker emits) and exits non-zero if the
+//! invariant fails. CI compares the `--components 3 --smoke` output
+//! byte for byte with
+//! `crates/upkit-bench/baselines/BENCH_chaos_smoke.json`.
 
 use upkit_bench::{metrics_json, print_table, Json};
 use upkit_chaos::{
@@ -113,7 +115,7 @@ fn main() {
     // One tracer across every case of every scenario, merged in
     // deterministic case order: the `metrics` section (including
     // `faults_injected` and the all-important `fault_violations = 0`) is
-    // reproducible bit for bit, so `bench_diff` gates it in CI.
+    // reproducible bit for bit, so CI pins it to the committed baseline.
     let tracer = Tracer::disabled();
     let mut rows = Vec::new();
     let mut scenario_json = Vec::new();

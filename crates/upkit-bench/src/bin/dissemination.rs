@@ -13,10 +13,12 @@
 //! A separate matrix runs one representative lossy multi-gateway config
 //! at 1, 2, and 8 worker threads and asserts reports, counters, and
 //! trace bytes are identical (`gates.thread_divergence` pins it as a
-//! numeric leaf).
+//! numeric leaf). Results go to `BENCH_dissemination.json`, which holds
+//! no clock reading or host fact: host time is measured by perfbench's
+//! `mesh` workload.
 //!
-//! `--smoke` shrinks the sweep so CI can run it in seconds and gate the
-//! metrics with `bench_diff` against
+//! `--smoke` shrinks the sweep so CI can run it in seconds and compare
+//! the output byte for byte with
 //! `crates/upkit-bench/baselines/BENCH_dissemination_smoke.json`.
 //!
 //! ```text
@@ -24,7 +26,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use upkit_bench::{metrics_json, print_table, Json};
 use upkit_sim::{run_dissemination, run_dissemination_traced, TopologyConfig};
@@ -54,7 +55,6 @@ fn config(fan_out: u32, loss_bps: u32, cache_blocks: usize, smoke: bool) -> Topo
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     let fan_outs: &[u32] = if smoke {
         &[4, 8, 16]
@@ -65,7 +65,6 @@ fn main() {
     let bounded_cache: usize = 16;
 
     // --- Sweep: cached vs bounded-cache vs unicast ----------------------
-    let start = Instant::now();
     let mut sweep_rows = Vec::new();
     let mut reduction_shortfall = 0u64;
     for &fan_out in fan_outs {
@@ -91,7 +90,6 @@ fn main() {
             ));
         }
     }
-    let sweep_wall_s = start.elapsed().as_secs_f64();
     assert_eq!(
         reduction_shortfall, 0,
         "caching must beat unicast by >3x upstream bytes at fan-out >= 8, loss <= 10%"
@@ -107,7 +105,6 @@ fn main() {
     for threads in THREAD_COUNTS {
         let sink = Arc::new(MemorySink::new());
         let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
-        let start = Instant::now();
         let report = run_dissemination_traced(
             &TopologyConfig {
                 threads,
@@ -115,23 +112,16 @@ fn main() {
             },
             &tracer,
         );
-        let wall_s = start.elapsed().as_secs_f64();
         let ndjson: String = sink
             .drain()
             .iter()
             .map(upkit_trace::TraceRecord::to_ndjson)
             .collect::<Vec<_>>()
             .join("\n");
-        matrix.push((
-            threads,
-            wall_s,
-            report,
-            tracer.counters().snapshot(),
-            ndjson,
-        ));
+        matrix.push((threads, report, tracer.counters().snapshot(), ndjson));
     }
-    let (_, _, ref_report, ref_metrics, ref_ndjson) = &matrix[0];
-    for (threads, _, report, metrics, ndjson) in &matrix {
+    let (_, ref_report, ref_metrics, ref_ndjson) = &matrix[0];
+    for (threads, report, metrics, ndjson) in &matrix {
         assert_eq!(ref_report, report, "{threads} threads changed the report");
         assert_eq!(ref_metrics, metrics, "{threads} threads changed counters");
         assert_eq!(ref_ndjson, ndjson, "{threads} threads changed trace bytes");
@@ -164,22 +154,9 @@ fn main() {
         )
         .collect();
 
-    let wall_entries: Vec<(&str, Json)> = matrix
-        .iter()
-        .map(|(threads, wall_s, ..)| {
-            let key: &'static str = match threads {
-                1 => "threads_1",
-                2 => "threads_2",
-                _ => "threads_8",
-            };
-            (key, Json::Num(*wall_s))
-        })
-        .collect();
-
     let json = Json::obj(vec![
         ("bench", Json::Str("dissemination".into())),
         ("smoke", Json::Bool(smoke)),
-        ("cores", Json::Int(cores as u64)),
         (
             "thread_counts",
             Json::Arr(THREAD_COUNTS.iter().map(|t| Json::Int(*t as u64)).collect()),
@@ -187,7 +164,6 @@ fn main() {
         ("block_size", Json::Int(512)),
         ("bounded_cache_blocks", Json::Int(bounded_cache as u64)),
         ("sweep", Json::Arr(sweep_json)),
-        ("sweep_wall_s", Json::Num(sweep_wall_s)),
         (
             "matrix",
             Json::obj(vec![
@@ -201,7 +177,6 @@ fn main() {
                 ),
                 ("evictions", Json::Int(ref_report.evictions)),
                 ("makespan_micros", Json::Int(ref_report.makespan_micros)),
-                ("wall_s", Json::obj(wall_entries)),
             ]),
         ),
         (
@@ -217,7 +192,7 @@ fn main() {
 
     print_table(
         &format!(
-            "Dissemination sweep: {} gateways, mesh depth 2, {cores} cores",
+            "Dissemination sweep: {} gateways, mesh depth 2",
             if smoke { 2 } else { 4 }
         ),
         &[

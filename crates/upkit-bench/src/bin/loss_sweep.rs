@@ -18,7 +18,9 @@
 //! cargo run --release -p upkit-bench --bin loss_sweep [-- --smoke]
 //! ```
 //!
-//! `--smoke` shrinks the fleet so CI can run the whole binary in seconds.
+//! `--smoke` shrinks the fleet so CI can run the whole binary in seconds
+//! and compare `BENCH_loss.json` byte for byte with
+//! `crates/upkit-bench/baselines/BENCH_loss_smoke.json`.
 
 use std::sync::Arc;
 
@@ -192,7 +194,7 @@ fn main() {
     // flash write, and retransmission lands in the `metrics` section of
     // BENCH_loss.json. Everything is virtual-time and seeded, so the
     // section is byte-deterministic — CI diffs it against a committed
-    // snapshot with `bench_diff`.
+    // snapshot.
     let tracer = Tracer::disabled();
     let stepped_fw = if smoke { 20_000 } else { 100_000 };
     let mut rows = Vec::new();

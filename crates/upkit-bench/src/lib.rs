@@ -125,43 +125,6 @@ impl Json {
         }
     }
 
-    /// Every numeric leaf of the tree as `(dotted.path, value)`, in
-    /// document order. Array elements are indexed (`rounds.0`,
-    /// `rounds.1`, …). This is the flat view `bench_diff` compares.
-    #[must_use]
-    pub fn numeric_leaves(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        self.collect_leaves("", &mut out);
-        out
-    }
-
-    fn collect_leaves(&self, prefix: &str, out: &mut Vec<(String, f64)>) {
-        let path = |segment: &str| {
-            if prefix.is_empty() {
-                segment.to_string()
-            } else {
-                format!("{prefix}.{segment}")
-            }
-        };
-        match self {
-            Self::Obj(fields) => {
-                for (key, value) in fields {
-                    value.collect_leaves(&path(key), out);
-                }
-            }
-            Self::Arr(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    item.collect_leaves(&path(&i.to_string()), out);
-                }
-            }
-            _ => {
-                if let Some(v) = self.as_f64() {
-                    out.push((prefix.to_string(), v));
-                }
-            }
-        }
-    }
-
     /// Parses a JSON document (the counterpart of [`Json::render`]).
     ///
     /// Supports the full JSON grammar the benches emit plus `null`; numbers
@@ -410,7 +373,8 @@ impl Parser<'_> {
 
 /// The `metrics` section every `BENCH_*.json` carries: a flat object of
 /// the [`upkit_trace`] counter registry, deterministic for deterministic
-/// benches and therefore diffable by `bench_diff`.
+/// benches and therefore pinned byte for byte by the committed smoke
+/// baselines.
 #[must_use]
 pub fn metrics_json(snapshot: &upkit_trace::CountersSnapshot) -> Json {
     Json::Obj(
@@ -481,30 +445,6 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{} trailing").is_err());
         assert!(Json::parse("\"open").is_err());
-    }
-
-    #[test]
-    fn numeric_leaves_flatten_in_document_order() {
-        let json = Json::obj(vec![
-            ("a", Json::Int(1)),
-            (
-                "b",
-                Json::obj(vec![
-                    ("c", Json::Num(2.5)),
-                    ("skip", Json::Str("text".into())),
-                ]),
-            ),
-            ("d", Json::Arr(vec![Json::Int(7), Json::Int(8)])),
-        ]);
-        assert_eq!(
-            json.numeric_leaves(),
-            vec![
-                ("a".to_string(), 1.0),
-                ("b.c".to_string(), 2.5),
-                ("d.0".to_string(), 7.0),
-                ("d.1".to_string(), 8.0),
-            ]
-        );
     }
 
     #[test]

@@ -45,7 +45,7 @@ use upkit_core::parallel::map_traced;
 use upkit_flash::fault::{FaultFlash, FaultKind, FaultPlan, FlashOp};
 use upkit_flash::SimFlash;
 pub use upkit_sim::failure::{mode_from_label, mode_label};
-use upkit_sim::failure::{update_world, world_geometry, WorldConfig};
+use upkit_sim::failure::{select_cases, update_world, world_geometry, WorldConfig};
 use upkit_trace::{Event, Tracer};
 
 /// The five fault classes injected at every explored boundary.
@@ -240,16 +240,6 @@ pub fn record_boundaries(scenario: &WorldConfig) -> Vec<FlashOp> {
     ops
 }
 
-/// The boundary indices to explore: all of them, or `limit` evenly
-/// strided across the recording (always including boundary 0).
-#[must_use]
-pub fn select_boundaries(total: usize, limit: Option<usize>) -> Vec<u64> {
-    match limit {
-        Some(limit) if limit < total => (0..limit).map(|i| (i * total / limit) as u64).collect(),
-        _ => (0..total as u64).collect(),
-    }
-}
-
 /// Re-runs the scenario with `fault` injected at `boundary`, reboots to
 /// a fixed point, and checks the never-brick invariant. Flash, boot, and
 /// fault counters are charged to `tracer`, which also receives
@@ -351,7 +341,7 @@ pub fn explore_traced(config: &ChaosConfig, tracer: &Tracer) -> ChaosReport {
         .iter()
         .filter(|op| !matches!(op, FlashOp::Reboot))
         .count();
-    let explored = select_boundaries(recorded_ops, config.boundary_limit);
+    let explored = select_cases(recorded_ops as u64, config.boundary_limit);
 
     let cases: Vec<(u64, FaultClass)> = explored
         .iter()
@@ -462,14 +452,6 @@ mod tests {
         assert_eq!(mode_from_label("multi-1"), None);
         assert_eq!(mode_from_label("multi-9"), None);
         assert_eq!(mode_from_label("multi-x"), None);
-    }
-
-    #[test]
-    fn boundary_selection_is_total_or_evenly_strided() {
-        assert_eq!(select_boundaries(4, None), vec![0, 1, 2, 3]);
-        assert_eq!(select_boundaries(4, Some(10)), vec![0, 1, 2, 3]);
-        let strided = select_boundaries(100, Some(4));
-        assert_eq!(strided, vec![0, 25, 50, 75]);
     }
 
     #[test]

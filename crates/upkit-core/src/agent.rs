@@ -17,6 +17,11 @@
 //! is transferred, and an invalid firmware stops it **before** the reboot —
 //! the early-rejection property evaluated in the paper's security analysis.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::sync::Arc;
 use alloc::vec::Vec;
 

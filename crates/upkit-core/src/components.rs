@@ -39,6 +39,11 @@
 //! marker write can only happen *after* its copy completed, and any
 //! partially-programmed byte still reads as "set").
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::vec::Vec;
 
 use upkit_crypto::backend::{SecurityBackend, SecurityError};

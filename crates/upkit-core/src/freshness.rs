@@ -18,6 +18,11 @@
 //! construction: it needs no clock, and every response is bound to the
 //! *current* request.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use upkit_manifest::Version;
 
 /// A device's view of wall-clock time — the "reliable time source" the

@@ -7,6 +7,11 @@
 //! [`FIRMWARE_OFFSET`]. The header region is sized to a typical flash write
 //! page so header and firmware never share a programming unit.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use upkit_flash::{LayoutError, MemoryLayout, SlotId};
 use upkit_manifest::{ManifestError, SignedManifest, SIGNED_MANIFEST_LEN};
 

@@ -7,6 +7,11 @@
 //! CC2650 + ATECC508 pairing, in tamper-protected hardware key slots
 //! referenced by number.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use upkit_crypto::backend::KeyRef;
 use upkit_crypto::chacha20::NONCE_LEN;
 use upkit_crypto::ecdsa::{VerifyingKey, PUBLIC_KEY_LEN};

@@ -9,6 +9,11 @@
 //! one crypto library — between the two is what keeps UpKit's footprint
 //! below mcuboot-style stacks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::vec::Vec;
 
 use upkit_crypto::backend::{SecurityBackend, SecurityError};

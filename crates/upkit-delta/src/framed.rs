@@ -260,7 +260,7 @@ impl<O: OldImage> FramedPatcher<O> {
     /// Feeds container bytes, appending reconstructed output to `out`.
     ///
     /// Compressed window bodies are decompressed through a fixed stack
-    /// scratch buffer ([`DECOMP_SCRATCH`] bytes), so the push loop itself
+    /// scratch buffer (`DECOMP_SCRATCH` bytes), so the push loop itself
     /// performs no heap allocation beyond the window directory (13 bytes
     /// per window, proportional to bytes actually received).
     pub fn push<S: ByteSink + ?Sized>(

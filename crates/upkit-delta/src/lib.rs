@@ -554,7 +554,7 @@ const DIFF_CHUNK: usize = 256;
 /// ([`upkit_compress::FixedBuf`]) on a device.
 ///
 /// This is the *patching stage* of UpKit's pipeline. RAM usage is constant:
-/// a 12-byte header/control scratch buffer, a [`DIFF_CHUNK`]-byte stack
+/// a 12-byte header/control scratch buffer, a `DIFF_CHUNK`-byte stack
 /// buffer while applying diff blocks, and the old-image cursor. The push
 /// loop itself never allocates.
 #[derive(Debug)]

@@ -9,6 +9,11 @@
 //! Configuration A (two bootable slots, enabling A/B updates) and
 //! Configuration B (one bootable + one non-bootable slot, static updates).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::boxed::Box;
 use alloc::vec;
 use alloc::vec::Vec;

@@ -6,6 +6,11 @@
 //! matching the SUIT requirement that manifests be byte-reproducible for
 //! signing.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::string::String;
 use alloc::vec::Vec;
 

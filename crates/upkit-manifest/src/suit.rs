@@ -14,6 +14,11 @@
 //! identity, so an UpKit deployment can exchange manifests with SUIT
 //! tooling without weakening any of its checks.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::vec;
 use alloc::vec::Vec;
 

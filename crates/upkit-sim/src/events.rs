@@ -4,12 +4,12 @@
 //! The round-based fleet loop ([`crate::fleet`]) advances every device one
 //! whole update per round — adoption is measured in "rounds", not time,
 //! and no two transfers ever overlap. This module replaces that model for
-//! timing studies: every device runs a resumable
-//! [`PullSession`](upkit_net::PullSession), and a binary-heap virtual
-//! clock pops whichever session's next link event is earliest, steps it
-//! once, and re-inserts it at `now + cost`. Thousands of sessions are
-//! genuinely concurrent on the virtual timeline, with per-session Bernoulli
-//! loss and retransmission backoff interleaving naturally.
+//! timing studies: every device runs a resumable [`PullSession`], and a
+//! binary-heap virtual clock pops whichever session's next link event is
+//! earliest, steps it once, and re-inserts it at `now + cost`. Thousands
+//! of sessions are genuinely concurrent on the virtual timeline, with
+//! per-session Bernoulli loss and retransmission backoff interleaving
+//! naturally.
 //!
 //! That loop, `run_sessions`, is the one event loop of both timing
 //! engines. It owns poll spread, duty-cycle sleep, session opening and

@@ -126,6 +126,19 @@ pub fn mode_from_label(label: &str) -> Option<WorldMode> {
     }
 }
 
+/// The case indices the chaos and adversary explorers run out of a
+/// universe of `total` cases (flash-op boundaries, mutation cases): all
+/// of them, or `limit` evenly strided (always including index 0).
+#[must_use]
+pub fn select_cases(total: u64, limit: Option<usize>) -> Vec<u64> {
+    match limit {
+        Some(limit) if (limit as u64) < total => (0..limit as u64)
+            .map(|i| i * total / limit as u64)
+            .collect(),
+        _ => (0..total).collect(),
+    }
+}
+
 /// Parameters of [`update_world`]: everything that determines the
 /// scenario, so two worlds built from equal configs behave identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -666,6 +679,13 @@ pub fn run_power_loss_at_event(cut_after_events: u64, seed: u64) -> PowerLossRep
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn case_selection_is_total_or_evenly_strided() {
+        assert_eq!(select_cases(4, None), vec![0, 1, 2, 3]);
+        assert_eq!(select_cases(4, Some(10)), vec![0, 1, 2, 3]);
+        assert_eq!(select_cases(100, Some(4)), vec![0, 25, 50, 75]);
+    }
 
     #[test]
     fn cut_during_slot_erase_keeps_device_bootable() {

@@ -36,9 +36,9 @@
 //!   `tests/zero_serialization.rs`);
 //! * under [`ManifestMode::Campaign`] the server signs one broadcast
 //!   manifest per transition and each shard verifies it **once** through a
-//!   memo keyed on the received manifest bytes
-//!   ([`VerifyMemo`](crate::lite::VerifyMemo)), so ECDSA cost scales with
-//!   *distinct manifests × shards*, not with fleet size.
+//!   memo keyed on the received manifest bytes (`lite::VerifyMemo`), so
+//!   ECDSA cost scales with *distinct manifests × shards*, not with fleet
+//!   size.
 //!
 //! Both entry points advance each polled device one *whole* update at a
 //! time. For campaigns where transfers must overlap on a common virtual
