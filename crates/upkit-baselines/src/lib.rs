@@ -4,17 +4,16 @@
 //! namesake, running over the same flash and manifest substrates as UpKit
 //! so the comparison experiments are apples to apples:
 //!
-//! * [`mcumgr`] — push distribution with **no** agent-side verification
-//!   and **no** freshness (Fig. 7c comparison).
-//! * [`lwm2m`] — pull distribution, verification deferred to the
-//!   bootloader, freshness only from (terminable) transport security
-//!   (Fig. 7b comparison).
+//! * [`unverified`] — the store-and-reboot agent of mcumgr (push, Fig. 7c
+//!   comparison) and LwM2M (pull, Fig. 7b comparison): **no** agent-side
+//!   verification, and freshness at most from a (terminable) end-to-end
+//!   DTLS channel — none at all for mcumgr.
 //! * [`mcuboot`] — boot-time single-signature verification with swap
 //!   loading; accepts replays/downgrades by default (Fig. 7a comparison).
 //! * [`sparrow`] — CRC-only integrity, the Sparrow/Deluge class of
 //!   systems; demonstrates why checksums are not security.
 //!
-//! [`session`] adapts the mcumgr and LwM2M agents onto `upkit-net`'s
+//! [`session`] adapts the store-and-reboot agent onto `upkit-net`'s
 //! resumable session state machines, so baseline and UpKit updates run
 //! under identical link, loss, and retry models.
 //!
@@ -23,16 +22,18 @@
 //! models their *behaviour*.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod crc;
-pub mod lwm2m;
 pub mod mcuboot;
-pub mod mcumgr;
 pub mod session;
 pub mod sparrow;
+pub mod unverified;
 
-pub use lwm2m::{Lwm2mAgent, Lwm2mError};
 pub use mcuboot::{McubootBootloader, McubootConfig, McubootError, McubootOutcome};
-pub use mcumgr::{McumgrAgent, McumgrError};
-pub use session::{Lwm2mEndpoints, McumgrEndpoints};
+pub use session::UnverifiedEndpoints;
 pub use sparrow::{SparrowAgent, SparrowError};
+pub use unverified::{UnverifiedAgent, UnverifiedError};

@@ -143,23 +143,20 @@ impl McubootBootloader {
             .is_some();
 
         match (primary, staging) {
-            (primary_signed, Some(staged)) => {
-                let downgrade = self.config.downgrade_prevention
-                    && primary_signed
-                        .as_ref()
-                        .is_some_and(|p| staged.manifest.version <= p.manifest.version);
-                if downgrade {
-                    let p = primary_signed.expect("checked in downgrade condition");
-                    Ok(McubootOutcome::BootedExisting {
-                        version: p.manifest.version,
-                        staging_was_invalid: false,
-                    })
-                } else {
-                    layout.swap_slots(self.config.primary, self.config.staging)?;
-                    Ok(McubootOutcome::SwappedNewImage {
-                        version: staged.manifest.version,
-                    })
-                }
+            (Some(p), Some(staged))
+                if self.config.downgrade_prevention
+                    && staged.manifest.version <= p.manifest.version =>
+            {
+                Ok(McubootOutcome::BootedExisting {
+                    version: p.manifest.version,
+                    staging_was_invalid: false,
+                })
+            }
+            (_, Some(staged)) => {
+                layout.swap_slots(self.config.primary, self.config.staging)?;
+                Ok(McubootOutcome::SwappedNewImage {
+                    version: staged.manifest.version,
+                })
             }
             (Some(p), None) => Ok(McubootOutcome::BootedExisting {
                 version: p.manifest.version,

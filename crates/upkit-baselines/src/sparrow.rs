@@ -119,11 +119,9 @@ impl SparrowAgent {
                     let take = need.min(chunk.len());
                     self.header.extend_from_slice(&chunk[..take]);
                     chunk = &chunk[take..];
-                    if self.header.len() == HEADER_LEN {
-                        self.expected_len =
-                            u32::from_le_bytes(self.header[0..4].try_into().expect("4 bytes"));
-                        self.expected_crc =
-                            u16::from_le_bytes(self.header[4..6].try_into().expect("2 bytes"));
+                    if let [l0, l1, l2, l3, c0, c1] = self.header[..] {
+                        self.expected_len = u32::from_le_bytes([l0, l1, l2, l3]);
+                        self.expected_crc = u16::from_le_bytes([c0, c1]);
                         self.state = State::Body;
                     }
                 }

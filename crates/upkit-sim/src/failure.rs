@@ -40,14 +40,14 @@ use upkit_manifest::{
 };
 use upkit_net::{
     run_push_session, LinkProfile, LossyLink, PushEndpoints, PushSession, RetryPolicy,
-    SessionOutcome, Smartphone, Step, Transport,
+    SessionOutcome, Smartphone,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::firmware::FirmwareGenerator;
-use crate::scenario::{install_signed, APP_ID, DEVICE_ID, LINK_OFFSET};
+use crate::scenario::{install_signed, step_with_cut, APP_ID, DEVICE_ID, LINK_OFFSET};
 
 /// Outcome of a power-loss scenario.
 #[derive(Debug)]
@@ -649,17 +649,9 @@ pub fn run_power_loss_at_event(cut_after_events: u64, seed: u64) -> PowerLossRep
         world.plan.clone(),
         seed as u32 | 1,
     );
-    let mut events = 0u64;
-    let session_interrupted = loop {
-        if events >= cut_after_events {
-            // Power dies here; the session is simply abandoned.
-            break true;
-        }
-        match session.step(&mut endpoints) {
-            Step::Progress(_) => events += 1,
-            Step::Done(report) => break !matches!(report.outcome, SessionOutcome::Complete),
-        }
-    };
+    // Power dies at the cut; the session is simply abandoned.
+    let report = step_with_cut(&mut session, &mut endpoints, Some(cut_after_events));
+    let session_interrupted = report.outcome != SessionOutcome::Complete;
     let bytes_written_before_cut = world.layout.total_stats().bytes_written;
 
     let (booted_version, boots_to_recovery) = match world.reboot_to_fixed_point(DEFAULT_MAX_BOOTS) {

@@ -7,16 +7,15 @@
 //! adoption curve and the total bytes served — where differential updates
 //! shrink the server's egress by an order of magnitude.
 //!
-//! Two entry points:
+//! Two entry points over one engine:
 //!
-//! * [`run_rollout`] — the sequential simulator over full [`SimDevice`]s
-//!   (flash + agent + bootloader each).
 //! * [`run_rollout_sharded`] — the fleet split into shards, each with its
 //!   own RNG stream derived from the fleet seed, executed across worker
 //!   threads. Results depend only on the configuration, never on the
-//!   thread count, and a single-shard run reproduces [`run_rollout`]
-//!   byte for byte. With [`DeviceModel::Lite`] devices (protocol-faithful
+//!   thread count. With [`DeviceModel::Lite`] devices (protocol-faithful
 //!   but without per-device flash), campaigns scale to 100k–1M devices.
+//! * [`run_rollout`] — its one-shard, one-thread run over full
+//!   [`SimDevice`]s (flash + agent + bootloader each).
 //!
 //! # Scaling
 //!
@@ -166,87 +165,21 @@ pub fn run_rollout(config: &FleetConfig) -> FleetReport {
 
 /// [`run_rollout`] with observability: per-round [`Event::RolloutRound`]
 /// records, per-device completions, and served-byte counters are routed
-/// through `tracer`.
+/// through `tracer`. This is the one-shard, one-thread run of
+/// [`run_rollout_sharded_traced`] over [`DeviceModel::Faithful`] devices.
 #[must_use]
 pub fn run_rollout_traced(config: &FleetConfig, tracer: &Tracer) -> FleetReport {
-    let UpgradeWorld {
-        mut rng,
-        vendor,
-        server,
-        v1,
-    } = UpgradeWorld::build(config.seed, config.firmware_size);
-    let mut devices: Vec<SimDevice> = (0..config.devices)
-        .map(|i| {
-            SimDevice::provision_with_options(
-                0x1000 + i,
-                &v1,
-                &vendor,
-                &server,
-                config.differential,
-            )
-        })
-        .collect();
-
-    let per_round = per_round(devices.len(), config.poll_fraction);
-    let mut rounds = Vec::new();
-    let mut total_wire_bytes = 0u64;
-    let max_rounds = (config.devices as usize / per_round + 2) * 10;
-
-    while devices.iter().any(|d| d.installed_version() < Version(2)) {
-        assert!(
-            rounds.len() < max_rounds,
-            "rollout failed to converge after {} rounds",
-            rounds.len()
-        );
-        // Sample which devices poll this round (pending devices first, as
-        // real fleets poll independently of update state; updated devices
-        // polling is a cheap no-op we also exercise).
-        let mut wire_bytes = 0u64;
-        for index in poll_sample(&mut rng, devices.len(), per_round) {
-            let device = &mut devices[index];
-            match device.poll(&server).expect("healthy fleet") {
-                PollOutcome::Updated { wire_bytes: b, .. } => {
-                    wire_bytes += b;
-                    let id = u64::from(device.device_id);
-                    tracer.emit(|| Event::DeviceComplete {
-                        device: id,
-                        outcome: "complete",
-                    });
-                }
-                PollOutcome::AlreadyCurrent => {}
-                // Non-differential devices advertise version 0, so the
-                // server re-offers the latest release to devices that are
-                // already current; the agent early-rejects it as stale at
-                // the manifest — exactly the paper's freshness check.
-                PollOutcome::Rejected => {
-                    assert!(
-                        device.installed_version() >= Version(2),
-                        "pending device rejected an honest update"
-                    );
-                }
-            }
-        }
-        total_wire_bytes += wire_bytes;
-        Counters::add(&tracer.counters().link_bytes_to_device, wire_bytes);
-        let updated = devices
-            .iter()
-            .filter(|d| d.installed_version() >= Version(2))
-            .count() as u32;
-        let round = rounds.len() as u64 + 1;
-        tracer.emit(|| Event::RolloutRound {
-            round,
-            completed: u64::from(updated),
-        });
-        rounds.push(RoundStats {
-            updated,
-            wire_bytes,
-        });
-    }
-
-    FleetReport {
-        rounds,
-        total_wire_bytes,
-    }
+    run_rollout_sharded_traced(
+        &ShardedFleetConfig {
+            fleet: *config,
+            shards: 1,
+            threads: 1,
+            device_model: DeviceModel::Faithful,
+            verify_signatures: true,
+            manifest_mode: ManifestMode::PerDevice,
+        },
+        tracer,
+    )
 }
 
 /// Which device implementation a sharded rollout simulates.
@@ -463,9 +396,8 @@ impl Shard {
             .all(|d| d.installed_version() >= Version(2))
     }
 
-    /// One polling round over this shard — the same sampling-without-
-    /// replacement loop as the sequential simulator, restricted to the
-    /// shard's devices and driven by the shard's own RNG.
+    /// One polling round over this shard: `per_round` of the shard's
+    /// devices, sampled without replacement by the shard's own RNG.
     fn run_round(&mut self, env: &FleetEnv<'_>) -> RoundStats {
         let mut wire_bytes = 0u64;
         for index in poll_sample(&mut self.rng, self.devices.len(), self.per_round) {
@@ -483,6 +415,10 @@ impl Shard {
                     });
                 }
                 PollOutcome::AlreadyCurrent => {}
+                // Non-differential devices advertise version 0, so the
+                // server re-offers the latest release to devices that are
+                // already current; the agent early-rejects it as stale at
+                // the manifest — exactly the paper's freshness check.
                 PollOutcome::Rejected => {
                     assert!(
                         device.installed_version() >= Version(2),
@@ -533,9 +469,8 @@ impl Shard {
 /// Determinism: each shard's RNG stream is fixed by `(seed, shard index)`
 /// alone, shards never share mutable state, and per-round statistics are
 /// aggregated by order-independent sums — so the report is a pure function
-/// of the configuration, whatever `threads` is. A single-shard run draws
-/// from the same stream as [`run_rollout`] and reproduces its report
-/// exactly (covered by tests).
+/// of the configuration, whatever `threads` is. [`run_rollout`] is the
+/// single-shard run over [`DeviceModel::Faithful`] devices.
 ///
 /// # Panics
 ///
@@ -561,9 +496,9 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
         manifest_mode: config.manifest_mode,
     };
 
-    // A single shard *is* the sequential fleet, so it continues the master
-    // stream (key generation already consumed from it) and reproduces
-    // `run_rollout` exactly; multiple shards get independent streams.
+    // A single shard continues the master stream (key generation already
+    // consumed from it), the stream every `run_rollout` report is drawn
+    // from; multiple shards get independent streams.
     let mut plan = shard_plan(fleet.seed, fleet.devices as usize, config.shards);
     if let [(_, rng)] = plan.as_mut_slice() {
         *rng = world.rng;
@@ -698,27 +633,6 @@ mod tests {
         let b = run_rollout(&config);
         assert_eq!(a.total_wire_bytes, b.total_wire_bytes);
         assert_eq!(a.rounds_to_converge(), b.rounds_to_converge());
-    }
-
-    #[test]
-    fn single_shard_reproduces_sequential_rollout_exactly() {
-        let fleet = FleetConfig {
-            devices: 12,
-            poll_fraction: 0.4,
-            firmware_size: 6_000,
-            differential: true,
-            seed: 702,
-        };
-        let sequential = run_rollout(&fleet);
-        let sharded = run_rollout_sharded(&ShardedFleetConfig {
-            fleet,
-            shards: 1,
-            threads: 1,
-            device_model: DeviceModel::Faithful,
-            verify_signatures: true,
-            manifest_mode: ManifestMode::PerDevice,
-        });
-        assert_eq!(sequential, sharded);
     }
 
     #[test]

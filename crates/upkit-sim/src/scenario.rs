@@ -197,7 +197,7 @@ fn flash_micros(layout: &mut MemoryLayout) -> u64 {
 /// `cut_after_events`-th event boundary (simulating the device dying
 /// mid-session at an arbitrary link event, not merely a flash-byte
 /// offset).
-fn step_with_cut(
+pub(crate) fn step_with_cut(
     session: &mut dyn Transport,
     endpoints: &mut dyn SessionEndpoints,
     cut_after_events: Option<u64>,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use rand::SeedableRng;
-use upkit::baselines::{McubootBootloader, McubootConfig, McubootOutcome, McumgrAgent};
+use upkit::baselines::{McubootBootloader, McubootConfig, McubootOutcome, UnverifiedAgent};
 use upkit::core::agent::{AgentConfig, AgentError, AgentPhase, UpdateAgent, UpdatePlan};
 use upkit::core::generation::{UpdateServer, VendorServer};
 use upkit::core::image::FIRMWARE_OFFSET;
@@ -112,11 +112,11 @@ fn replay_rejected_by_upkit_accepted_by_mcumgr() {
         SLOT_SIZE,
     )
     .unwrap();
-    let mut mcumgr = McumgrAgent::new(standard::SLOT_B);
+    let mut mcumgr = UnverifiedAgent::new(standard::SLOT_B, false);
     mcumgr.begin(&mut layout).unwrap();
     let mut done = false;
     for chunk in captured.chunks(244) {
-        done = mcumgr.push_data(&mut layout, chunk).unwrap();
+        done = mcumgr.push_data(&mut layout, chunk, false).unwrap();
     }
     assert!(done, "mcumgr accepted the replayed image");
 }

@@ -383,3 +383,85 @@ mod event_rollout_pins {
         assert_eq!(run.records, 3_670, "trace record count moved");
     }
 }
+
+mod fleet_rollout_pins {
+    use std::sync::Arc;
+
+    use upkit::sim::{run_rollout_traced, FleetConfig, FleetReport};
+    use upkit::trace::{MemorySink, Tracer};
+
+    struct FleetRun {
+        report: FleetReport,
+        link_bytes_to_device: u64,
+        records: usize,
+    }
+
+    fn run(differential: bool) -> FleetRun {
+        let sink = Arc::new(MemorySink::new());
+        let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
+        let report = run_rollout_traced(
+            &FleetConfig {
+                devices: 30,
+                poll_fraction: 0.25,
+                firmware_size: 8_000,
+                differential,
+                seed: 0x0110,
+            },
+            &tracer,
+        );
+        let counters = tracer.counters().snapshot();
+        // Faithful devices charge their own tracers, not the fleet's.
+        assert_eq!(counters.sig_verifications, 0);
+        FleetRun {
+            report,
+            link_bytes_to_device: counters.link_bytes_to_device,
+            records: sink.len(),
+        }
+    }
+
+    /// Rounds as `(updated, wire_bytes)` pairs.
+    fn rounds(report: &FleetReport) -> Vec<(u32, u64)> {
+        report
+            .rounds
+            .iter()
+            .map(|r| (r.updated, r.wire_bytes))
+            .collect()
+    }
+
+    // The two pins below freeze the faithful rollout end to end: the
+    // master RNG stream the single shard continues, the poll sampler,
+    // every device's pull session, and the trace the rounds emit. The
+    // adoption curve is the same in both settings; only the bytes differ.
+
+    const UPDATED: [u32; 12] = [8, 12, 17, 22, 25, 26, 28, 28, 28, 28, 29, 30];
+
+    #[test]
+    fn differential_faithful_rollout_is_pinned() {
+        let run = run(true);
+        let wire = [
+            33_240, 16_620, 20_775, 20_775, 12_465, 4_155, 8_310, 0, 0, 0, 4_155, 4_155,
+        ];
+        assert_eq!(
+            rounds(&run.report),
+            UPDATED.into_iter().zip(wire).collect::<Vec<_>>()
+        );
+        assert_eq!(run.report.total_wire_bytes, 124_650);
+        assert_eq!(run.link_bytes_to_device, 124_650);
+        assert_eq!(run.records, 42, "trace record count moved");
+    }
+
+    #[test]
+    fn full_image_faithful_rollout_is_pinned() {
+        let run = run(false);
+        let wire = [
+            77_792, 38_896, 48_620, 48_620, 29_172, 9_724, 19_448, 0, 0, 0, 9_724, 9_724,
+        ];
+        assert_eq!(
+            rounds(&run.report),
+            UPDATED.into_iter().zip(wire).collect::<Vec<_>>()
+        );
+        assert_eq!(run.report.total_wire_bytes, 291_720);
+        assert_eq!(run.link_bytes_to_device, 291_720);
+        assert_eq!(run.records, 42, "trace record count moved");
+    }
+}
