@@ -2,9 +2,9 @@
 //!
 //! A counting global allocator wraps the system allocator; each test runs
 //! its setup (allocations welcome), snapshots the counter, drives many
-//! iterations of the device hot path — block verify over flash, bsdiff /
-//! block-diff / framed / LZSS application into fixed buffers — and asserts
-//! the counter did not move. This is the executable form of the `no_std`
+//! iterations of the device hot path — block verify over flash, ECDSA
+//! signature checks, bsdiff / block-diff / framed / LZSS application into
+//! fixed buffers — and asserts the counter did not move. This is the executable form of the `no_std`
 //! portability claim: a device can run these loops from static buffers
 //! with no heap at all.
 //!
@@ -17,6 +17,8 @@ use std::cell::Cell;
 
 use upkit_core::image::{read_firmware_chunks, FIRMWARE_OFFSET};
 use upkit_core::verifier::FirmwareDigester;
+use upkit_crypto::backend::{KeyRef, SecurityBackend, SecurityError, TinyCryptBackend};
+use upkit_crypto::ecdsa::SigningKey;
 use upkit_flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 
 struct CountingAllocator;
@@ -129,6 +131,44 @@ fn block_verify_loop_is_allocation_free() {
         allocations() - before,
         0,
         "block-verify loop must not allocate"
+    );
+}
+
+/// ECDSA-P256 signature checks through the software backend — accepting
+/// and rejecting — perform zero heap allocations: the comb table for `G`
+/// is static data and the wNAF digits and odd multiples of `Q` live on the
+/// stack.
+#[test]
+fn ecdsa_verify_is_allocation_free() {
+    let key = SigningKey::from_bytes(&[0x5C; 32]).unwrap();
+    let public = key.verifying_key().to_sec1_bytes();
+    let digests: Vec<[u8; 32]> = (0u8..4)
+        .map(|i| upkit_crypto::sha256::sha256(&[i; 40]))
+        .collect();
+    let signatures: Vec<_> = digests.iter().map(|d| key.sign_prehashed(d)).collect();
+    let backend = TinyCryptBackend;
+    let key_ref = KeyRef::Sec1(&public);
+
+    // Warm up once so any lazily-initialized state is paid for.
+    backend
+        .verify(key_ref, &digests[0], &signatures[0])
+        .unwrap();
+
+    let before = allocations();
+    for _ in 0..4 {
+        for (i, (digest, signature)) in digests.iter().zip(&signatures).enumerate() {
+            assert_eq!(backend.verify(key_ref, digest, signature), Ok(()));
+            let other = &signatures[(i + 1) % signatures.len()];
+            assert_eq!(
+                backend.verify(key_ref, digest, other),
+                Err(SecurityError::BadSignature)
+            );
+        }
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "signature checks must not allocate"
     );
 }
 

@@ -6,7 +6,9 @@
 //! use ECDSA/secp256r1/SHA-256 as in the paper.
 
 use crate::hmac::HmacSha256;
-use crate::p256::{double_scalar_mul, order, AffinePoint, PointError, Scalar};
+use crate::p256::{
+    double_scalar_mul, field_prime, mul_base, order, AffinePoint, FieldElement, PointError, Scalar,
+};
 use crate::sha256::sha256;
 use crate::u256::U256;
 
@@ -132,12 +134,16 @@ impl VerifyingKey {
         let s_inv = s.invert().ok_or(EcdsaError::InvalidSignature)?;
         let u1 = Scalar::from_u256(&z).mul(&s_inv).to_u256();
         let u2 = Scalar::from_u256(&signature.r).mul(&s_inv).to_u256();
-        let point = double_scalar_mul(&u1, &u2, &self.point).to_affine();
-        let AffinePoint::Point { x, .. } = point else {
-            return Err(EcdsaError::InvalidSignature);
-        };
-        let x_mod_n = x.to_u256().reduce_mod(&order());
-        if x_mod_n == signature.r {
+        let point = double_scalar_mul(&u1, &u2, &self.point);
+        // x(R) < p < 2n, so x(R) mod n == r exactly when x(R) is r or,
+        // if r + n < p, r + n. Comparing X with x·Z² skips the inversion.
+        let r = &signature.r;
+        let (r_plus_n, carry) = r.adc(&order());
+        let valid = point.has_affine_x(&FieldElement::from_u256(r))
+            || (carry == 0
+                && r_plus_n < field_prime()
+                && point.has_affine_x(&FieldElement::from_u256(&r_plus_n)));
+        if valid {
             Ok(())
         } else {
             Err(EcdsaError::InvalidSignature)
@@ -176,10 +182,7 @@ impl SigningKey {
         if d.is_zero() || d.cmp_raw(&order()) != core::cmp::Ordering::Less {
             return Err(EcdsaError::InvalidPrivateKey);
         }
-        let point = AffinePoint::generator()
-            .to_jacobian()
-            .mul_scalar(&d)
-            .to_affine();
+        let point = mul_base(&d).to_affine();
         Ok(Self {
             d,
             public: VerifyingKey { point },
@@ -225,11 +228,7 @@ impl SigningKey {
             if k.is_zero() || k.cmp_raw(&order()) != core::cmp::Ordering::Less {
                 continue;
             }
-            let point = AffinePoint::generator()
-                .to_jacobian()
-                .mul_scalar(&k)
-                .to_affine();
-            let AffinePoint::Point { x, .. } = point else {
+            let AffinePoint::Point { x, .. } = mul_base(&k).to_affine() else {
                 continue;
             };
             let r = x.to_u256().reduce_mod(&order());
@@ -267,6 +266,8 @@ fn bits2int(digest: &[u8; 32]) -> U256 {
 struct Rfc6979 {
     k: [u8; 32],
     v: [u8; 32],
+    /// Whether a candidate was drawn, so the next draw is a retry.
+    drawn: bool,
 }
 
 impl Rfc6979 {
@@ -296,19 +297,22 @@ impl Rfc6979 {
         // V = HMAC_K(V)
         v = crate::hmac::hmac_sha256(&k, &v);
 
-        Self { k, v }
+        Self { k, v, drawn: false }
     }
 
     fn next_candidate(&mut self) -> U256 {
+        if self.drawn {
+            // Step h.3, run only once a candidate was rejected (for P-256
+            // a ~2^-32 event) instead of after every draw.
+            let mut mac = HmacSha256::new(&self.k);
+            mac.update(&self.v);
+            mac.update(&[0x00]);
+            self.k = mac.finalize();
+            self.v = crate::hmac::hmac_sha256(&self.k, &self.v);
+        }
+        self.drawn = true;
         self.v = crate::hmac::hmac_sha256(&self.k, &self.v);
-        let candidate = U256::from_be_bytes(&self.v);
-        // Prepare state for a potential retry.
-        let mut mac = HmacSha256::new(&self.k);
-        mac.update(&self.v);
-        mac.update(&[0x00]);
-        self.k = mac.finalize();
-        self.v = crate::hmac::hmac_sha256(&self.k, &self.v);
-        candidate
+        U256::from_be_bytes(&self.v)
     }
 }
 
@@ -480,6 +484,70 @@ mod tests {
         let printed = format!("{key:?}");
         let private_hex: String = key.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
         assert!(!printed.contains(&private_hex[..16]));
+    }
+
+    #[test]
+    fn verify_accepts_an_x_coordinate_above_the_order() {
+        // x(R) ≡ r (mod n) also holds for x(R) = r + n when that is below
+        // p, which a random signature reaches with probability ~2^-128.
+        // Build such an R, then the public key that makes (r, s) verify.
+        let n = order();
+        let (r_point, delta) = (1u64..)
+            .find_map(|delta| {
+                let mut bytes = [0x02u8; 33];
+                bytes[1..].copy_from_slice(&n.adc(&U256::from_u64(delta)).0.to_be_bytes());
+                AffinePoint::from_sec1_compressed(&bytes)
+                    .ok()
+                    .map(|point| (point, delta))
+            })
+            .expect("some x = n + delta lies on the curve");
+        let (r, s) = (U256::from_u64(delta), U256::from_u64(7));
+        let digest = sha256(b"x(R) = r + n");
+
+        // Verify computes u1·G + u2·Q with u1 = z/s and u2 = r/s, so
+        // Q = u2⁻¹·(R − u1·G) makes that sum R.
+        let s_inv = Scalar::from_u256(&s).invert().unwrap();
+        let u1 = Scalar::from_u256(&bits2int(&digest)).mul(&s_inv);
+        let u2 = Scalar::from_u256(&r).mul(&s_inv);
+        let q = r_point
+            .to_jacobian()
+            .add(
+                &AffinePoint::generator()
+                    .to_jacobian()
+                    .mul_scalar(&u1.neg().to_u256()),
+            )
+            .mul_scalar(&u2.invert().unwrap().to_u256())
+            .to_affine();
+        let key = VerifyingKey::from_sec1_bytes(&q.to_sec1_bytes()).unwrap();
+
+        let signature = |r: U256| {
+            let mut bytes = [0u8; SIGNATURE_LEN];
+            bytes[..32].copy_from_slice(&r.to_be_bytes());
+            bytes[32..].copy_from_slice(&s.to_be_bytes());
+            Signature::from_bytes(&bytes).unwrap()
+        };
+        assert_eq!(key.verify_prehashed(&digest, &signature(r)), Ok(()));
+        assert_eq!(
+            key.verify_prehashed(&digest, &signature(U256::from_u64(delta ^ 1))),
+            Err(EcdsaError::InvalidSignature)
+        );
+    }
+
+    #[test]
+    fn rfc6979_retries_follow_step_h3() {
+        // After a rejected candidate, RFC 6979 §3.2 step h.3 sets
+        // K = HMAC_K(V ‖ 0x00) and V = HMAC_K(V) before the next draw.
+        let mut nonces = Rfc6979::new(&[0x11; 32], &sha256(b"retry"));
+        let (mut k, mut v) = (nonces.k, nonces.v);
+        for _ in 0..3 {
+            v = crate::hmac::hmac_sha256(&k, &v);
+            assert_eq!(nonces.next_candidate(), U256::from_be_bytes(&v));
+            let mut mac = HmacSha256::new(&k);
+            mac.update(&v);
+            mac.update(&[0x00]);
+            k = mac.finalize();
+            v = crate::hmac::hmac_sha256(&k, &v);
+        }
     }
 
     #[test]

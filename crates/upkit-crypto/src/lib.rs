@@ -11,8 +11,11 @@
 //!
 //! * [`mod@sha256`] / [`hmac`] — FIPS 180-4 SHA-256 and RFC 2104 HMAC.
 //! * [`u256`] / [`mont`] — 256-bit integers and generic Montgomery field
-//!   arithmetic.
-//! * [`p256`] — the NIST P-256 group (Jacobian arithmetic, SEC1 encoding).
+//!   arithmetic (the CIOS multiply, fixed-window exponentiation).
+//! * [`p256`] — the NIST P-256 group: Jacobian arithmetic, SEC1 encoding,
+//!   a fixed-base comb for `G` (a 4,032-byte compile-time table of 63
+//!   affine points) and width-5 NAF for the public key in verification,
+//!   with mixed Jacobian + affine additions.
 //! * [`ecdsa`] — ECDSA sign/verify with RFC 6979 deterministic nonces.
 //! * [`backend`] — the *security interface*: pluggable backends mirroring
 //!   the paper's crypto libraries.

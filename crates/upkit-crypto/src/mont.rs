@@ -116,6 +116,16 @@ impl<P: FieldParams> Fe<P> {
         }
     }
 
+    /// Wraps limbs that already hold a value in Montgomery form, below the
+    /// modulus, so precomputed tables can be built at compile time.
+    #[must_use]
+    pub(crate) const fn from_montgomery(mont: U256) -> Self {
+        Self {
+            mont,
+            _params: PhantomData,
+        }
+    }
+
     /// Converts a canonical integer into the field, reducing modulo the
     /// modulus first.
     #[must_use]
@@ -150,31 +160,31 @@ impl<P: FieldParams> Fe<P> {
     }
 
     /// Field addition.
+    ///
+    /// The reduction is a mask, not a branch: on random operands whether
+    /// the sum reaches the modulus is a coin flip, and a mispredicted
+    /// branch costs more than the subtraction.
     #[must_use]
     pub fn add(&self, rhs: &Self) -> Self {
         let (sum, carry) = self.mont.adc(&rhs.mont);
-        let reduced = if carry == 1 || sum.cmp_raw(&P::MODULUS) != core::cmp::Ordering::Less {
-            let (r, _) = sum.sbb(&P::MODULUS);
-            r
-        } else {
-            sum
-        };
+        let (reduced, borrow) = sum.sbb(&P::MODULUS);
+        // Keep the unreduced sum only when it is below the modulus.
+        let keep_sum = (borrow & !carry).wrapping_neg();
         Self {
-            mont: reduced,
+            mont: U256(core::array::from_fn(|i| {
+                reduced.0[i] ^ ((reduced.0[i] ^ sum.0[i]) & keep_sum)
+            })),
             _params: PhantomData,
         }
     }
 
-    /// Field subtraction.
+    /// Field subtraction (adds the modulus back under a mask, as in
+    /// [`Self::add`]).
     #[must_use]
     pub fn sub(&self, rhs: &Self) -> Self {
         let (diff, borrow) = self.mont.sbb(&rhs.mont);
-        let reduced = if borrow == 1 {
-            let (r, _) = diff.adc(&P::MODULUS);
-            r
-        } else {
-            diff
-        };
+        let mask = borrow.wrapping_neg();
+        let (reduced, _) = diff.adc(&U256(P::MODULUS.0.map(|limb| limb & mask)));
         Self {
             mont: reduced,
             _params: PhantomData,
@@ -208,31 +218,23 @@ impl<P: FieldParams> Fe<P> {
         self.add(self)
     }
 
-    /// Multiplies by a small constant.
-    #[must_use]
-    pub fn mul_u64(&self, k: u64) -> Self {
-        let mut acc = Self::zero();
-        let mut base = *self;
-        let mut k = k;
-        while k != 0 {
-            if k & 1 == 1 {
-                acc = acc.add(&base);
-            }
-            base = base.double();
-            k >>= 1;
-        }
-        acc
-    }
-
-    /// Raises to the power `e` (square-and-multiply, MSB first).
+    /// Raises to the power `e` with a 4-bit fixed window, MSB first: one
+    /// multiply per non-zero nibble of `e` from a table of `self^0..=15`,
+    /// instead of one per set bit.
     #[must_use]
     pub fn pow(&self, e: &U256) -> Self {
+        let mut table = [Self::one(); 16];
+        for i in 1..16 {
+            table[i] = table[i - 1].mul(self);
+        }
         let mut acc = Self::one();
-        let bits = e.bits();
-        for i in (0..bits).rev() {
-            acc = acc.square();
-            if e.bit(i) {
-                acc = acc.mul(self);
+        for w in (0..e.bits().div_ceil(4)).rev() {
+            for _ in 0..4 {
+                acc = acc.square();
+            }
+            let nibble = (e.0[w / 16] >> (4 * (w % 16))) & 0xf;
+            if nibble != 0 {
+                acc = acc.mul(&table[nibble as usize]);
             }
         }
         acc
@@ -406,11 +408,28 @@ mod tests {
     }
 
     #[test]
-    fn mul_u64_matches_mul() {
-        let a = F::from_u64(0xdead_beef);
-        assert_eq!(a.mul_u64(8), a.mul(&F::from_u64(8)));
-        assert_eq!(a.mul_u64(0), F::zero());
-        assert_eq!(a.mul_u64(1), a);
+    fn windowed_pow_matches_square_and_multiply() {
+        let a = F::from_u64(0x1234_5678_9abc);
+        let (m_minus_2, _) = TestField::MODULUS.sbb(&U256::from_u64(2));
+        for e in [
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(15),
+            U256::from_u64(16),
+            U256::from_u64(0xf0f1),
+            U256::from_limbs([0, 1 << 63, 0, 0x8000_0000_0000_0001]),
+            m_minus_2,
+            U256::MAX,
+        ] {
+            let mut expected = F::one();
+            for i in (0..256).rev() {
+                expected = expected.square();
+                if e.bit(i) {
+                    expected = expected.mul(&a);
+                }
+            }
+            assert_eq!(a.pow(&e), expected, "e = {e}");
+        }
     }
 
     #[test]

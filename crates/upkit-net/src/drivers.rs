@@ -2,24 +2,22 @@
 //!
 //! Each driver executes the full Fig. 2 message sequence against a real
 //! [`UpdateAgent`], moving the actual bytes chunk by chunk and charging
-//! every exchange to a [`TransferAccounting`] so the simulator can convert
+//! every exchange to a [`TransferAccounting`](crate::profiles::TransferAccounting)
+//! so the simulator can convert
 //! the session into time and energy. The drivers stop the moment the agent
 //! rejects something — that early termination is precisely the byte/energy
 //! saving UpKit's agent-side verification buys.
 //!
-//! Since the session refactor these are thin step-until-done wrappers over
-//! the resumable [`crate::session`] machinery; the original monolithic
-//! loops survive as `#[doc(hidden)]` reference implementations so the
-//! equivalence proptests can assert charge-for-charge identical
+//! Both are thin step-until-done wrappers over the resumable
+//! [`crate::session`] machinery; `tests/session_regression.rs` pins their
 //! [`SessionReport`]s.
 
-use upkit_core::agent::{AgentPhase, UpdateAgent, UpdatePlan};
+use upkit_core::agent::{UpdateAgent, UpdatePlan};
 use upkit_core::generation::UpdateServer;
 use upkit_flash::MemoryLayout;
-use upkit_manifest::DEVICE_TOKEN_LEN;
 
 use crate::lossy::LossyLink;
-use crate::profiles::{LinkProfile, TransferAccounting};
+use crate::profiles::LinkProfile;
 use crate::proxy::{BorderRouter, Smartphone};
 use crate::session::{
     PullEndpoints, PullSession, PushEndpoints, PushSession, RetryPolicy, Transport,
@@ -70,196 +68,6 @@ pub fn run_pull_session(
     let mut session = PullSession::new(LossyLink::reliable(*link), RetryPolicy::for_link(link), 0);
     let mut endpoints = PullEndpoints::new(server, router, agent, layout, plan, nonce);
     session.run_to_completion(&mut endpoints)
-}
-
-/// Pre-refactor monolithic push loop, kept verbatim (modulo the
-/// `ProxyEmpty` typed error replacing an `expect`) as the reference the
-/// stepped [`PushSession`] is proven equivalent to.
-#[doc(hidden)]
-pub fn reference_push_session(
-    server: &UpdateServer,
-    phone: &mut Smartphone,
-    agent: &mut UpdateAgent,
-    layout: &mut MemoryLayout,
-    plan: UpdatePlan,
-    nonce: u32,
-    link: &LinkProfile,
-) -> SessionReport {
-    let mut acc = TransferAccounting::default();
-
-    // Steps 4–5: phone requests the device token over BLE.
-    acc.charge_round_trip(link);
-    let token = match agent.request_device_token(layout, plan, nonce) {
-        Ok(token) => token,
-        Err(e) => {
-            return SessionReport {
-                outcome: SessionOutcome::RejectedAtManifest(e),
-                accounting: acc,
-            }
-        }
-    };
-    acc.charge_from_device(link, DEVICE_TOKEN_LEN as u64);
-
-    // Steps 6–7: phone ↔ server over the Internet (not charged to the
-    // device's radio).
-    if !phone.fetch_update(server, &token) {
-        return SessionReport {
-            outcome: SessionOutcome::NoUpdateAvailable,
-            accounting: acc,
-        };
-    }
-
-    // Steps 8–9: manifest over BLE, verified on arrival.
-    let Some(manifest_bytes) = phone.outgoing_manifest() else {
-        return SessionReport {
-            outcome: SessionOutcome::ProxyEmpty,
-            accounting: acc,
-        };
-    };
-    let mut rejected_at_manifest = true;
-    for chunk in manifest_bytes.chunks(link.mtu) {
-        acc.charge_to_device(link, chunk.len() as u64);
-        match agent.push_data(layout, chunk) {
-            Ok(AgentPhase::ManifestAccepted) => {
-                rejected_at_manifest = false;
-            }
-            Ok(_) => {}
-            Err(e) => {
-                return SessionReport {
-                    outcome: SessionOutcome::RejectedAtManifest(e),
-                    accounting: acc,
-                }
-            }
-        }
-    }
-    if rejected_at_manifest {
-        // Manifest stream was too short to complete verification.
-        return SessionReport {
-            outcome: SessionOutcome::Incomplete,
-            accounting: acc,
-        };
-    }
-
-    // Steps 10–11: agent notifies the phone to proceed.
-    acc.charge_round_trip(link);
-
-    // Steps 12–14: payload over BLE, digest-verified at the end.
-    let Some(payload) = phone.outgoing_payload() else {
-        return SessionReport {
-            outcome: SessionOutcome::ProxyEmpty,
-            accounting: acc,
-        };
-    };
-    let mut last_phase = AgentPhase::NeedMore;
-    for chunk in payload.chunks(link.mtu) {
-        acc.charge_to_device(link, chunk.len() as u64);
-        match agent.push_data(layout, chunk) {
-            Ok(phase) => last_phase = phase,
-            Err(e) => {
-                return SessionReport {
-                    outcome: SessionOutcome::RejectedAtFirmware(e),
-                    accounting: acc,
-                }
-            }
-        }
-    }
-    let outcome = if last_phase == AgentPhase::Complete {
-        SessionOutcome::Complete
-    } else {
-        SessionOutcome::Incomplete
-    };
-    SessionReport {
-        outcome,
-        accounting: acc,
-    }
-}
-
-/// Pre-refactor monolithic pull loop, kept verbatim as the reference the
-/// stepped [`PullSession`] is proven equivalent to.
-#[doc(hidden)]
-pub fn reference_pull_session(
-    server: &UpdateServer,
-    router: &BorderRouter,
-    agent: &mut UpdateAgent,
-    layout: &mut MemoryLayout,
-    plan: UpdatePlan,
-    nonce: u32,
-    link: &LinkProfile,
-) -> SessionReport {
-    let mut acc = TransferAccounting::default();
-
-    let token = match agent.request_device_token(layout, plan, nonce) {
-        Ok(token) => token,
-        Err(e) => {
-            return SessionReport {
-                outcome: SessionOutcome::RejectedAtManifest(e),
-                accounting: acc,
-            }
-        }
-    };
-    // Initial CoAP request carrying the token.
-    acc.charge_round_trip(link);
-    acc.charge_from_device(link, DEVICE_TOKEN_LEN as u64);
-
-    let Some(prepared) = server.prepare_update(&token) else {
-        return SessionReport {
-            outcome: SessionOutcome::NoUpdateAvailable,
-            accounting: acc,
-        };
-    };
-    // The border router forwards the (logical) byte stream end to end.
-    let stream = router.forward(&prepared.image.to_bytes());
-
-    let manifest_len = upkit_manifest::SIGNED_MANIFEST_LEN.min(stream.len());
-    let (manifest_bytes, payload) = stream.split_at(manifest_len);
-
-    // Manifest blocks.
-    let mut manifest_ok = false;
-    for block in manifest_bytes.chunks(link.mtu) {
-        acc.charge_round_trip(link); // confirmed blockwise GET
-        acc.charge_to_device(link, block.len() as u64);
-        match agent.push_data(layout, block) {
-            Ok(AgentPhase::ManifestAccepted) => manifest_ok = true,
-            Ok(_) => {}
-            Err(e) => {
-                return SessionReport {
-                    outcome: SessionOutcome::RejectedAtManifest(e),
-                    accounting: acc,
-                }
-            }
-        }
-    }
-    if !manifest_ok {
-        return SessionReport {
-            outcome: SessionOutcome::Incomplete,
-            accounting: acc,
-        };
-    }
-
-    // Payload blocks.
-    let mut last_phase = AgentPhase::NeedMore;
-    for block in payload.chunks(link.mtu) {
-        acc.charge_round_trip(link);
-        acc.charge_to_device(link, block.len() as u64);
-        match agent.push_data(layout, block) {
-            Ok(phase) => last_phase = phase,
-            Err(e) => {
-                return SessionReport {
-                    outcome: SessionOutcome::RejectedAtFirmware(e),
-                    accounting: acc,
-                }
-            }
-        }
-    }
-    let outcome = if last_phase == AgentPhase::Complete {
-        SessionOutcome::Complete
-    } else {
-        SessionOutcome::Incomplete
-    };
-    SessionReport {
-        outcome,
-        accounting: acc,
-    }
 }
 
 #[cfg(test)]
@@ -558,31 +366,5 @@ mod tests {
             .read_slot(standard::SLOT_B, FIRMWARE_OFFSET, &mut stored)
             .unwrap();
         assert_eq!(stored, v2);
-    }
-
-    #[test]
-    fn wrapper_equals_reference_on_an_honest_push() {
-        let mut w1 = world(160, vec![0x5A; 30_000]);
-        let mut w2 = world(160, vec![0x5A; 30_000]);
-        let link = LinkProfile::ble_gatt();
-        let wrapped = run_push_session(
-            &w1.server,
-            &mut Smartphone::new(),
-            &mut w1.agent,
-            &mut w1.layout,
-            plan(),
-            60,
-            &link,
-        );
-        let reference = reference_push_session(
-            &w2.server,
-            &mut Smartphone::new(),
-            &mut w2.agent,
-            &mut w2.layout,
-            plan(),
-            60,
-            &link,
-        );
-        assert_eq!(wrapped, reference);
     }
 }

@@ -1,11 +1,7 @@
-//! Property-based equivalence: the stepped session state machines must
-//! reproduce the legacy round-trip drivers *exactly* — same outcome, same
-//! byte/chunk/round-trip/elapsed accounting — across firmware sizes, link
-//! profiles, full and differential updates, and loss seeds.
-//!
-//! The pre-refactor driver loops are preserved verbatim as
-//! `reference_push_session` / `reference_pull_session` (doc-hidden) for
-//! this purpose.
+//! Property-based equivalences of the stepped sessions: equal loss seeds
+//! give identical reports, and a zero-rate Bernoulli link is the reliable
+//! link, whatever its seed. `tests/session_regression.rs` pins the
+//! sessions' exact outputs.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -18,10 +14,8 @@ use upkit::crypto::backend::TinyCryptBackend;
 use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
-use upkit::net::drivers::{reference_pull_session, reference_push_session};
 use upkit::net::{
-    run_pull_session, run_push_session, BorderRouter, LinkProfile, LossyLink, PushEndpoints,
-    PushSession, RetryPolicy, Smartphone, Transport,
+    LinkProfile, LossyLink, PushEndpoints, PushSession, RetryPolicy, Smartphone, Transport,
 };
 use upkit::sim::FirmwareGenerator;
 
@@ -35,9 +29,9 @@ struct World {
     plan: UpdatePlan,
 }
 
-/// A device running signed v1 with v1 and v2 published, so the server can
-/// serve either a full image or (for differential-capable agents) a delta.
-fn world(seed: u64, fw_size: usize, differential: bool) -> World {
+/// A device running signed v1 with v1 and v2 published; the agent takes
+/// full images.
+fn world(seed: u64, fw_size: usize) -> World {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     let mut rng = StdRng::seed_from_u64(seed);
@@ -63,7 +57,7 @@ fn world(seed: u64, fw_size: usize, differential: bool) -> World {
     )
     .unwrap();
 
-    // Install signed v1 in slot A — the differential patch base.
+    // Install signed v1 in slot A.
     let manifest = upkit::manifest::Manifest {
         device_id: 0xD,
         nonce: 0,
@@ -92,7 +86,7 @@ fn world(seed: u64, fw_size: usize, differential: bool) -> World {
         AgentConfig {
             device_id: 0xD,
             app_id: APP_ID,
-            supports_differential: differential,
+            supports_differential: false,
             content_key: None,
         },
     );
@@ -112,80 +106,8 @@ fn world(seed: u64, fw_size: usize, differential: bool) -> World {
     }
 }
 
-fn link_profile(use_ble: bool) -> LinkProfile {
-    if use_ble {
-        LinkProfile::ble_gatt()
-    } else {
-        LinkProfile::ieee802154_6lowpan()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    #[test]
-    fn stepped_push_equals_reference_driver(
-        seed in any::<u64>(),
-        fw_size in 2_000usize..16_000,
-        differential in any::<bool>(),
-        use_ble in any::<bool>(),
-        nonce in 1u32..u32::MAX,
-    ) {
-        let link = link_profile(use_ble);
-        let mut stepped_world = world(seed, fw_size, differential);
-        let stepped = run_push_session(
-            &stepped_world.server,
-            &mut Smartphone::new(),
-            &mut stepped_world.agent,
-            &mut stepped_world.layout,
-            stepped_world.plan.clone(),
-            nonce,
-            &link,
-        );
-        let mut legacy_world = world(seed, fw_size, differential);
-        let legacy = reference_push_session(
-            &legacy_world.server,
-            &mut Smartphone::new(),
-            &mut legacy_world.agent,
-            &mut legacy_world.layout,
-            legacy_world.plan.clone(),
-            nonce,
-            &link,
-        );
-        prop_assert_eq!(stepped, legacy);
-    }
-
-    #[test]
-    fn stepped_pull_equals_reference_driver(
-        seed in any::<u64>(),
-        fw_size in 2_000usize..16_000,
-        differential in any::<bool>(),
-        use_ble in any::<bool>(),
-        nonce in 1u32..u32::MAX,
-    ) {
-        let link = link_profile(use_ble);
-        let mut stepped_world = world(seed, fw_size, differential);
-        let stepped = run_pull_session(
-            &stepped_world.server,
-            &BorderRouter::new(),
-            &mut stepped_world.agent,
-            &mut stepped_world.layout,
-            stepped_world.plan.clone(),
-            nonce,
-            &link,
-        );
-        let mut legacy_world = world(seed, fw_size, differential);
-        let legacy = reference_pull_session(
-            &legacy_world.server,
-            &BorderRouter::new(),
-            &mut legacy_world.agent,
-            &mut legacy_world.layout,
-            legacy_world.plan.clone(),
-            nonce,
-            &link,
-        );
-        prop_assert_eq!(stepped, legacy);
-    }
 
     #[test]
     fn lossy_sessions_are_seed_deterministic(
@@ -198,7 +120,7 @@ proptest! {
         let rate = f64::from(rate_permille) / 1000.0;
         let link = LinkProfile::ble_gatt();
         let run = |_: ()| {
-            let mut w = world(seed, 4_000, false);
+            let mut w = world(seed, 4_000);
             let mut phone = Smartphone::new();
             let mut session = PushSession::new(
                 LossyLink::bernoulli(link, rate, loss_seed),
@@ -227,7 +149,7 @@ proptest! {
         // reliable link regardless of its seed.
         let link = LinkProfile::ieee802154_6lowpan();
         let run = |lossy: LossyLink| {
-            let mut w = world(seed, 3_000, false);
+            let mut w = world(seed, 3_000);
             let mut phone = Smartphone::new();
             let mut session = PushSession::new(lossy, RetryPolicy::for_link(&link), 1);
             let mut endpoints = PushEndpoints::new(
