@@ -22,25 +22,19 @@
 //! and compare `BENCH_loss.json` byte for byte with
 //! `crates/upkit-bench/baselines/BENCH_loss_smoke.json`.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use upkit_bench::{metrics_json, print_table, Json};
-use upkit_core::agent::{AgentConfig, UpdateAgent, UpdatePlan};
 use upkit_core::generation::{UpdateServer, VendorServer};
-use upkit_core::image::FIRMWARE_OFFSET;
-use upkit_core::keys::TrustAnchors;
-use upkit_crypto::backend::TinyCryptBackend;
 use upkit_crypto::ecdsa::SigningKey;
-use upkit_flash::{configuration_a, standard, FlashGeometry, SimFlash};
 use upkit_manifest::Version;
 use upkit_net::{
     BorderRouter, LinkProfile, LossyLink, PullEndpoints, PullSession, RetryPolicy,
     SessionEventKind, SessionOutcome, Step, TransferAccounting, Transport,
 };
-use upkit_sim::{run_event_rollout_traced, EventFleetConfig, FirmwareGenerator};
+use upkit_sim::device::{APP_ID, LINK_OFFSET};
+use upkit_sim::{run_event_rollout_traced, EventFleetConfig, FirmwareGenerator, SimDevice};
 use upkit_trace::Tracer;
 
 const LOSS_RATES: [(&str, f64); 5] = [
@@ -79,46 +73,16 @@ fn stepped_pull(firmware_size: usize, loss_rate: f64, seed: u64, tracer: &Tracer
     let mut rng = StdRng::seed_from_u64(seed);
     let vendor = VendorServer::new(SigningKey::generate(&mut rng));
     let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
-    let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
 
     let generator = FirmwareGenerator::new(seed);
     let v1 = generator.base(firmware_size);
     let v2 = generator.os_version_change(&v1);
-    server.publish(vendor.release(v1.clone(), Version(1), 0, 0xF1));
-    server.publish(vendor.release(v2, Version(2), 0, 0xF1));
+    let mut device = SimDevice::provision(0xD0, &v1, &vendor, &server, false);
+    server.publish(vendor.release(v1, Version(1), LINK_OFFSET, APP_ID));
+    server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
 
-    let slot_size = (firmware_size as u32 + FIRMWARE_OFFSET).div_ceil(4096) * 4096 + 4096 * 4;
-    let mut layout = configuration_a(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: (slot_size * 2).next_power_of_two().max(64 * 1024),
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
-        slot_size,
-    )
-    .expect("valid layout");
-    let mut agent = UpdateAgent::new(
-        Arc::new(TinyCryptBackend),
-        anchors,
-        AgentConfig {
-            device_id: 0xD0,
-            app_id: 0xF1,
-            supports_differential: false,
-            content_key: None,
-        },
-    );
-    let plan = UpdatePlan {
-        target_slot: standard::SLOT_B,
-        current_slot: standard::SLOT_A,
-        installed_version: Version(1),
-        installed_size: firmware_size as u32,
-        allowed_link_offsets: vec![0],
-        max_firmware_size: slot_size - FIRMWARE_OFFSET,
-    };
-
-    layout.set_tracer(tracer.clone());
+    let plan = device.plan();
+    device.layout.set_tracer(tracer.clone());
     let link = LinkProfile::ieee802154_6lowpan();
     let router = BorderRouter::new();
     let mut session = PullSession::new(
@@ -127,7 +91,14 @@ fn stepped_pull(firmware_size: usize, loss_rate: f64, seed: u64, tracer: &Tracer
         seed,
     );
     session.set_tracer(tracer.clone());
-    let mut endpoints = PullEndpoints::new(&server, &router, &mut agent, &mut layout, plan, 1);
+    let mut endpoints = PullEndpoints::new(
+        &server,
+        &router,
+        &mut device.agent,
+        &mut device.layout,
+        plan,
+        1,
+    );
 
     let mut events = 0u64;
     let mut lost_chunks = 0u64;

@@ -11,7 +11,7 @@
 //! ```
 
 use upkit_bench::print_table;
-use upkit_sim::{run_lifetime, LifetimeMode};
+use upkit_sim::{run_lifetime, SlotMode};
 
 const ENDURANCE_CYCLES: u32 = 10_000;
 
@@ -20,8 +20,11 @@ fn main() {
     let mut rows = Vec::new();
     let mut wear = Vec::new();
     for (name, mode) in [
-        ("A/B (Configuration A)", LifetimeMode::AB),
-        ("Static swap (Configuration B)", LifetimeMode::StaticSwap),
+        ("A/B (Configuration A)", SlotMode::AB),
+        (
+            "Static swap (Configuration B)",
+            SlotMode::Static { swap: true },
+        ),
     ] {
         let report = run_lifetime(mode, updates, 777);
         assert_eq!(report.updates_applied, updates);

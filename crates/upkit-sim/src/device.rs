@@ -1,24 +1,33 @@
-//! A complete simulated device: flash + agent + bootloader + identity.
+//! The one provisioned flash-backed device: flash layout + update agent +
+//! bootloader + identity.
 //!
-//! [`SimDevice`] bundles the pieces every scenario wires together by hand,
-//! exposing the lifecycle a deployed UpKit device actually runs: poll the
-//! update server, receive/verify/store, reboot. Fleet-scale experiments
-//! ([`crate::fleet`]) are built on it.
+//! An UpKit device pairs its update agent with a bootloader that share
+//! one security backend, one pair of trust anchors and one slot layout
+//! (Figs. 3 and 6). [`SimDevice`] is that pairing, built in one place: the
+//! fleet device ([`SimDevice::provision`], polled by [`crate::fleet`]),
+//! the Fig. 8 scenarios, the wear chain, the failure worlds and the
+//! `loss_sweep` bench all run on it, and keep only their own keys,
+//! firmware, flash geometry, session and accounting. It exposes the
+//! lifecycle a deployed UpKit device runs: poll the update server,
+//! receive/verify/store, reboot.
 
 use std::sync::Arc;
 
 use upkit_core::agent::{AgentConfig, AgentError, UpdateAgent, UpdatePlan};
-use upkit_core::bootloader::{BootConfig, BootMode, Bootloader};
+use upkit_core::bootloader::{BootConfig, BootError, BootMode, BootOutcome, Bootloader};
 use upkit_core::generation::{UpdateServer, VendorServer};
-use upkit_core::image::FIRMWARE_OFFSET;
+use upkit_core::image::{read_manifest, write_manifest, FIRMWARE_OFFSET};
 use upkit_core::keys::TrustAnchors;
-use upkit_crypto::backend::TinyCryptBackend;
-use upkit_flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash, SlotId};
-use upkit_manifest::Version;
+use upkit_crypto::backend::{SecurityBackend, TinyCryptBackend};
+use upkit_crypto::sha256::sha256;
+use upkit_flash::{standard, FlashGeometry, MemoryLayout, SimFlash, SlotId};
+use upkit_manifest::{Manifest, SignedManifest, Version};
 use upkit_net::{
     BorderRouter, LinkProfile, LossyLink, PullEndpoints, PullSession, RetryPolicy, SessionOutcome,
     TransferAccounting, Transport,
 };
+
+use crate::scenario::{slot_layout, SlotMode};
 
 /// What one poll of the update server achieved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,17 +45,80 @@ pub enum PollOutcome {
     Rejected,
 }
 
-/// A self-contained A/B device.
+/// The manifest fields a device checks every image against.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Identity {
+    pub(crate) device_id: u32,
+    pub(crate) app_id: u32,
+    pub(crate) link_offset: u32,
+}
+
+impl Identity {
+    /// The factory manifest of `firmware` at `version`, signed by both
+    /// servers, with no token fields (nonce 0, no differential base).
+    pub(crate) fn signed_manifest(
+        &self,
+        vendor: &VendorServer,
+        server: &UpdateServer,
+        firmware: &[u8],
+        version: Version,
+    ) -> SignedManifest {
+        let manifest = Manifest {
+            device_id: self.device_id,
+            nonce: 0,
+            old_version: Version(0),
+            version,
+            size: firmware.len() as u32,
+            payload_size: firmware.len() as u32,
+            digest: sha256(firmware),
+            link_offset: self.link_offset,
+            app_id: self.app_id,
+        };
+        SignedManifest {
+            manifest,
+            vendor_signature: vendor.sign_manifest_core(&manifest),
+            server_signature: server.sign_manifest(&manifest),
+        }
+    }
+}
+
+/// Installs `firmware` as the running `version` image in `slot`, with a
+/// correctly double-signed manifest so the bootloader accepts it: erase
+/// the slot, then write the header and the image.
+pub(crate) fn install_signed(
+    layout: &mut MemoryLayout,
+    slot: SlotId,
+    identity: &Identity,
+    vendor: &VendorServer,
+    server: &UpdateServer,
+    firmware: &[u8],
+    version: Version,
+) {
+    let signed = identity.signed_manifest(vendor, server, firmware, version);
+    layout.erase_slot(slot).expect("fresh flash");
+    write_manifest(layout, slot, &signed).expect("fresh flash");
+    layout
+        .write_slot(slot, FIRMWARE_OFFSET, firmware)
+        .expect("slot sized for firmware");
+}
+
+/// A provisioned device: flash layout, update agent and bootloader over
+/// one backend and one pair of trust anchors. It starts out running v1
+/// from slot A.
 pub struct SimDevice {
     /// The device's unique identifier.
     pub device_id: u32,
-    layout: MemoryLayout,
-    agent: UpdateAgent,
-    bootloader: Bootloader,
+    /// The device's memory layout.
+    pub layout: MemoryLayout,
+    /// The device's update agent.
+    pub agent: UpdateAgent,
+    /// The configuration of the device's bootloader.
+    pub(crate) boot_config: BootConfig,
+    backend: Arc<dyn SecurityBackend>,
+    anchors: TrustAnchors,
     running_slot: SlotId,
     installed_version: Version,
     installed_size: u32,
-    slot_size: u32,
     nonce_counter: u32,
 }
 
@@ -72,8 +144,56 @@ pub(crate) fn slot_size_for(firmware_len: usize) -> u32 {
 }
 
 impl SimDevice {
-    /// Factory-provisions a device running `firmware` as version 1, signed
-    /// by the given servers and trusting their keys.
+    /// A device over `layout`, whose slot A already holds the signed v1
+    /// image of `installed_size` bytes. The agent and the bootloader share
+    /// `backend` and `anchors`; the bootloader loads by `boot_mode` and
+    /// accepts images up to slot A's size.
+    pub(crate) fn new(
+        identity: Identity,
+        layout: MemoryLayout,
+        boot_mode: BootMode,
+        recovery_slot: Option<SlotId>,
+        (backend, anchors): (Arc<dyn SecurityBackend>, TrustAnchors),
+        installed_size: u32,
+        supports_differential: bool,
+    ) -> Self {
+        let Identity {
+            device_id,
+            app_id,
+            link_offset,
+        } = identity;
+        let max_firmware_size = layout
+            .slot(standard::SLOT_A)
+            .map_or(0, |slot| slot.size.saturating_sub(FIRMWARE_OFFSET));
+        Self {
+            device_id,
+            agent: UpdateAgent::new(
+                backend.clone(),
+                anchors,
+                AgentConfig::new(device_id, app_id, supports_differential),
+            ),
+            layout,
+            boot_config: BootConfig {
+                device_id,
+                app_id,
+                allowed_link_offsets: vec![link_offset],
+                max_firmware_size,
+                mode: boot_mode,
+                recovery_slot,
+            },
+            backend,
+            anchors,
+            running_slot: standard::SLOT_A,
+            installed_version: Version(1),
+            installed_size,
+            nonce_counter: device_id.wrapping_mul(2_654_435_761),
+        }
+    }
+
+    /// Factory-provisions an A/B device running `firmware` as version 1,
+    /// signed by the given servers and trusting their keys. A device that
+    /// does not `supports_differential` advertises version 0 in its tokens
+    /// and always receives full images.
     ///
     /// # Panics
     ///
@@ -85,101 +205,83 @@ impl SimDevice {
         firmware: &[u8],
         vendor: &VendorServer,
         server: &UpdateServer,
-    ) -> Self {
-        Self::provision_with_options(device_id, firmware, vendor, server, true)
-    }
-
-    /// [`SimDevice::provision`] with control over differential support
-    /// (non-supporting devices advertise version 0 in their tokens and
-    /// always receive full images).
-    #[must_use]
-    pub fn provision_with_options(
-        device_id: u32,
-        firmware: &[u8],
-        vendor: &VendorServer,
-        server: &UpdateServer,
         supports_differential: bool,
     ) -> Self {
-        let slot_size = slot_size_for(firmware.len());
-        let mut layout = configuration_a(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: (slot_size * 2).next_power_of_two().max(64 * 1024),
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
-            slot_size,
-        )
-        .expect("valid provisioning layout");
-        let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
-        let backend = Arc::new(TinyCryptBackend);
-
-        // Install the factory image.
-        let manifest = upkit_manifest::Manifest {
+        let identity = Identity {
             device_id,
-            nonce: 0,
-            old_version: Version(0),
-            version: Version(1),
-            size: firmware.len() as u32,
-            payload_size: firmware.len() as u32,
-            digest: upkit_crypto::sha256::sha256(firmware),
-            link_offset: LINK_OFFSET,
             app_id: APP_ID,
+            link_offset: LINK_OFFSET,
         };
-        let signed = upkit_manifest::SignedManifest {
-            manifest,
-            vendor_signature: vendor.sign_manifest_core(&manifest),
-            server_signature: server.sign_manifest(&manifest),
-        };
-        layout.erase_slot(standard::SLOT_A).expect("fresh flash");
-        upkit_core::image::write_manifest(&mut layout, standard::SLOT_A, &signed)
-            .expect("fresh flash");
-        layout
-            .write_slot(standard::SLOT_A, FIRMWARE_OFFSET, firmware)
-            .expect("slot sized for firmware");
-
-        let agent = UpdateAgent::new(
-            backend.clone(),
-            anchors,
-            AgentConfig {
-                device_id,
-                app_id: APP_ID,
-                supports_differential,
-                content_key: None,
-            },
+        let slot_size = slot_size_for(firmware.len());
+        let internal = SimFlash::new(FlashGeometry {
+            size: (slot_size * 2).next_power_of_two().max(64 * 1024),
+            sector_size: 4096,
+            read_micros_per_byte: 0,
+            write_micros_per_byte: 0,
+            erase_micros_per_sector: 0,
+        });
+        let (mut layout, boot_mode) =
+            slot_layout(SlotMode::AB, Box::new(internal), None, slot_size);
+        install_signed(
+            &mut layout,
+            standard::SLOT_A,
+            &identity,
+            vendor,
+            server,
+            firmware,
+            Version(1),
         );
-        let bootloader = Bootloader::new(
-            backend,
-            anchors,
-            BootConfig {
-                device_id,
-                app_id: APP_ID,
-                allowed_link_offsets: vec![LINK_OFFSET],
-                max_firmware_size: slot_size - FIRMWARE_OFFSET,
-                mode: BootMode::AB {
-                    slots: vec![standard::SLOT_A, standard::SLOT_B],
-                },
-                recovery_slot: None,
-            },
-        );
-        Self {
-            device_id,
+        let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
+        Self::new(
+            identity,
             layout,
-            agent,
-            bootloader,
-            running_slot: standard::SLOT_A,
-            installed_version: Version(1),
-            installed_size: firmware.len() as u32,
-            slot_size,
-            nonce_counter: device_id.wrapping_mul(2_654_435_761),
-        }
+            boot_mode,
+            None,
+            (Arc::new(TinyCryptBackend), anchors),
+            firmware.len() as u32,
+            supports_differential,
+        )
     }
 
     /// Version currently running.
     #[must_use]
     pub fn installed_version(&self) -> Version {
         self.installed_version
+    }
+
+    /// The plan of the next update: into the other A/B slot, or into the
+    /// staging slot of a static device.
+    #[must_use]
+    pub fn plan(&self) -> UpdatePlan {
+        let target_slot = match self.boot_config.mode {
+            BootMode::AB { .. } if self.running_slot == standard::SLOT_B => standard::SLOT_A,
+            _ => standard::SLOT_B,
+        };
+        UpdatePlan {
+            target_slot,
+            current_slot: self.running_slot,
+            installed_version: self.installed_version,
+            installed_size: self.installed_size,
+            allowed_link_offsets: self.boot_config.allowed_link_offsets.clone(),
+            max_firmware_size: self.boot_config.max_firmware_size,
+        }
+    }
+
+    /// The device's bootloader.
+    pub(crate) fn bootloader(&self) -> Bootloader {
+        Bootloader::new(self.backend.clone(), self.anchors, self.boot_config.clone())
+    }
+
+    /// Reboots into the bootloader and runs whatever it booted: the booted
+    /// slot, version and size become the base of the next [`plan`](Self::plan).
+    pub(crate) fn reboot(&mut self) -> Result<BootOutcome, BootError> {
+        let outcome = self.bootloader().boot(&mut self.layout)?;
+        self.running_slot = outcome.booted_slot;
+        self.installed_version = outcome.version;
+        if let Ok(Some(signed)) = read_manifest(&self.layout, outcome.booted_slot) {
+            self.installed_size = signed.manifest.size;
+        }
+        Ok(outcome)
     }
 
     /// Polls the server once: request a token, receive whatever it serves,
@@ -190,19 +292,7 @@ impl SimDevice {
     /// time.
     pub fn poll(&mut self, server: &UpdateServer) -> Result<PollOutcome, AgentError> {
         self.nonce_counter = self.nonce_counter.wrapping_add(0x9E37_79B9) | 1;
-        let target = if self.running_slot == standard::SLOT_A {
-            standard::SLOT_B
-        } else {
-            standard::SLOT_A
-        };
-        let plan = UpdatePlan {
-            target_slot: target,
-            current_slot: self.running_slot,
-            installed_version: self.installed_version,
-            installed_size: self.installed_size,
-            allowed_link_offsets: vec![LINK_OFFSET],
-            max_firmware_size: self.slot_size - FIRMWARE_OFFSET,
-        };
+        let plan = self.plan();
         let link = LinkProfile::ieee802154_6lowpan();
         let report = {
             let router = BorderRouter::new();
@@ -236,19 +326,9 @@ impl SimDevice {
             }
             SessionOutcome::Complete => {
                 self.agent.reset(&mut self.layout)?;
-
-                // Reboot into the bootloader.
                 let outcome = self
-                    .bootloader
-                    .boot(&mut self.layout)
+                    .reboot()
                     .expect("a verified update never bricks the device");
-                self.running_slot = outcome.booted_slot;
-                self.installed_version = outcome.version;
-                if let Ok(Some(signed)) =
-                    upkit_core::image::read_manifest(&self.layout, outcome.booted_slot)
-                {
-                    self.installed_size = signed.manifest.size;
-                }
                 Ok(PollOutcome::Updated {
                     to: outcome.version,
                     // Reliable link: exactly the stream length.
@@ -283,7 +363,7 @@ mod tests {
         let (vendor, mut server) = servers(600);
         let generator = crate::FirmwareGenerator::new(600);
         let v1 = generator.base(8_000);
-        let mut device = SimDevice::provision(0xD01, &v1, &vendor, &server);
+        let mut device = SimDevice::provision(0xD01, &v1, &vendor, &server, true);
         server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
 
         assert_eq!(device.poll(&server).unwrap(), PollOutcome::AlreadyCurrent);
@@ -313,8 +393,8 @@ mod tests {
         let v2 = generator.app_change(&v1, 100);
         server.publish(vendor.release(v2, Version(2), LINK_OFFSET, APP_ID));
 
-        let mut a = SimDevice::provision(0xA, &v1, &vendor, &server);
-        let mut b = SimDevice::provision(0xB, &v1, &vendor, &server);
+        let mut a = SimDevice::provision(0xA, &v1, &vendor, &server, true);
+        let mut b = SimDevice::provision(0xB, &v1, &vendor, &server, true);
         assert!(matches!(
             a.poll(&server).unwrap(),
             PollOutcome::Updated { .. }

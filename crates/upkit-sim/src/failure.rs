@@ -14,40 +14,41 @@
 //! device dies between link events — a lost connection, a crashed proxy),
 //! which the stepped-session refactor makes expressible.
 //!
-//! The scenario world itself is public: [`update_world`] builds a fully
-//! provisioned v1 device (A/B or static-swap, optionally with a recovery
-//! slot) over *any* flash device, which is how the `upkit-chaos`
-//! explorer replays one update scenario once per recorded flash-op
-//! boundary with a fault proxy underneath.
+//! The scenario world itself is public: [`update_world`] provisions the
+//! crate's one [`SimDevice`] — the device behind the fleet, the Fig. 8
+//! scenarios, the wear chain and the loss sweep too — running v1 (A/B,
+//! static swap optionally with a recovery slot, or multi-component) over
+//! *any* flash device, which is how the `upkit-chaos` explorer replays
+//! one update scenario once per recorded flash-op boundary with a fault
+//! proxy underneath.
 
 use std::sync::Arc;
 
-use upkit_core::agent::{AgentConfig, UpdateAgent, UpdatePlan};
+use upkit_core::agent::{UpdateAgent, UpdatePlan};
 use upkit_core::bootloader::{BootConfig, BootMode, Bootloader, FixedPointError, FixedPointReport};
 use upkit_core::components::{ComponentImage, ComponentSlots};
-use upkit_core::image::FIRMWARE_OFFSET;
+use upkit_core::generation::{UpdateServer, VendorServer};
 use upkit_core::keys::TrustAnchors;
 use upkit_crypto::backend::TinyCryptBackend;
 use upkit_crypto::ecdsa::SigningKey;
-use upkit_crypto::sha256::sha256;
 use upkit_flash::{
-    configuration_a, configuration_multi, standard, FlashDevice, FlashGeometry, MemoryLayout,
-    SimFlash, SlotId, SlotKind, SlotSpec,
+    configuration_multi, standard, FlashDevice, FlashGeometry, MemoryLayout, SimFlash, SlotId,
+    SlotKind, SlotSpec,
 };
 use upkit_manifest::{
-    ComponentEntry, ComponentTable, Manifest, MultiManifest, SignedManifest, SignedMultiManifest,
-    Version,
+    ComponentEntry, ComponentTable, Manifest, MultiManifest, SignedMultiManifest, Version,
 };
 use upkit_net::{
     run_push_session, LinkProfile, LossyLink, PushEndpoints, PushSession, RetryPolicy,
-    SessionOutcome, Smartphone,
+    SessionEndpoints, SessionOutcome, SessionReport, Smartphone, Step, Transport,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::device::{install_signed, SimDevice};
 use crate::firmware::FirmwareGenerator;
-use crate::scenario::{install_signed, step_with_cut, APP_ID, DEVICE_ID, LINK_OFFSET};
+use crate::scenario::{slot_layout, SlotMode, APP_ID, DEVICE_ID, IDENTITY, LINK_OFFSET};
 
 /// Outcome of a power-loss scenario.
 #[derive(Debug)]
@@ -228,11 +229,13 @@ pub struct MultiUpdate {
     pub journal: SlotId,
 }
 
-/// A complete push-update world: servers, a provisioned device running
-/// v1, and v2 published — everything short of running the session.
+/// A complete push-update world: servers, a provisioned [`SimDevice`]
+/// running v1 (taken apart into its layout, agent, plan and boot
+/// configuration), and v2 published — everything short of running the
+/// session.
 pub struct UpdateWorld {
     /// The update server with v1 and v2 published.
-    pub server: upkit_core::generation::UpdateServer,
+    pub server: UpdateServer,
     /// The crypto backend shared by agent and bootloader.
     pub backend: Arc<TinyCryptBackend>,
     /// Trust anchors (vendor + server verifying keys).
@@ -260,8 +263,8 @@ pub struct UpdateWorld {
 #[must_use]
 pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> UpdateWorld {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let vendor = upkit_core::generation::VendorServer::new(SigningKey::generate(&mut rng));
-    let mut server = upkit_core::generation::UpdateServer::new(SigningKey::generate(&mut rng));
+    let vendor = VendorServer::new(SigningKey::generate(&mut rng));
+    let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
     let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
     let backend = Arc::new(TinyCryptBackend);
 
@@ -271,33 +274,16 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
 
     let (mut layout, mode, recovery_slot) = match config.mode {
         WorldMode::Ab => {
-            let layout = configuration_a(internal, config.slot_size).expect("valid layout");
-            let mode = BootMode::AB {
-                slots: vec![standard::SLOT_A, standard::SLOT_B],
-            };
+            let (layout, mode) = slot_layout(SlotMode::AB, internal, None, config.slot_size);
             (layout, mode, None)
         }
         WorldMode::StaticSwap { recovery } => {
-            let mut layout = MemoryLayout::new();
-            let dev = layout.add_device(internal);
-            layout
-                .add_slot(SlotSpec {
-                    id: standard::SLOT_A,
-                    kind: SlotKind::Bootable,
-                    device: dev,
-                    offset: 0,
-                    size: config.slot_size,
-                })
-                .expect("valid layout");
-            layout
-                .add_slot(SlotSpec {
-                    id: standard::SLOT_B,
-                    kind: SlotKind::NonBootable,
-                    device: dev,
-                    offset: config.slot_size,
-                    size: config.slot_size,
-                })
-                .expect("valid layout");
+            let (mut layout, mode) = slot_layout(
+                SlotMode::Static { swap: true },
+                internal,
+                None,
+                config.slot_size,
+            );
             let recovery_slot = recovery.then(|| {
                 // The recovery image lives on its own (un-faulted) device:
                 // a known-good copy kept out of the update's blast radius.
@@ -319,24 +305,13 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
                     .expect("valid layout");
                 standard::RECOVERY
             });
-            let mode = BootMode::Static {
-                bootable: standard::SLOT_A,
-                staging: standard::SLOT_B,
-                swap: true,
-            };
             (layout, mode, recovery_slot)
         }
         WorldMode::Multi { components } => {
             let layout = configuration_multi(internal, components, config.slot_size, WORLD_SECTOR)
                 .expect("valid layout");
-            let slots: Vec<ComponentSlots> = (0..components)
-                .map(|c| ComponentSlots {
-                    bootable: SlotId(c * 2),
-                    staging: SlotId(c * 2 + 1),
-                })
-                .collect();
             let mode = BootMode::MultiComponent {
-                components: slots,
+                components: component_slots(components),
                 journal: SlotId(components * 2),
             };
             (layout, mode, None)
@@ -354,36 +329,24 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
             install_signed(
                 &mut layout,
                 SlotId(c * 2),
+                &IDENTITY,
                 &vendor,
                 &server,
                 &module_v1,
                 Version(1),
             );
             let module_v2 = generator.module_version_change(c, &module_v1);
-            let manifest = Manifest {
-                device_id: DEVICE_ID,
-                nonce: 0,
-                old_version: Version(0),
-                version: Version(2),
-                size: module_v2.len() as u32,
-                payload_size: module_v2.len() as u32,
-                digest: sha256(&module_v2),
-                link_offset: LINK_OFFSET,
-                app_id: APP_ID,
-            };
+            let signed_manifest =
+                IDENTITY.signed_manifest(&vendor, &server, &module_v2, Version(2));
             entries.push(ComponentEntry {
                 component_id: 0x10 + u32::from(c),
                 version: Version(2),
                 size: module_v2.len() as u32,
-                digest: sha256(&module_v2),
+                digest: signed_manifest.manifest.digest,
                 slot: c * 2,
             });
             images.push(ComponentImage {
-                signed_manifest: SignedManifest {
-                    manifest,
-                    vendor_signature: vendor.sign_manifest_core(&manifest),
-                    server_signature: server.sign_manifest(&manifest),
-                },
+                signed_manifest,
                 firmware: module_v2,
             });
         }
@@ -412,57 +375,42 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
         Some(MultiUpdate {
             record,
             images,
-            components: (0..components)
-                .map(|c| ComponentSlots {
-                    bootable: SlotId(c * 2),
-                    staging: SlotId(c * 2 + 1),
-                })
-                .collect(),
+            components: component_slots(components),
             journal: SlotId(components * 2),
         })
     } else {
-        install_signed(
-            &mut layout,
-            standard::SLOT_A,
-            &vendor,
-            &server,
-            &v1,
-            Version(1),
-        );
-        if let Some(recovery) = recovery_slot {
-            install_signed(&mut layout, recovery, &vendor, &server, &v1, Version(1));
+        for slot in std::iter::once(standard::SLOT_A).chain(recovery_slot) {
+            install_signed(
+                &mut layout,
+                slot,
+                &IDENTITY,
+                &vendor,
+                &server,
+                &v1,
+                Version(1),
+            );
         }
         None
     };
     server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
     server.publish(vendor.release(v2.clone(), Version(2), LINK_OFFSET, APP_ID));
 
-    let agent = UpdateAgent::new(
-        backend.clone(),
-        anchors,
-        AgentConfig {
-            device_id: DEVICE_ID,
-            app_id: APP_ID,
-            supports_differential: false,
-            content_key: None,
-        },
-    );
-    let plan = UpdatePlan {
-        target_slot: standard::SLOT_B,
-        current_slot: standard::SLOT_A,
-        installed_version: Version(1),
-        installed_size: v1.len() as u32,
-        allowed_link_offsets: vec![LINK_OFFSET],
-        max_firmware_size: config.slot_size - FIRMWARE_OFFSET,
-    };
-    let boot_config = BootConfig {
-        device_id: DEVICE_ID,
-        app_id: APP_ID,
-        allowed_link_offsets: vec![LINK_OFFSET],
-        max_firmware_size: config.slot_size - FIRMWARE_OFFSET,
+    let device = SimDevice::new(
+        IDENTITY,
+        layout,
         mode,
         recovery_slot,
-    };
+        (backend.clone(), anchors),
+        v1.len() as u32,
+        false,
+    );
+    let plan = device.plan();
+    let SimDevice {
+        mut layout,
+        agent,
+        boot_config,
+        ..
+    } = device;
 
     // Measure only update-time flash traffic, not provisioning.
     layout.reset_stats();
@@ -479,6 +427,17 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
         firmware_v2: v2,
         multi,
     }
+}
+
+/// The (bootable, staging) slot pairs of a `components`-component
+/// layout, in dependency order.
+fn component_slots(components: u8) -> Vec<ComponentSlots> {
+    (0..components)
+        .map(|c| ComponentSlots {
+            bootable: SlotId(c * 2),
+            staging: SlotId(c * 2 + 1),
+        })
+        .collect()
 }
 
 impl UpdateWorld {
@@ -609,20 +568,7 @@ pub fn run_power_loss_scenario(cut_after_flash_bytes: u64, seed: u64) -> PowerLo
         .arm_power_cut_after(cut_after_flash_bytes);
 
     let outcome = world.run_push_once(seed as u32 | 1);
-    let session_interrupted = !matches!(outcome, SessionOutcome::Complete);
-    let bytes_written_before_cut = world.layout.total_stats().bytes_written;
-
-    let (booted_version, boots_to_recovery) = match world.reboot_to_fixed_point(DEFAULT_MAX_BOOTS) {
-        Ok(report) => (Some(report.outcome.version), report.boots),
-        Err(_) => (None, 0),
-    };
-
-    PowerLossReport {
-        session_interrupted,
-        booted_version,
-        bytes_written_before_cut,
-        boots_to_recovery,
-    }
+    power_restored(&mut world, &outcome)
 }
 
 /// Runs a push update on an A/B device, abandoning the stepped session
@@ -650,17 +596,40 @@ pub fn run_power_loss_at_event(cut_after_events: u64, seed: u64) -> PowerLossRep
         seed as u32 | 1,
     );
     // Power dies at the cut; the session is simply abandoned.
-    let report = step_with_cut(&mut session, &mut endpoints, Some(cut_after_events));
-    let session_interrupted = report.outcome != SessionOutcome::Complete;
-    let bytes_written_before_cut = world.layout.total_stats().bytes_written;
+    let report = step_with_cut(&mut session, &mut endpoints, cut_after_events);
+    power_restored(&mut world, &report.outcome)
+}
 
+/// Steps `session` until it finishes, or abandons it after
+/// `cut_after_events` link events (the device dying mid-session at an
+/// arbitrary link event, not merely a flash-byte offset).
+fn step_with_cut(
+    session: &mut dyn Transport,
+    endpoints: &mut dyn SessionEndpoints,
+    cut_after_events: u64,
+) -> SessionReport {
+    for _ in 0..cut_after_events {
+        if let Step::Done(report) = session.step(endpoints) {
+            return report;
+        }
+    }
+    SessionReport {
+        outcome: SessionOutcome::Incomplete,
+        accounting: *session.accounting(),
+    }
+}
+
+/// Power restored after a cut that ended the session in `outcome`:
+/// reboots `world` to a fixed point and reports what the bootloader
+/// salvaged.
+fn power_restored(world: &mut UpdateWorld, outcome: &SessionOutcome) -> PowerLossReport {
+    let bytes_written_before_cut = world.layout.total_stats().bytes_written;
     let (booted_version, boots_to_recovery) = match world.reboot_to_fixed_point(DEFAULT_MAX_BOOTS) {
         Ok(report) => (Some(report.outcome.version), report.boots),
         Err(_) => (None, 0),
     };
-
     PowerLossReport {
-        session_interrupted,
+        session_interrupted: *outcome != SessionOutcome::Complete,
         booted_version,
         bytes_written_before_cut,
         boots_to_recovery,
@@ -671,6 +640,7 @@ pub fn run_power_loss_at_event(cut_after_events: u64, seed: u64) -> PowerLossRep
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use upkit_core::agent::AgentConfig;
 
     #[test]
     fn case_selection_is_total_or_evenly_strided() {
@@ -916,12 +886,7 @@ mod tests {
         world.agent = UpdateAgent::new(
             world.backend.clone(),
             world.anchors,
-            AgentConfig {
-                device_id: DEVICE_ID,
-                app_id: APP_ID,
-                supports_differential: false,
-                content_key: None,
-            },
+            AgentConfig::new(DEVICE_ID, APP_ID, false),
         );
         let outcome = world.run_push_once(214);
         assert!(matches!(outcome, SessionOutcome::Complete));

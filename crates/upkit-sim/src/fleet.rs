@@ -514,15 +514,13 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
             .map(|i| {
                 let device_id = 0x1000 + i as u32;
                 match config.device_model {
-                    DeviceModel::Faithful => {
-                        FleetDevice::Faithful(Box::new(SimDevice::provision_with_options(
-                            device_id,
-                            &world.v1,
-                            &world.vendor,
-                            &world.server,
-                            fleet.differential,
-                        )))
-                    }
+                    DeviceModel::Faithful => FleetDevice::Faithful(Box::new(SimDevice::provision(
+                        device_id,
+                        &world.v1,
+                        &world.vendor,
+                        &world.server,
+                        fleet.differential,
+                    ))),
                     DeviceModel::Lite => {
                         FleetDevice::Lite(LiteDevice::new(device_id, fleet.differential))
                     }

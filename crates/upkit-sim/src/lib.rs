@@ -18,8 +18,11 @@
 //!   provides.
 //! * [`lifetime`] — flash-wear accounting over long update chains (A/B vs
 //!   static endurance).
-//! * [`device`] / [`fleet`] — a self-contained simulated device (poll →
-//!   verify → reboot lifecycle) and fleet-rollout campaigns built on it.
+//! * [`device`] / [`fleet`] — [`SimDevice`], the one provisioned
+//!   flash-backed device (agent and bootloader over one backend, one pair
+//!   of trust anchors and one slot layout; poll → verify → reboot), and
+//!   fleet-rollout campaigns built on it. The Fig. 8 scenarios, the wear
+//!   chain, the failure worlds and the `loss_sweep` bench run on it too.
 //!   Fleet-scale engines simulate the flash-free *lite device* instead:
 //!   the agent's own verifier and pipeline decoder, writing into RAM.
 //! * [`events`] — the virtual-clock session scheduler interleaving
@@ -62,11 +65,11 @@ pub use fleet::{
     run_rollout, run_rollout_sharded, run_rollout_sharded_traced, run_rollout_traced, DeviceModel,
     FleetConfig, FleetReport, ManifestMode, ShardedFleetConfig,
 };
-pub use lifetime::{run_lifetime, LifetimeMode, LifetimeReport};
+pub use lifetime::{run_lifetime, LifetimeReport};
 pub use platform::{EnergyModel, PlatformProfile};
 pub use scenario::{
-    run_scenario, run_scenario_with_cut, Approach, CryptoChoice, PhaseBreakdown, ScenarioConfig,
-    ScenarioResult, SlotMode, UpdateKind,
+    run_scenario, Approach, CryptoChoice, PhaseBreakdown, ScenarioConfig, ScenarioResult, SlotMode,
+    UpdateKind,
 };
 pub use topology::{
     run_dissemination, run_dissemination_traced, DisseminationReport, DutyCycle, GatewayStats,

@@ -1,12 +1,12 @@
 //! End-to-end update scenarios with phase-by-phase time and energy
 //! accounting — the machinery behind the Fig. 8 experiments.
 //!
-//! A scenario assembles a complete world: vendor + update server, a device
-//! (flash layout, update agent, bootloader, crypto backend) on a
-//! [`PlatformProfile`], and a transport. Running it executes the real code
-//! path — genuine signatures, genuine LZSS/bsdiff, genuine flash
-//! semantics — and charges every byte and cycle to the paper's three
-//! phases:
+//! A scenario assembles a complete world: vendor + update server, a
+//! [`SimDevice`] (flash layout, update agent, bootloader, crypto backend)
+//! on a [`PlatformProfile`], and a transport. Running it executes the
+//! real code path — genuine signatures, genuine LZSS/bsdiff, genuine
+//! flash semantics — and charges every byte and cycle to the paper's
+//! three phases:
 //!
 //! * **Propagation** — radio time (from the transport accounting) plus the
 //!   flash time of storing the stream through the pipeline.
@@ -17,28 +17,26 @@
 
 use std::sync::Arc;
 
-use upkit_core::agent::{AgentConfig, UpdateAgent, UpdatePlan};
-use upkit_core::bootloader::{BootConfig, BootMode, BootOutcome, Bootloader};
+use upkit_core::bootloader::{BootMode, BootOutcome};
 use upkit_core::generation::{UpdateServer, VendorServer};
-use upkit_core::image::{write_manifest, FIRMWARE_OFFSET};
+use upkit_core::image::FIRMWARE_OFFSET;
 use upkit_core::keys::TrustAnchors;
 use upkit_crypto::backend::{SecurityBackend, TinyCryptBackend, TinyDtlsBackend};
 use upkit_crypto::ecdsa::SigningKey;
 use upkit_crypto::hsm::SimulatedHsm;
-use upkit_crypto::sha256::sha256;
 use upkit_flash::{
-    configuration_a, configuration_b, standard, FlashDevice, MemoryLayout, SimFlash, SlotId,
+    configuration_a, configuration_b, standard, FlashDevice, FlashGeometry, MemoryLayout, SimFlash,
 };
-use upkit_manifest::{Manifest, SignedManifest, Version};
+use upkit_manifest::Version;
 use upkit_net::{
     BorderRouter, LossyLink, PullEndpoints, PullSession, PushEndpoints, PushSession, RetryPolicy,
-    SessionEndpoints, SessionOutcome, SessionReport, Smartphone, Step, Tamper, TransferAccounting,
-    Transport,
+    SessionOutcome, Smartphone, Tamper, TransferAccounting, Transport,
 };
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::device::{install_signed, Identity, SimDevice};
 use crate::firmware::FirmwareGenerator;
 use crate::platform::{EnergyModel, PlatformProfile};
 
@@ -48,6 +46,14 @@ pub const DEVICE_ID: u32 = 0x1A2B_3C4D;
 pub const APP_ID: u32 = 0x5E6F_0001;
 /// Link offset all synthetic firmware is "built" for.
 pub const LINK_OFFSET: u32 = 0x0800_0000;
+
+/// The scenario device's identity, shared by the wear chain and the
+/// failure worlds.
+pub(crate) const IDENTITY: Identity = Identity {
+    device_id: DEVICE_ID,
+    app_id: APP_ID,
+    link_offset: LINK_OFFSET,
+};
 
 /// Distribution approach.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -193,30 +199,36 @@ fn flash_micros(layout: &mut MemoryLayout) -> u64 {
     total + layout.total_stats().bytes_read * read_rate
 }
 
-/// Steps `session` until it finishes, or abandons it at the
-/// `cut_after_events`-th event boundary (simulating the device dying
-/// mid-session at an arbitrary link event, not merely a flash-byte
-/// offset).
-pub(crate) fn step_with_cut(
-    session: &mut dyn Transport,
-    endpoints: &mut dyn SessionEndpoints,
-    cut_after_events: Option<u64>,
-) -> SessionReport {
-    let mut events = 0u64;
-    loop {
-        if let Some(cut) = cut_after_events {
-            if events >= cut {
-                return SessionReport {
-                    outcome: SessionOutcome::Incomplete,
-                    accounting: *session.accounting(),
-                };
-            }
-        }
-        match session.step(endpoints) {
-            Step::Progress(_) => events += 1,
-            Step::Done(report) => return report,
-        }
-    }
+/// Builds Configuration A ([`SlotMode::AB`]) or B ([`SlotMode::Static`])
+/// of Fig. 6 with `slot_size`-byte slots, and the boot mode that loads it.
+/// Configuration B stages on `external` flash when given.
+pub(crate) fn slot_layout(
+    mode: SlotMode,
+    internal: Box<dyn FlashDevice>,
+    external: Option<FlashGeometry>,
+    slot_size: u32,
+) -> (MemoryLayout, BootMode) {
+    let (layout, boot_mode) = match mode {
+        SlotMode::AB => (
+            configuration_a(internal, slot_size),
+            BootMode::AB {
+                slots: vec![standard::SLOT_A, standard::SLOT_B],
+            },
+        ),
+        SlotMode::Static { swap } => (
+            configuration_b(
+                internal,
+                external.map(|g| Box::new(SimFlash::new(g)) as Box<dyn FlashDevice>),
+                slot_size,
+            ),
+            BootMode::Static {
+                bootable: standard::SLOT_A,
+                staging: standard::SLOT_B,
+                swap,
+            },
+        ),
+    };
+    (layout.expect("valid layout"), boot_mode)
 }
 
 /// Runs one complete update scenario.
@@ -227,22 +239,6 @@ pub(crate) fn step_with_cut(
 /// than any slot arrangement on the platform).
 #[must_use]
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
-    run_scenario_with_cut(cfg, None)
-}
-
-/// [`run_scenario`], optionally abandoning the propagation session after
-/// `cut_after_events` link events — the session-layer generalisation of
-/// flash-byte power cuts. With `None` this is exactly [`run_scenario`].
-///
-/// # Panics
-///
-/// Panics if the configuration is internally impossible (firmware larger
-/// than any slot arrangement on the platform).
-#[must_use]
-pub fn run_scenario_with_cut(
-    cfg: &ScenarioConfig,
-    cut_after_events: Option<u64>,
-) -> ScenarioResult {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
     // --- Servers and keys -------------------------------------------------
@@ -284,58 +280,42 @@ pub fn run_scenario_with_cut(
         build_flash_size(cfg),
     );
     let slot_size = round_up(needed, sector);
-    let internal = Box::new(SimFlash::new(cfg.platform.internal_flash));
-    let mut layout = match cfg.slot_mode {
-        SlotMode::AB => configuration_a(internal, slot_size).expect("valid layout"),
-        SlotMode::Static { .. } => {
-            let external = cfg
-                .platform
-                .external_flash
-                .map(|g| Box::new(SimFlash::new(g)) as Box<dyn FlashDevice>);
-            configuration_b(internal, external, slot_size).expect("valid layout")
-        }
-    };
+    let (mut layout, boot_mode) = slot_layout(
+        cfg.slot_mode,
+        Box::new(SimFlash::new(cfg.platform.internal_flash)),
+        cfg.platform.external_flash,
+        slot_size,
+    );
 
-    // --- Install v1 --------------------------------------------------------
+    // --- Device running v1 -------------------------------------------------
     install_signed(
         &mut layout,
         standard::SLOT_A,
+        &IDENTITY,
         &vendor,
         &server,
         &v1,
         Version(1),
+    );
+    let profile = backend.profile();
+    let mut device = SimDevice::new(
+        IDENTITY,
+        layout,
+        boot_mode,
+        None,
+        (backend, anchors),
+        v1.len() as u32,
+        cfg.update_kind != UpdateKind::Full,
     );
 
     // --- Publish releases ---------------------------------------------------
     server.publish(vendor.release(v1.clone(), Version(1), LINK_OFFSET, APP_ID));
     server.publish(vendor.release(v2.clone(), Version(2), LINK_OFFSET, APP_ID));
 
-    // --- Agent --------------------------------------------------------------
-    let supports_differential = cfg.update_kind != UpdateKind::Full;
-    let mut agent = UpdateAgent::new(
-        backend.clone(),
-        anchors,
-        AgentConfig {
-            device_id: DEVICE_ID,
-            app_id: APP_ID,
-            supports_differential,
-            content_key: None,
-        },
-    );
-    let plan = UpdatePlan {
-        target_slot: standard::SLOT_B,
-        current_slot: standard::SLOT_A,
-        installed_version: Version(1),
-        installed_size: v1.len() as u32,
-        allowed_link_offsets: vec![LINK_OFFSET],
-        max_firmware_size: slot_size - FIRMWARE_OFFSET,
-    };
-    let nonce = (cfg.seed as u32).wrapping_mul(2_654_435_761) | 1;
-
     // --- Propagation --------------------------------------------------------
-    // Built directly on the stepped session machinery: the scenario owns
-    // the event loop, so a cut can land on any link-event boundary.
-    layout.reset_stats();
+    let plan = device.plan();
+    let nonce = (cfg.seed as u32).wrapping_mul(2_654_435_761) | 1;
+    device.layout.reset_stats();
     let report = match cfg.approach {
         Approach::Push => {
             let link = cfg.platform.push_link;
@@ -345,9 +325,14 @@ pub fn run_scenario_with_cut(
             };
             let mut session =
                 PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
-            let mut endpoints =
-                PushEndpoints::new(&server, &mut phone, &mut agent, &mut layout, plan, nonce);
-            step_with_cut(&mut session, &mut endpoints, cut_after_events)
+            session.run_to_completion(&mut PushEndpoints::new(
+                &server,
+                &mut phone,
+                &mut device.agent,
+                &mut device.layout,
+                plan,
+                nonce,
+            ))
         }
         Approach::Pull => {
             let link = cfg.platform.pull_link;
@@ -357,16 +342,20 @@ pub fn run_scenario_with_cut(
             };
             let mut session =
                 PullSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
-            let mut endpoints =
-                PullEndpoints::new(&server, &router, &mut agent, &mut layout, plan, nonce);
-            step_with_cut(&mut session, &mut endpoints, cut_after_events)
+            session.run_to_completion(&mut PullEndpoints::new(
+                &server,
+                &router,
+                &mut device.agent,
+                &mut device.layout,
+                plan,
+                nonce,
+            ))
         }
     };
-    let propagation_flash = flash_micros(&mut layout);
+    let propagation_flash = flash_micros(&mut device.layout);
     let propagation_micros = report.accounting.elapsed_micros + propagation_flash;
 
     // --- Verification (agent side, analytic CPU time) -----------------------
-    let profile = backend.profile();
     let manifest_bytes = upkit_manifest::SIGNED_MANIFEST_LEN as u64;
     let verify_once_micros = if profile.hardware_offload {
         profile.hw_verify_micros
@@ -395,30 +384,11 @@ pub fn run_scenario_with_cut(
     let mut boot_outcome = None;
     let mut running_version = Some(Version(1));
     if report.outcome.is_complete() {
-        layout.reset_stats();
-        let boot_mode = match cfg.slot_mode {
-            SlotMode::AB => BootMode::AB {
-                slots: vec![standard::SLOT_A, standard::SLOT_B],
-            },
-            SlotMode::Static { swap } => BootMode::Static {
-                bootable: standard::SLOT_A,
-                staging: standard::SLOT_B,
-                swap,
-            },
-        };
-        let bootloader = Bootloader::new(
-            backend.clone(),
-            anchors,
-            BootConfig {
-                device_id: DEVICE_ID,
-                app_id: APP_ID,
-                allowed_link_offsets: vec![LINK_OFFSET],
-                max_firmware_size: slot_size - FIRMWARE_OFFSET,
-                mode: boot_mode,
-                recovery_slot: None,
-            },
-        );
-        match bootloader.boot(&mut layout) {
+        // A plain boot, not `SimDevice::reboot`: loading charges every
+        // flash read since the reset, and the device never re-reads the
+        // booted manifest.
+        device.layout.reset_stats();
+        match device.bootloader().boot(&mut device.layout) {
             Ok(outcome) => {
                 // Bootloader verification: both slots are checked — digest
                 // over each stored firmware plus two signature checks each.
@@ -432,7 +402,7 @@ pub fn run_scenario_with_cut(
                 running_version = None;
             }
         }
-        loading_micros = cfg.platform.reboot_micros + flash_micros(&mut layout);
+        loading_micros = cfg.platform.reboot_micros + flash_micros(&mut device.layout);
     }
 
     // --- Energy ---------------------------------------------------------------
@@ -474,38 +444,4 @@ fn build_flash_size(cfg: &ScenarioConfig) -> u32 {
     upkit_agent(os, approach, AgentOptions::default())
         .or_else(|| upkit_agent(Os::Zephyr, approach, AgentOptions::default()))
         .map_or(100_000, |f| f.flash)
-}
-
-/// Installs `firmware` as the running `version` image in `slot`, with a
-/// correctly double-signed manifest so the bootloader accepts it: erase
-/// the slot, then write the header and the image.
-pub(crate) fn install_signed(
-    layout: &mut MemoryLayout,
-    slot: SlotId,
-    vendor: &VendorServer,
-    server: &UpdateServer,
-    firmware: &[u8],
-    version: Version,
-) {
-    let manifest = Manifest {
-        device_id: DEVICE_ID,
-        nonce: 0,
-        old_version: Version(0),
-        version,
-        size: firmware.len() as u32,
-        payload_size: firmware.len() as u32,
-        digest: sha256(firmware),
-        link_offset: LINK_OFFSET,
-        app_id: APP_ID,
-    };
-    let signed = SignedManifest {
-        manifest,
-        vendor_signature: vendor.sign_manifest_core(&manifest),
-        server_signature: server.sign_manifest(&manifest),
-    };
-    layout.erase_slot(slot).expect("fresh flash");
-    write_manifest(layout, slot, &signed).expect("fresh flash");
-    layout
-        .write_slot(slot, FIRMWARE_OFFSET, firmware)
-        .expect("slot sized for firmware");
 }
