@@ -161,13 +161,7 @@ mod tests {
 
     fn layout() -> MemoryLayout {
         configuration_b(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: 4096 * 16,
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
+            Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
             None,
             4096 * 4,
         )

@@ -738,13 +738,7 @@ mod tests {
     }
 
     fn geometry() -> FlashGeometry {
-        FlashGeometry {
-            size: 4096 * 32,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        }
+        FlashGeometry::untimed(4096 * 32, 4096)
     }
 
     fn bootloader(fix: &Fixture, mode: BootMode) -> Bootloader {

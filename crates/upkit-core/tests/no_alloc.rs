@@ -71,13 +71,7 @@ fn counter_sees_one_allocation_in_a_window() {
 
 fn layout_with_firmware(fw: &[u8]) -> MemoryLayout {
     let mut layout = configuration_a(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: 4096 * 32,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
+        Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 32, 4096))),
         4096 * 16,
     )
     .unwrap();

@@ -10,6 +10,9 @@
 //! This crate implements the whole stack from scratch:
 //!
 //! * [`mod@sha256`] / [`hmac`] — FIPS 180-4 SHA-256 and RFC 2104 HMAC.
+//!   Every SHA-256 compression, and so every digest and HMAC, runs on the
+//!   CPU's SHA extensions (SHA-NI) when an `x86_64` `std` build detects
+//!   them at run time, and on the portable loop otherwise.
 //! * [`u256`] / [`mont`] — 256-bit integers and generic Montgomery field
 //!   arithmetic (the CIOS multiply, fixed-window exponentiation).
 //! * [`p256`] — the NIST P-256 group: Jacobian arithmetic, SEC1 encoding,
@@ -22,6 +25,13 @@
 //! * `hsm` (`std` only) — a simulated ATECC508 hardware security module.
 //! * [`chacha20`] — RFC 8439 stream cipher for the pipeline's decryption
 //!   stage (the paper's future-work confidentiality extension).
+//!
+//! # Unsafe code
+//!
+//! The crate denies `unsafe_code`. The one exception is the private SHA-NI
+//! module under [`mod@sha256`]: it calls its `#[target_feature]` kernel
+//! only after the run-time feature check, and loads each 64-byte block in
+//! four unaligned 16-byte reads. `no_std` builds do not compile it.
 //!
 //! # Scope
 //!
@@ -43,6 +53,7 @@
 //! ```
 
 #![cfg_attr(not(feature = "std"), no_std)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(
     clippy::std_instead_of_core,

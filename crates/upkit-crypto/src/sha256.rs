@@ -5,6 +5,23 @@
 //! The hasher therefore processes input incrementally in 64-byte blocks and
 //! keeps a constant-size state, exactly as the paper's `tinycrypt` /
 //! `TinyDTLS` implementations do.
+//!
+//! # Dispatch
+//!
+//! Every compression goes through one private `compress_blocks`, which
+//! [`Sha256::update`] hands each run of whole blocks straight from the
+//! caller's slice. In an `x86_64` build with the `std` feature it runs a
+//! SHA-NI kernel when `is_x86_feature_detected!` reports `sha`, `ssse3` and
+//! `sse4.1` — the way the paper's security interface lets platform crypto
+//! hardware stand in for software. Everywhere else, including every
+//! `no_std` device build, it runs the portable FIPS 180-4 loop, which is
+//! then the only one compiled. Both give the same digests. The SHA-NI
+//! module holds the crate's only `unsafe` code: the call behind the
+//! feature check and the unaligned loads of each 64-byte block.
+
+#[cfg(all(feature = "std", target_arch = "x86_64"))]
+#[allow(unsafe_code)]
+mod shani;
 
 /// Size in bytes of a SHA-256 digest.
 pub const DIGEST_LEN: usize = 32;
@@ -79,6 +96,18 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, compress_blocks);
+    }
+
+    /// Consumes the hasher and returns the 32-byte digest.
+    #[must_use]
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.pad(compress_blocks)
+    }
+
+    /// Tops up a partial block first, then hands every whole block left in
+    /// `data` to `compress` straight from the caller's slice.
+    fn absorb(&mut self, data: &[u8], compress: Compress) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
 
@@ -87,39 +116,32 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, core::slice::from_ref(&self.buffer));
         }
 
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut buf = [0u8; BLOCK_LEN];
-            buf.copy_from_slice(block);
-            self.compress(&buf);
-            input = rest;
-        }
-
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        let (blocks, rest) = input.as_chunks::<BLOCK_LEN>();
+        compress(&mut self.state, blocks);
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
-    /// Consumes the hasher and returns the 32-byte digest.
-    #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// Pads in place — 0x80, zeros, then the 64-bit big-endian message
+    /// length in bits — and compresses the last one or two blocks.
+    fn pad(mut self, compress: Compress) -> [u8; DIGEST_LEN] {
+        const LEN_AT: usize = BLOCK_LEN - 8;
         let bit_len = self.total_len.wrapping_mul(8);
 
-        // Padding: 0x80, zeros, then the 64-bit big-endian message length.
-        self.raw_update(&[0x80]);
-        while self.buffered != 56 {
-            self.raw_update(&[0x00]);
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= LEN_AT {
+            compress(&mut self.state, core::slice::from_ref(&self.buffer));
+            self.buffer.fill(0);
         }
-        self.raw_update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buffered, 0);
+        self.buffer[LEN_AT..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, core::slice::from_ref(&self.buffer));
 
         let mut digest = [0u8; DIGEST_LEN];
         for (chunk, word) in digest.chunks_exact_mut(4).zip(self.state.iter()) {
@@ -127,21 +149,25 @@ impl Sha256 {
         }
         digest
     }
+}
 
-    /// Update without touching `total_len` (used for padding only).
-    fn raw_update(&mut self, data: &[u8]) {
-        for &byte in data {
-            self.buffer[self.buffered] = byte;
-            self.buffered += 1;
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
-            }
-        }
+/// Folds whole 64-byte blocks into a SHA-256 state, in order.
+type Compress = fn(&mut [u32; 8], &[[u8; BLOCK_LEN]]);
+
+/// The one compression every hash runs: the SHA-NI kernel when this is an
+/// `x86_64` `std` build on a CPU that reports the SHA extensions, the
+/// portable loop otherwise.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    #[cfg(all(feature = "std", target_arch = "x86_64"))]
+    if shani::compress_blocks(state, blocks) {
+        return;
     }
+    compress_portable(state, blocks);
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// FIPS 180-4's compression, one block at a time, in plain integer code.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -155,7 +181,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -179,14 +205,14 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -201,46 +227,63 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn hex(digest: &[u8]) -> String {
         digest.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// A hasher that runs only the portable loop, whatever the CPU.
+    fn portable_sha256(parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut hasher = Sha256::new();
+        for part in parts {
+            hasher.absorb(part, compress_portable);
+        }
+        hasher.pad(compress_portable)
+    }
+
+    /// Checks a FIPS 180-4 vector through the dispatching hasher and
+    /// through the portable loop alone, so both kernels stay covered on a
+    /// CPU with SHA-NI.
+    fn check_vector(parts: &[&[u8]], expected: &str) {
+        let mut hasher = Sha256::new();
+        for part in parts {
+            hasher.update(part);
+        }
+        assert_eq!(hex(&hasher.finalize()), expected, "dispatched");
+        assert_eq!(hex(&portable_sha256(parts)), expected, "portable");
+    }
+
     #[test]
     fn empty_message() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            &[],
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn nist_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            &[b"abc"],
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn nist_two_block() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            &[b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"],
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let mut hasher = Sha256::new();
-        for _ in 0..1000 {
-            hasher.update(&[b'a'; 1000]);
-        }
-        assert_eq!(
-            hex(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &[&[b'a'; 1000][..]; 1000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -265,6 +308,74 @@ mod tests {
                 h1.update(core::slice::from_ref(byte));
             }
             assert_eq!(h1.finalize(), sha256(&data), "len {len}");
+        }
+    }
+
+    /// Whether the SHA-NI arm can run here. On a CPU without it, says so
+    /// once, on the process's stderr, which test capture does not hide.
+    #[cfg(all(feature = "std", target_arch = "x86_64"))]
+    fn shani_present() -> bool {
+        static NOTE: std::sync::Once = std::sync::Once::new();
+        let present = super::shani::detected();
+        if !present {
+            NOTE.call_once(|| {
+                use std::io::Write;
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "note: this CPU lacks SHA-NI, so the SHA-NI kernel was not tested"
+                );
+            });
+        }
+        present
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[cfg(all(feature = "std", target_arch = "x86_64"))]
+        #[test]
+        fn shani_kernel_matches_portable(
+            words in vec(any::<u32>(), 8..9),
+            count in 0usize..33,
+            bytes in vec(any::<u8>(), 32 * BLOCK_LEN..32 * BLOCK_LEN + 1),
+        ) {
+            if !shani_present() {
+                return;
+            }
+            let state: [u32; 8] = words.try_into().expect("eight words");
+            let (blocks, _) = bytes[..count * BLOCK_LEN].as_chunks::<BLOCK_LEN>();
+            let mut expected = state;
+            for block in blocks {
+                compress_portable(&mut expected, core::slice::from_ref(block));
+            }
+            let mut got = state;
+            prop_assert!(super::shani::compress_blocks(&mut got, blocks));
+            prop_assert_eq!(got, expected);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn split_updates_match_one_shot(
+            data in vec(any::<u8>(), 0..2048),
+            cuts in vec(any::<usize>(), 0..8),
+        ) {
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (data.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(data.len());
+            let mut parts = Vec::new();
+            let mut from = 0;
+            for cut in cuts {
+                parts.push(&data[from..cut]);
+                from = cut;
+            }
+            let mut hasher = Sha256::new();
+            for part in &parts {
+                hasher.update(part);
+            }
+            let one_shot = sha256(&data);
+            prop_assert_eq!(hasher.finalize(), one_shot);
+            prop_assert_eq!(portable_sha256(&parts), one_shot);
         }
     }
 

@@ -89,6 +89,19 @@ impl FlashGeometry {
         }
     }
 
+    /// A `size`-byte flash of `sector_size`-byte sectors whose operations
+    /// take no simulated time, for runs that count bytes, not microseconds.
+    #[must_use]
+    pub fn untimed(size: u32, sector_size: u32) -> Self {
+        Self {
+            size,
+            sector_size,
+            read_micros_per_byte: 0,
+            write_micros_per_byte: 0,
+            erase_micros_per_sector: 0,
+        }
+    }
+
     /// Number of sectors on the device.
     #[must_use]
     pub fn sector_count(&self) -> u32 {

@@ -330,13 +330,7 @@ mod tests {
     use crate::sim::SimFlash;
 
     fn sim() -> SimFlash {
-        SimFlash::new(FlashGeometry {
-            size: 4096 * 4,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })
+        SimFlash::new(FlashGeometry::untimed(4096 * 4, 4096))
     }
 
     fn plan(boundary: u64, kind: FaultKind) -> FaultPlan {

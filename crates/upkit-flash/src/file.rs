@@ -106,13 +106,7 @@ mod tests {
     use super::*;
 
     fn tiny_geometry() -> FlashGeometry {
-        FlashGeometry {
-            size: 4096 * 2,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        }
+        FlashGeometry::untimed(4096 * 2, 4096)
     }
 
     fn temp_path(name: &str) -> PathBuf {

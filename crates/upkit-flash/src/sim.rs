@@ -358,12 +358,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "multiple of the sector size")]
     fn rejects_misaligned_geometry() {
-        let _ = SimFlash::new(FlashGeometry {
-            size: 5000,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        });
+        let _ = SimFlash::new(FlashGeometry::untimed(5000, 4096));
     }
 }

@@ -13,13 +13,7 @@ use upkit_flash::fault::{FaultFlash, FaultKind, FaultPlan};
 use upkit_flash::{FileFlash, FlashDevice, FlashError, FlashGeometry, SimFlash};
 
 fn geometry() -> FlashGeometry {
-    FlashGeometry {
-        size: 4096 * 4,
-        sector_size: 4096,
-        read_micros_per_byte: 0,
-        write_micros_per_byte: 0,
-        erase_micros_per_sector: 0,
-    }
+    FlashGeometry::untimed(4096 * 4, 4096)
 }
 
 /// Arms a 4-byte cut, disarms it, then writes 64 bytes: with a sticky

@@ -102,13 +102,7 @@ mod tests {
         server.publish(vendor.release(fw, Version(2), 0x100, 0xA));
         let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
         let layout = configuration_a(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: 4096 * 256,
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
+            Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 256, 4096))),
             SLOT_SIZE,
         )
         .unwrap();
@@ -317,13 +311,7 @@ mod tests {
         server.publish(vendor.release(v2.clone(), Version(2), 0x100, 0xA));
         let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
         let mut layout = configuration_a(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: 4096 * 256,
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
+            Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 256, 4096))),
             SLOT_SIZE,
         )
         .unwrap();

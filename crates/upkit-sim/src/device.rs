@@ -136,6 +136,18 @@ pub const APP_ID: u32 = 0xF1;
 /// Link offset used by provisioned devices.
 pub const LINK_OFFSET: u32 = 0;
 
+/// The token nonce a device counts from: its id spread over `u32` by
+/// Knuth's multiplicative-hash prime.
+pub(crate) fn first_nonce(device_id: u32) -> u32 {
+    device_id.wrapping_mul(2_654_435_761)
+}
+
+/// The nonce a device presents on its next poll after presenting `nonce`:
+/// a fresh odd value, so never the 0 of a factory manifest.
+pub(crate) fn next_nonce(nonce: u32) -> u32 {
+    nonce.wrapping_add(0x9E37_79B9) | 1
+}
+
 /// Slot size of a device provisioned with a `firmware_len`-byte image:
 /// header and image rounded up to whole sectors, plus four sectors of
 /// headroom for larger releases.
@@ -186,7 +198,7 @@ impl SimDevice {
             running_slot: standard::SLOT_A,
             installed_version: Version(1),
             installed_size,
-            nonce_counter: device_id.wrapping_mul(2_654_435_761),
+            nonce_counter: first_nonce(device_id),
         }
     }
 
@@ -213,13 +225,10 @@ impl SimDevice {
             link_offset: LINK_OFFSET,
         };
         let slot_size = slot_size_for(firmware.len());
-        let internal = SimFlash::new(FlashGeometry {
-            size: (slot_size * 2).next_power_of_two().max(64 * 1024),
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        });
+        let internal = SimFlash::new(FlashGeometry::untimed(
+            (slot_size * 2).next_power_of_two().max(64 * 1024),
+            4096,
+        ));
         let (mut layout, boot_mode) =
             slot_layout(SlotMode::AB, Box::new(internal), None, slot_size);
         install_signed(
@@ -291,7 +300,7 @@ impl SimDevice {
     /// machinery the event-driven fleet scheduler steps one event at a
     /// time.
     pub fn poll(&mut self, server: &UpdateServer) -> Result<PollOutcome, AgentError> {
-        self.nonce_counter = self.nonce_counter.wrapping_add(0x9E37_79B9) | 1;
+        self.nonce_counter = next_nonce(self.nonce_counter);
         let plan = self.plan();
         let link = LinkProfile::ieee802154_6lowpan();
         let report = {

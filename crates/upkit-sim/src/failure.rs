@@ -205,13 +205,7 @@ pub fn world_geometry(config: &WorldConfig) -> FlashGeometry {
             config.slot_size * 2 * u32::from(components) + WORLD_SECTOR
         }
     };
-    FlashGeometry {
-        size,
-        sector_size: WORLD_SECTOR,
-        read_micros_per_byte: 0,
-        write_micros_per_byte: 0,
-        erase_micros_per_sector: 0,
-    }
+    FlashGeometry::untimed(size, WORLD_SECTOR)
 }
 
 /// The prepared v2 release of a multi-component world: the signed commit
@@ -287,13 +281,10 @@ pub fn update_world(config: &WorldConfig, internal: Box<dyn FlashDevice>) -> Upd
             let recovery_slot = recovery.then(|| {
                 // The recovery image lives on its own (un-faulted) device:
                 // a known-good copy kept out of the update's blast radius.
-                let ext = layout.add_device(Box::new(SimFlash::new(FlashGeometry {
-                    size: config.slot_size,
-                    sector_size: 4096,
-                    read_micros_per_byte: 0,
-                    write_micros_per_byte: 0,
-                    erase_micros_per_sector: 0,
-                })));
+                let ext = layout.add_device(Box::new(SimFlash::new(FlashGeometry::untimed(
+                    config.slot_size,
+                    4096,
+                ))));
                 layout
                     .add_slot(SlotSpec {
                         id: standard::RECOVERY,

@@ -58,13 +58,7 @@ pub fn run_lifetime(mode: SlotMode, updates: u32, seed: u64) -> LifetimeReport {
     let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
 
     let slot_size = 4096 * 4;
-    let internal = SimFlash::new(FlashGeometry {
-        size: 4096 * 16,
-        sector_size: 4096,
-        read_micros_per_byte: 0,
-        write_micros_per_byte: 0,
-        erase_micros_per_sector: 0,
-    });
+    let internal = SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096));
     let (mut layout, boot_mode) = slot_layout(mode, Box::new(internal), None, slot_size);
 
     let generator = FirmwareGenerator::new(seed ^ 0x11FE);

@@ -30,7 +30,7 @@ use upkit_crypto::sha256::sha256;
 use upkit_manifest::{DeviceToken, Manifest, SignedManifest, Version, SIGNED_MANIFEST_LEN};
 use upkit_trace::Counters;
 
-use crate::device::{slot_size_for, APP_ID, LINK_OFFSET};
+use crate::device::{first_nonce, next_nonce, slot_size_for, APP_ID, LINK_OFFSET};
 use crate::firmware::FirmwareGenerator;
 
 /// The v1→v2 world the rollout, campaign, event and mesh engines run:
@@ -174,8 +174,7 @@ impl LiteDevice {
     pub(crate) fn new(device_id: u32, supports_differential: bool) -> Self {
         Self {
             device_id,
-            // Same per-device nonce schedule as `SimDevice`.
-            nonce: device_id.wrapping_mul(2_654_435_761),
+            nonce: first_nonce(device_id),
             installed: Version(1),
             supports_differential,
             installs: 0,
@@ -185,7 +184,7 @@ impl LiteDevice {
 
     /// The next device token this device presents.
     pub(crate) fn next_token(&mut self) -> DeviceToken {
-        self.nonce = self.nonce.wrapping_add(0x9E37_79B9) | 1;
+        self.nonce = next_nonce(self.nonce);
         DeviceToken {
             device_id: self.device_id,
             nonce: self.nonce,

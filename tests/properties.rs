@@ -325,13 +325,7 @@ proptest! {
     fn flash_matches_reference_model(ops in proptest::collection::vec(flash_op_strategy(), 0..40)) {
         // Reference: a byte array with AND-write and sector-erase applied
         // only when the real device accepted the operation.
-        let geometry = FlashGeometry {
-            size: 4096 * 4,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        };
+        let geometry = FlashGeometry::untimed(4096 * 4, 4096);
         let mut flash = SimFlash::new(geometry);
         flash.set_strict_program(false); // model the AND semantics directly
         let mut model = vec![0xFFu8; geometry.size as usize];
@@ -392,13 +386,7 @@ proptest! {
 
         let slot_size = 4096 * 4;
         let mut layout = configuration_a(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: 4096 * 16,
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
+            Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
             slot_size,
         )
         .unwrap();
@@ -476,13 +464,7 @@ proptest! {
         let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
         let slot_size = 4096 * 4;
         let mut layout = configuration_a(
-            Box::new(SimFlash::new(FlashGeometry {
-                size: 4096 * 16,
-                sector_size: 4096,
-                read_micros_per_byte: 0,
-                write_micros_per_byte: 0,
-                erase_micros_per_sector: 0,
-            })),
+            Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
             slot_size,
         )
         .unwrap();

@@ -46,13 +46,7 @@ fn world(seed: u64, fw_size: usize) -> World {
     server.publish(vendor.release(v2, Version(2), 0, APP_ID));
 
     let mut layout = configuration_a(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: 4096 * 64,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
+        Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 64, 4096))),
         SLOT_SIZE,
     )
     .unwrap();

@@ -96,13 +96,7 @@ fn static_mode() -> BootMode {
 fn mid_swap_power_cut_can_brick_a_static_device_without_recovery() {
     let w = world(1);
     let mut layout = configuration_b(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: 4096 * 16,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
+        Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
         None,
         SLOT_SIZE,
     )
@@ -132,13 +126,7 @@ fn recovery_slot_saves_the_interrupted_swap() {
     // Configuration A layout gives us a third (recovery) slot; drive it in
     // static mode over slots A/B with recovery fallback.
     let mut layout = configuration_a_with_recovery(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: 4096 * 16,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
+        Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
         Box::new(SimFlash::new(FlashGeometry::external_spi_nor())),
         SLOT_SIZE,
     )
@@ -166,13 +154,7 @@ fn recovery_slot_saves_the_interrupted_swap() {
 fn ab_mode_loading_has_no_swap_to_interrupt() {
     let w = world(3);
     let mut layout = configuration_a_with_recovery(
-        Box::new(SimFlash::new(FlashGeometry {
-            size: 4096 * 16,
-            sector_size: 4096,
-            read_micros_per_byte: 0,
-            write_micros_per_byte: 0,
-            erase_micros_per_sector: 0,
-        })),
+        Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 16, 4096))),
         Box::new(SimFlash::new(FlashGeometry::external_spi_nor())),
         SLOT_SIZE,
     )
