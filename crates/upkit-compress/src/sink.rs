@@ -17,33 +17,16 @@ use alloc::vec::Vec;
 /// Implementations must accept every byte offered; bounded sinks record
 /// overflow out of band (see [`FixedBuf::overflowed`]) rather than
 /// failing, which keeps the decoder state machines free of an error
-/// path that budget checks already rule out.
+/// path that budget checks already rule out. The decoders hand over whole
+/// runs, never single bytes.
 pub trait ByteSink {
-    /// Appends one byte.
-    fn put(&mut self, byte: u8);
-
     /// Appends a run of bytes.
-    fn put_slice(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.put(b);
-        }
-    }
-
-    /// Bytes accepted so far.
-    fn written(&self) -> usize;
+    fn put_slice(&mut self, bytes: &[u8]);
 }
 
 impl ByteSink for Vec<u8> {
-    fn put(&mut self, byte: u8) {
-        self.push(byte);
-    }
-
     fn put_slice(&mut self, bytes: &[u8]) {
         self.extend_from_slice(bytes);
-    }
-
-    fn written(&self) -> usize {
-        self.len()
     }
 }
 
@@ -109,15 +92,6 @@ impl<'a> FixedBuf<'a> {
 }
 
 impl ByteSink for FixedBuf<'_> {
-    fn put(&mut self, byte: u8) {
-        if self.len < self.buf.len() {
-            self.buf[self.len] = byte;
-            self.len += 1;
-        } else {
-            self.overflowed = true;
-        }
-    }
-
     fn put_slice(&mut self, bytes: &[u8]) {
         let take = bytes.len().min(self.remaining());
         self.buf[self.len..self.len + take].copy_from_slice(&bytes[..take]);
@@ -125,10 +99,6 @@ impl ByteSink for FixedBuf<'_> {
         if take < bytes.len() {
             self.overflowed = true;
         }
-    }
-
-    fn written(&self) -> usize {
-        self.len
     }
 }
 
@@ -139,10 +109,9 @@ mod tests {
     #[test]
     fn vec_sink_appends() {
         let mut v = Vec::new();
-        v.put(1);
+        v.put_slice(&[1]);
         v.put_slice(&[2, 3]);
         assert_eq!(v, [1, 2, 3]);
-        assert_eq!(ByteSink::written(&v), 3);
     }
 
     #[test]
@@ -150,7 +119,7 @@ mod tests {
         let mut backing = [0u8; 4];
         let mut buf = FixedBuf::new(&mut backing);
         assert!(buf.is_empty());
-        buf.put(9);
+        buf.put_slice(&[9]);
         buf.put_slice(&[8, 7]);
         assert_eq!(buf.as_slice(), [9, 8, 7]);
         assert_eq!(buf.remaining(), 1);
@@ -164,7 +133,7 @@ mod tests {
         buf.put_slice(&[1, 2, 3]);
         assert_eq!(buf.as_slice(), [1, 2]);
         assert!(buf.overflowed());
-        buf.put(4);
+        buf.put_slice(&[4]);
         assert!(buf.overflowed());
         assert_eq!(buf.len(), 2);
     }

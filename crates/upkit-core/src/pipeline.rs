@@ -39,24 +39,13 @@ use alloc::boxed::Box;
 use alloc::vec;
 use alloc::vec::Vec;
 
-use upkit_compress::{Decompressor, FixedBuf, LzssError};
+use upkit_compress::{ByteSink, Decompressor, LzssError};
 use upkit_crypto::chacha20::ChaCha20;
 use upkit_delta::{FramedError, FramedPatcher, PatchError, PatchFormat, StreamPatcher};
 use upkit_flash::{LayoutError, MemoryLayout, SlotId};
 use upkit_trace::Counters;
 
 use crate::image::FIRMWARE_OFFSET;
-
-/// Wire bytes fed to the differential decode chain per drain step.
-///
-/// The chain expands each wire byte to at most
-/// [`upkit_compress::MAX_MATCH`] bytes (LZSS), which bspatch then maps
-/// 1:1, so a [`SCRATCH_LEN`]-byte stack buffer bounds every intermediate
-/// product and the steady-state push loop performs no heap allocation.
-const DECODE_CHUNK: usize = 4;
-
-/// Stack scratch for one decode drain step (see [`DECODE_CHUNK`]).
-const SCRATCH_LEN: usize = DECODE_CHUNK * upkit_compress::MAX_MATCH;
 
 /// Stack buffer for in-place decryption of wire chunks.
 const CIPHER_CHUNK: usize = 256;
@@ -93,6 +82,19 @@ impl core::fmt::Display for PipelineError {
 }
 
 impl core::error::Error for PipelineError {}
+
+impl PipelineError {
+    /// Whether a decode stage rejected a declared length for exceeding
+    /// its budget (charged to `decode_overruns`).
+    fn is_budget_rejection(&self) -> bool {
+        match self {
+            Self::Decompress(e) => *e == LzssError::BudgetExceeded,
+            Self::Patch(e) => *e == PatchError::BudgetExceeded,
+            Self::Framed(e) => e.is_budget_rejection(),
+            Self::Flash(_) | Self::Overflow | Self::Incomplete => false,
+        }
+    }
+}
 
 impl From<LzssError> for PipelineError {
     fn from(e: LzssError) -> Self {
@@ -233,6 +235,39 @@ impl Output {
     }
 }
 
+/// The exact-size check and a [`FirmwareSink`] as one [`ByteSink`], so
+/// the patchers write reconstructed firmware straight through.
+///
+/// A `ByteSink` cannot fail: the first failure is latched, every later
+/// write dropped, and [`Emit::status`] reports it.
+struct Emit<'a, S: ?Sized> {
+    output: &'a mut Output,
+    sink: &'a mut S,
+    failure: Option<PipelineError>,
+}
+
+impl<'a, S: FirmwareSink + ?Sized> Emit<'a, S> {
+    fn new(output: &'a mut Output, sink: &'a mut S) -> Self {
+        Self {
+            output,
+            sink,
+            failure: None,
+        }
+    }
+
+    fn status(&self) -> Result<(), PipelineError> {
+        self.failure.map_or(Ok(()), Err)
+    }
+}
+
+impl<S: FirmwareSink + ?Sized> ByteSink for Emit<'_, S> {
+    fn put_slice(&mut self, firmware: &[u8]) {
+        if self.failure.is_none() {
+            self.failure = self.output.emit(self.sink, firmware).err();
+        }
+    }
+}
+
 #[derive(Debug)]
 enum Transform {
     /// Full update: payload bytes are firmware bytes.
@@ -293,27 +328,21 @@ impl DiffStage {
     }
 }
 
-/// Charges `decode_overruns` when a stage rejected a declared length for
-/// exceeding its budget.
-fn charge_overrun(counters: &Counters, budget_rejection: bool) {
-    if budget_rejection {
-        Counters::add(&counters.decode_overruns, 1);
-    }
-}
-
 /// Runs payload bytes through the differential decode chain, resolving
-/// the container sniff first.
+/// the container sniff first, and charges `decode_overruns` when a stage
+/// rejected a declared length for exceeding its budget.
 ///
-/// Intermediate products (decompressed patch bytes, reconstructed
-/// firmware) move through fixed stack scratch buffers sized to the
-/// decoders' worst-case expansion, never through heap allocations.
+/// Decompressed patch bytes move through the decompressor's 1 KiB stack
+/// buffer ([`Decompressor::drain`]), and the patchers write firmware
+/// straight into `sink` through [`Emit`], so nothing touches the heap.
+/// A sink failure is reported ahead of any decode error after it.
 fn push_differential<S: FirmwareSink + ?Sized>(
     stage: &mut DiffStage,
     output: &mut Output,
     sink: &mut S,
     data: &[u8],
 ) -> Result<(), PipelineError> {
-    match stage {
+    let pushed = match stage {
         DiffStage::Sniff {
             old,
             firmware_size,
@@ -325,46 +354,30 @@ fn push_differential<S: FirmwareSink + ?Sized>(
             }
             let pending = core::mem::take(buffered);
             *stage = DiffStage::begin(core::mem::take(old), *firmware_size, &pending);
-            push_differential(stage, output, sink, &pending)
+            return push_differential(stage, output, sink, &pending);
         }
         DiffStage::Lzss {
             decompressor,
             patcher,
         } => {
-            let mut patch_scratch = [0u8; SCRATCH_LEN];
-            let mut firmware_scratch = [0u8; SCRATCH_LEN];
-            for piece in data.chunks(DECODE_CHUNK) {
-                let mut patch_bytes = FixedBuf::new(&mut patch_scratch);
-                decompressor
-                    .push(piece, &mut patch_bytes)
-                    .inspect_err(|e| {
-                        charge_overrun(sink.counters(), matches!(e, LzssError::BudgetExceeded));
-                    })?;
-                debug_assert!(!patch_bytes.overflowed(), "scratch sized to worst case");
-                let mut firmware = FixedBuf::new(&mut firmware_scratch);
-                patcher
-                    .push(patch_bytes.as_slice(), &mut firmware)
-                    .inspect_err(|e| {
-                        charge_overrun(sink.counters(), matches!(e, PatchError::BudgetExceeded));
-                    })?;
-                debug_assert!(!firmware.overflowed(), "bspatch never expands its input");
-                output.emit(sink, firmware.as_slice())?;
-            }
-            Ok(())
+            let mut firmware = Emit::new(output, &mut *sink);
+            decompressor.drain(data, |patch| {
+                let patched = patcher.push(patch, &mut firmware);
+                firmware.status()?;
+                Ok(patched?)
+            })
         }
         DiffStage::Framed { patcher } => {
-            let mut firmware_scratch = [0u8; SCRATCH_LEN];
-            for piece in data.chunks(DECODE_CHUNK) {
-                let mut firmware = FixedBuf::new(&mut firmware_scratch);
-                patcher
-                    .push(piece, &mut firmware)
-                    .inspect_err(|e| charge_overrun(sink.counters(), e.is_budget_rejection()))?;
-                debug_assert!(!firmware.overflowed(), "scratch sized to worst case");
-                output.emit(sink, firmware.as_slice())?;
-            }
-            Ok(())
+            let mut firmware = Emit::new(output, &mut *sink);
+            let patched = patcher.push(data, &mut firmware);
+            firmware.status().and(patched.map_err(PipelineError::from))
         }
-    }
+    };
+    pushed.inspect_err(|e| {
+        if e.is_budget_rejection() {
+            Counters::add(&sink.counters().decode_overruns, 1);
+        }
+    })
 }
 
 /// The decode half of the pipeline: optional decryption, the container
@@ -835,6 +848,130 @@ mod tests {
             pipeline.push(&mut layout, &[0u8; 64]),
             Err(PipelineError::Decompress(_))
         ));
+    }
+
+    mod chain {
+        use super::*;
+        use proptest::prelude::*;
+        use upkit_delta::{framed_diff, FramedDiffOptions};
+
+        /// Pushes `wire` through a differential [`Decoder`] cut at
+        /// `splits` (cycled), decrypting first when `cipher` is given.
+        fn run_chain(
+            old: &[u8],
+            size: u32,
+            wire: &[u8],
+            splits: &[usize],
+            cipher: Option<ChaCha20>,
+        ) -> Result<Vec<u8>, PipelineError> {
+            let counters = Counters::default();
+            let mut image = Vec::new();
+            let mut sink = VecSink {
+                image: &mut image,
+                counters: &counters,
+            };
+            let mut decoder = Decoder::differential(old.to_vec(), size);
+            if let Some(cipher) = cipher {
+                decoder.enable_decryption(cipher);
+            }
+            let mut rest = wire;
+            for &split in splits.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at(split.min(rest.len()));
+                decoder.push(piece, &mut sink)?;
+                rest = tail;
+            }
+            decoder.finish(&mut sink)?;
+            Ok(image)
+        }
+
+        /// The whole-buffer reference: one `decompress` and one `patch`
+        /// (or one `patch_framed`), under the budgets the decoder
+        /// applies, accepted only when it yields exactly `size` bytes.
+        fn one_shot(old: &[u8], size: u32, plain: &[u8]) -> Option<Vec<u8>> {
+            use upkit_compress::decompress_with_budget;
+            use upkit_delta::{max_patch_len, patch, patch_framed};
+
+            let image = match PatchFormat::detect(plain) {
+                Some(PatchFormat::Framed) => patch_framed(old, plain).ok()?,
+                _ => {
+                    let patch_bytes =
+                        decompress_with_budget(plain, max_patch_len(u64::from(size))).ok()?;
+                    patch(old, &patch_bytes).ok()?
+                }
+            };
+            (image.len() == size as usize).then_some(image)
+        }
+
+        const KEY: [u8; 32] = [0x42; 32];
+        const NONCE: [u8; 12] = [0x17; 12];
+
+        /// A firmware-like pair: random old image, scattered byte edits
+        /// and an appended tail.
+        fn image_pair() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+            (1usize..6000, any::<u32>(), 0usize..40, 0usize..600).prop_map(
+                |(len, seed, edits, tail)| {
+                    let old = firmware(seed, len);
+                    let mut new = old.clone();
+                    let mut state = seed | 1;
+                    for _ in 0..edits {
+                        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                        let at = state as usize % new.len();
+                        new[at] = new[at].wrapping_add((state >> 24) as u8 | 1);
+                    }
+                    new.extend_from_slice(&firmware(seed ^ 0x5555, tail));
+                    (old, new)
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// However the wire is cut — inside the 4-byte sniff, inside
+            /// a match token, across window bodies — the streaming chain
+            /// accepts exactly what the one-shot decode accepts and
+            /// rebuilds the same image, with and without decryption.
+            #[test]
+            fn chunked_chain_equals_one_shot_decode(
+                pair in image_pair(),
+                framed in any::<bool>(),
+                window_len in 256usize..4096,
+                encrypted in any::<bool>(),
+                first_split in 1usize..6,
+                splits in proptest::collection::vec(1usize..=600, 1..24),
+                corruption in (0u8..4, any::<usize>(), 0u8..8),
+            ) {
+                let (old, new) = pair;
+                let size = new.len() as u32;
+                let mut plain = if framed {
+                    framed_diff(&old, &new, &FramedDiffOptions::default().with_window_len(window_len))
+                } else {
+                    compress(&diff(&old, &new), Params::default())
+                };
+                // One case in four flips a bit of the container.
+                let (kind, at, bit) = corruption;
+                if kind == 0 {
+                    let at = at % plain.len();
+                    plain[at] ^= 1 << bit;
+                }
+                let mut wire = plain.clone();
+                let cipher = encrypted.then(|| {
+                    ChaCha20::new(&KEY, &NONCE).apply(&mut wire);
+                    ChaCha20::new(&KEY, &NONCE)
+                });
+                let cuts: Vec<usize> = core::iter::once(first_split).chain(splits).collect();
+
+                let chained = run_chain(&old, size, &wire, &cuts, cipher);
+                let reference = one_shot(&old, size, &plain);
+                prop_assert_eq!(chained.as_ref().ok(), reference.as_ref());
+                if kind != 0 {
+                    prop_assert_eq!(chained, Ok(new));
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,10 +16,13 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use upkit_core::image::{read_firmware_chunks, FIRMWARE_OFFSET};
+use upkit_core::pipeline::{Decoder, FirmwareSink, PipelineError};
 use upkit_core::verifier::FirmwareDigester;
 use upkit_crypto::backend::{KeyRef, SecurityBackend, SecurityError, TinyCryptBackend};
+use upkit_crypto::chacha20::ChaCha20;
 use upkit_crypto::ecdsa::SigningKey;
 use upkit_flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
+use upkit_trace::Counters;
 
 struct CountingAllocator;
 
@@ -249,4 +252,86 @@ fn framed_body_loop_is_allocation_free() {
     );
     assert_eq!(sink.len(), new.len());
     assert_eq!(sink.as_slice(), &new[..]);
+}
+
+/// A [`FirmwareSink`] over a caller's fixed slice, as a device without a
+/// heap would write reconstructed firmware.
+struct SliceSink<'a> {
+    image: &'a mut [u8],
+    len: usize,
+    counters: &'a Counters,
+}
+
+impl FirmwareSink for SliceSink<'_> {
+    fn write(&mut self, firmware: &[u8]) -> Result<(), PipelineError> {
+        let end = self.len + firmware.len();
+        self.image
+            .get_mut(self.len..end)
+            .ok_or(PipelineError::Overflow)?
+            .copy_from_slice(firmware);
+        self.len = end;
+        Ok(())
+    }
+
+    fn counters(&self) -> &Counters {
+        self.counters
+    }
+}
+
+/// The decode chain the fleets run — `Decoder::push`, as
+/// `LiteDevice::accept_payload` and `Pipeline::push` call it — allocates
+/// only in its first push, where it sniffs the container and, for a
+/// framed one, starts the window directory. Every later push, and
+/// `finish`, is allocation-free for both containers, with and without
+/// the decryption stage.
+#[test]
+fn decoder_push_is_allocation_free_after_the_sniff() {
+    let (old, new) = related_images();
+    let key = [0x42; 32];
+    let nonce = [0x17; 12];
+    // 8 KiB windows put the whole directory (16 + 13 bytes per window)
+    // inside the first 64-byte push.
+    let framed = upkit_delta::FramedDiffOptions {
+        window_len: 8192,
+        threads: 1,
+        lzss: Some(upkit_compress::Params::default()),
+    };
+    let containers = [
+        upkit_compress::compress(&upkit_delta::diff(&old, &new), Default::default()),
+        upkit_delta::framed_diff(&old, &new, &framed),
+    ];
+    let counters = Counters::default();
+    let mut image = vec![0u8; new.len()];
+
+    for container in &containers {
+        for encrypted in [false, true] {
+            let mut wire = container.clone();
+            let mut decoder = Decoder::differential(old.clone(), new.len() as u32);
+            if encrypted {
+                ChaCha20::new(&key, &nonce).apply(&mut wire);
+                decoder.enable_decryption(ChaCha20::new(&key, &nonce));
+            }
+            let mut sink = SliceSink {
+                image: &mut image,
+                len: 0,
+                counters: &counters,
+            };
+            let mut chunks = wire.chunks(64);
+            let first = chunks.next().expect("a non-empty container");
+            decoder.push(first, &mut sink).unwrap();
+
+            let before = allocations();
+            for chunk in chunks {
+                decoder.push(chunk, &mut sink).unwrap();
+            }
+            assert_eq!(decoder.finish(&mut sink).unwrap(), new.len() as u64);
+            assert_eq!(
+                allocations() - before,
+                0,
+                "decoder push must not allocate after the sniff (encrypted: {encrypted})"
+            );
+            assert_eq!(sink.len, new.len());
+            assert_eq!(image, new);
+        }
+    }
 }

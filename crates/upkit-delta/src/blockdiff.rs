@@ -12,6 +12,11 @@
 //! retransmitting the image. The `delta_algorithms` experiment quantifies
 //! this against bsdiff.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 #[cfg(feature = "std")]
 use std::collections::HashMap;
 
@@ -168,10 +173,13 @@ pub fn patch_into(old: &[u8], delta: &[u8], out: &mut [u8]) -> Result<usize, Blo
 }
 
 fn parse_header(delta: &[u8], budget: usize) -> Result<usize, BlockDiffError> {
-    if delta.len() < 8 || delta[..4] != MAGIC {
+    let Some(&[m0, m1, m2, m3, l0, l1, l2, l3]) = delta.first_chunk::<8>() else {
+        return Err(BlockDiffError::BadMagic);
+    };
+    if [m0, m1, m2, m3] != MAGIC {
         return Err(BlockDiffError::BadMagic);
     }
-    let new_len = u32::from_le_bytes(delta[4..8].try_into().expect("4 bytes")) as usize;
+    let new_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     if new_len > budget {
         return Err(BlockDiffError::BudgetExceeded);
     }
@@ -193,9 +201,10 @@ fn apply_instructions<S: ByteSink + ?Sized>(
         match delta[pos] {
             0x01 => {
                 let bytes = delta
-                    .get(pos + 1..pos + 5)
+                    .get(pos + 1..)
+                    .and_then(<[u8]>::first_chunk::<4>)
                     .ok_or(BlockDiffError::Truncated)?;
-                let block = u32::from_le_bytes(bytes.try_into().expect("4 bytes")) as usize;
+                let block = u32::from_le_bytes(*bytes) as usize;
                 let start = block
                     .checked_mul(BLOCK_SIZE)
                     .ok_or(BlockDiffError::OutOfBounds)?;
@@ -211,9 +220,10 @@ fn apply_instructions<S: ByteSink + ?Sized>(
             }
             0x00 => {
                 let bytes = delta
-                    .get(pos + 1..pos + 3)
+                    .get(pos + 1..)
+                    .and_then(<[u8]>::first_chunk::<2>)
                     .ok_or(BlockDiffError::Truncated)?;
-                let len = u16::from_le_bytes(bytes.try_into().expect("2 bytes")) as usize;
+                let len = u16::from_le_bytes(*bytes) as usize;
                 let literal = delta
                     .get(pos + 3..pos + 3 + len)
                     .ok_or(BlockDiffError::Truncated)?;

@@ -30,6 +30,11 @@
 //! can demand memory beyond what the declared (budget-checked) output
 //! length already justifies.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::sync::Arc;
 use alloc::vec::Vec;
 
@@ -152,13 +157,6 @@ impl From<LzssError> for FramedError {
     }
 }
 
-/// Compressed-body input bytes fed to the decompressor per drain step.
-const DECOMP_CHUNK: usize = 4;
-
-/// Stack scratch for draining a window decompressor: each input byte can
-/// emit at most [`upkit_compress::MAX_MATCH`] bytes.
-const DECOMP_SCRATCH: usize = DECOMP_CHUNK * upkit_compress::MAX_MATCH;
-
 /// One parsed window directory entry.
 #[derive(Clone, Copy, Debug)]
 struct WindowHeader {
@@ -259,10 +257,10 @@ impl<O: OldImage> FramedPatcher<O> {
 
     /// Feeds container bytes, appending reconstructed output to `out`.
     ///
-    /// Compressed window bodies are decompressed through a fixed stack
-    /// scratch buffer (`DECOMP_SCRATCH` bytes), so the push loop itself
-    /// performs no heap allocation beyond the window directory (13 bytes
-    /// per window, proportional to bytes actually received).
+    /// Compressed window bodies are decoded through the decompressor's
+    /// 1 KiB stack buffer ([`Decompressor::drain`]), so the push loop
+    /// itself performs no heap allocation beyond the window directory (13
+    /// bytes per window, proportional to bytes actually received).
     pub fn push<S: ByteSink + ?Sized>(
         &mut self,
         input: &[u8],
@@ -294,35 +292,26 @@ impl<O: OldImage> FramedPatcher<O> {
                     }
                 }
                 FramedState::Body {
+                    index,
                     remaining,
                     decomp,
                     patcher,
-                    ..
                 } => {
                     let take = (*remaining as usize).min(input.len());
                     match decomp {
-                        Some(d) => {
-                            // Drain the decompressor through a fixed stack
-                            // buffer: DECOMP_CHUNK input bytes expand to at
-                            // most DECOMP_CHUNK * MAX_MATCH output bytes,
-                            // so the scratch can never overflow.
-                            let mut scratch = [0u8; DECOMP_SCRATCH];
-                            let mut done = 0usize;
-                            while done < take {
-                                let n = (take - done).min(DECOMP_CHUNK);
-                                let mut plain = FixedBuf::new(&mut scratch);
-                                d.push(&input[done..done + n], &mut plain)?;
-                                debug_assert!(!plain.overflowed(), "scratch sized to worst case");
-                                patcher.push(plain.as_slice(), out)?;
-                                done += n;
-                            }
-                        }
+                        Some(d) => d.drain(&input[..take], |plain| {
+                            patcher.push(plain, out).map_err(FramedError::from)
+                        })?,
                         None => patcher.push(&input[..take], out)?,
                     }
                     input = &input[take..];
                     *remaining -= take as u32;
                     if *remaining == 0 {
-                        self.finish_window()?;
+                        let index = *index;
+                        let declared = self.windows[index].out_len;
+                        close_window(decomp.as_ref(), patcher, declared)?;
+                        self.produced += u64::from(declared);
+                        self.begin_window(index + 1)?;
                     }
                 }
                 FramedState::Done => return Err(FramedError::TrailingBytes),
@@ -341,20 +330,19 @@ impl<O: OldImage> FramedPatcher<O> {
     }
 
     fn parse_header(&mut self) -> Result<(), FramedError> {
-        if self.scratch[..4] != FRAMED_MAGIC {
+        let [m0, m1, m2, m3, o0, o1, o2, o3, n0, n1, n2, n3, c0, c1, c2, c3] = self.scratch;
+        if [m0, m1, m2, m3] != FRAMED_MAGIC {
             return Err(FramedError::BadMagic);
         }
-        let old_len = u32::from_le_bytes(self.scratch[4..8].try_into().expect("4 bytes"));
+        let old_len = u32::from_le_bytes([o0, o1, o2, o3]);
         if u64::from(old_len) != self.old.len() {
             return Err(FramedError::OldLengthMismatch);
         }
-        self.new_len = u64::from(u32::from_le_bytes(
-            self.scratch[8..12].try_into().expect("4 bytes"),
-        ));
+        self.new_len = u64::from(u32::from_le_bytes([n0, n1, n2, n3]));
         if self.new_len > self.budget {
             return Err(FramedError::BudgetExceeded);
         }
-        self.window_count = u32::from_le_bytes(self.scratch[12..16].try_into().expect("4 bytes"));
+        self.window_count = u32::from_le_bytes([c0, c1, c2, c3]);
         // Every window must produce at least one byte, so a count beyond
         // `new_len` can only be a directory-allocation bomb. The entries
         // themselves are pushed as their 13 wire bytes arrive (never
@@ -378,10 +366,10 @@ impl<O: OldImage> FramedPatcher<O> {
     }
 
     fn parse_directory_entry(&mut self, expected_offset: u64) -> Result<(), FramedError> {
-        let out_offset = u32::from_le_bytes(self.scratch[0..4].try_into().expect("4 bytes"));
-        let out_len = u32::from_le_bytes(self.scratch[4..8].try_into().expect("4 bytes"));
-        let comp = self.scratch[8];
-        let body_len = u32::from_le_bytes(self.scratch[9..13].try_into().expect("4 bytes"));
+        let [f0, f1, f2, f3, l0, l1, l2, l3, comp, b0, b1, b2, b3, ..] = self.scratch;
+        let out_offset = u32::from_le_bytes([f0, f1, f2, f3]);
+        let out_len = u32::from_le_bytes([l0, l1, l2, l3]);
+        let body_len = u32::from_le_bytes([b0, b1, b2, b3]);
 
         // Windows tile [0, new_len) in order: each entry starts exactly
         // where the previous one ended and is non-empty. Anything else —
@@ -420,56 +408,49 @@ impl<O: OldImage> FramedPatcher<O> {
         Ok(())
     }
 
+    /// Starts window `index`, or ends the container after the last one.
     fn begin_window(&mut self, index: usize) -> Result<(), FramedError> {
-        let header = self.windows[index];
-        let decomp = match header.comp {
-            COMP_LZSS => Some(Decompressor::with_budget(max_patch_len(u64::from(
-                header.out_len,
-            )))),
-            _ => None,
+        let Some(&header) = self.windows.get(index) else {
+            self.state = FramedState::Done;
+            return Ok(());
         };
+        let compressed = header.comp == COMP_LZSS;
+        if header.body_len == 0 {
+            // A zero-byte body cannot even carry the inner patch header.
+            return Err(if compressed {
+                LzssError::Truncated.into()
+            } else {
+                PatchError::Truncated.into()
+            });
+        }
         self.state = FramedState::Body {
             index,
             remaining: header.body_len,
-            decomp,
+            decomp: compressed
+                .then(|| Decompressor::with_budget(max_patch_len(u64::from(header.out_len)))),
             patcher: StreamPatcher::with_budget(Arc::clone(&self.old), u64::from(header.out_len)),
         };
-        if header.body_len == 0 {
-            // A zero-byte body cannot even carry the inner patch header.
-            self.finish_window()?;
-        }
         Ok(())
     }
+}
 
-    fn finish_window(&mut self) -> Result<(), FramedError> {
-        let FramedState::Body {
-            index,
-            decomp,
-            patcher,
-            ..
-        } = &self.state
-        else {
-            unreachable!("finish_window called outside a body");
-        };
-        let index = *index;
-        if let Some(d) = decomp {
-            d.finish()?;
-        }
-        patcher.finish()?;
-        let declared = u64::from(self.windows[index].out_len);
-        if patcher.produced() != declared {
-            // The inner patch header under-declared relative to the
-            // directory: the window's output is short.
-            return Err(FramedError::Window(PatchError::Truncated));
-        }
-        self.produced += declared;
-        if index + 1 < self.windows.len() {
-            self.begin_window(index + 1)?;
-        } else {
-            self.state = FramedState::Done;
-        }
-        Ok(())
+/// Checks that a window whose body has fully arrived decoded completely
+/// and produced exactly the `declared` length of its directory entry.
+fn close_window<O: OldImage>(
+    decomp: Option<&Decompressor>,
+    patcher: &StreamPatcher<O>,
+    declared: u32,
+) -> Result<(), FramedError> {
+    if let Some(d) = decomp {
+        d.finish()?;
     }
+    patcher.finish()?;
+    if patcher.produced() != u64::from(declared) {
+        // The inner patch header under-declared relative to the
+        // directory: the window's output is short.
+        return Err(FramedError::Window(PatchError::Truncated));
+    }
+    Ok(())
 }
 
 impl<O> core::fmt::Debug for FramedPatcher<O> {
@@ -761,6 +742,19 @@ mod tests {
         let err = patch_framed(&old, &container).unwrap_err();
         assert_eq!(err, FramedError::BodyLengthBomb);
         assert!(err.is_budget_rejection());
+    }
+
+    #[test]
+    fn rejects_an_empty_window_body_as_truncated() {
+        let old = lcg_bytes(60, 64);
+        for (comp, expected) in [
+            (COMP_NONE, FramedError::Window(PatchError::Truncated)),
+            (COMP_LZSS, FramedError::Lzss(LzssError::Truncated)),
+        ] {
+            let mut container = header(64, 100, 1);
+            container.extend_from_slice(&entry(0, 100, comp, 0));
+            assert_eq!(patch_framed(&old, &container).unwrap_err(), expected);
+        }
     }
 
     #[test]

@@ -503,6 +503,10 @@ pub(crate) fn diff_with_suffix_array(sa: &SuffixArray, old: &[u8], new: &[u8]) -
 }
 
 /// Applies `patch_bytes` to `old` in one call.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub fn patch(old: &[u8], patch_bytes: &[u8]) -> Result<Vec<u8>, PatchError> {
     let mut patcher = StreamPatcher::new(old);
     let mut out = Vec::new();
@@ -522,6 +526,10 @@ pub fn patch(old: &[u8], patch_bytes: &[u8]) -> Result<Vec<u8>, PatchError> {
 /// # Errors
 ///
 /// Same as [`patch`], plus the budget rejection described above.
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 pub fn patch_into(old: &[u8], patch_bytes: &[u8], out: &mut [u8]) -> Result<usize, PatchError> {
     let budget = out.len() as u64;
     let mut buf = upkit_compress::FixedBuf::new(out);
@@ -543,9 +551,10 @@ enum PatchState {
 
 /// Bytes of old image read per iteration while applying a diff block.
 ///
-/// Diff blocks are processed through a fixed stack buffer of this size so
-/// the steady-state patch loop performs no heap allocation regardless of
-/// block length.
+/// Diff blocks are processed through a fixed stack buffer of this size,
+/// which receives the old bytes, takes the delta in place and is emitted
+/// as one run, so the steady-state patch loop performs no heap allocation
+/// regardless of block length.
 const DIFF_CHUNK: usize = 256;
 
 /// Incremental bspatch: accepts patch bytes in arbitrary chunks, reads the
@@ -570,6 +579,10 @@ pub struct StreamPatcher<O> {
     seek_after_extra: i32,
 }
 
+#[cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 impl<O: OldImage> StreamPatcher<O> {
     /// Creates a patcher that reads the previous firmware from `old`.
     #[must_use]
@@ -636,17 +649,15 @@ impl<O: OldImage> StreamPatcher<O> {
                     input = &input[take..];
                     let filled = filled + take;
                     if filled == HEADER_LEN {
-                        if self.scratch[..4] != MAGIC {
+                        let [m0, m1, m2, m3, o0, o1, o2, o3, n0, n1, n2, n3] = self.scratch;
+                        if [m0, m1, m2, m3] != MAGIC {
                             return Err(PatchError::BadMagic);
                         }
-                        let old_len =
-                            u32::from_le_bytes(self.scratch[4..8].try_into().expect("4 bytes"));
+                        let old_len = u32::from_le_bytes([o0, o1, o2, o3]);
                         if u64::from(old_len) != self.old.len() {
                             return Err(PatchError::OldLengthMismatch);
                         }
-                        self.new_len = u64::from(u32::from_le_bytes(
-                            self.scratch[8..12].try_into().expect("4 bytes"),
-                        ));
+                        self.new_len = u64::from(u32::from_le_bytes([n0, n1, n2, n3]));
                         if self.new_len > self.budget {
                             return Err(PatchError::BudgetExceeded);
                         }
@@ -665,12 +676,10 @@ impl<O: OldImage> StreamPatcher<O> {
                     input = &input[take..];
                     let filled = filled + take;
                     if filled == CONTROL_LEN {
-                        let diff_len =
-                            u32::from_le_bytes(self.scratch[0..4].try_into().expect("4 bytes"));
-                        self.extra_after_diff =
-                            u32::from_le_bytes(self.scratch[4..8].try_into().expect("4 bytes"));
-                        self.seek_after_extra =
-                            i32::from_le_bytes(self.scratch[8..12].try_into().expect("4 bytes"));
+                        let [d0, d1, d2, d3, e0, e1, e2, e3, s0, s1, s2, s3] = self.scratch;
+                        let diff_len = u32::from_le_bytes([d0, d1, d2, d3]);
+                        self.extra_after_diff = u32::from_le_bytes([e0, e1, e2, e3]);
+                        self.seek_after_extra = i32::from_le_bytes([s0, s1, s2, s3]);
                         self.state = PatchState::Diff {
                             remaining: diff_len,
                         };
@@ -690,16 +699,16 @@ impl<O: OldImage> StreamPatcher<O> {
                     {
                         return Err(PatchError::OldRangeOutOfBounds);
                     }
-                    let mut old_buf = [0u8; DIFF_CHUNK];
-                    let mut done = 0usize;
-                    while done < take {
-                        let n = (take - done).min(DIFF_CHUNK);
-                        self.old
-                            .read_at(self.old_pos as u64 + done as u64, &mut old_buf[..n])?;
-                        for (delta, old_byte) in input[done..done + n].iter().zip(old_buf.iter()) {
-                            out.put(delta.wrapping_add(*old_byte));
+                    let mut block = [0u8; DIFF_CHUNK];
+                    let mut at = self.old_pos as u64;
+                    for delta in input[..take].chunks(DIFF_CHUNK) {
+                        let new = &mut block[..delta.len()];
+                        self.old.read_at(at, new)?;
+                        for (byte, d) in new.iter_mut().zip(delta) {
+                            *byte = byte.wrapping_add(*d);
                         }
-                        done += n;
+                        out.put_slice(new);
+                        at += delta.len() as u64;
                     }
                     self.produced += take as u64;
                     self.old_pos += take as i64;
