@@ -36,22 +36,22 @@
 //! Session-surface cases additionally re-check the never-brick
 //! invariant: the device must still `boot_to_fixed_point` afterwards.
 //!
-//! Exploration fans out across threads through
-//! [`upkit_core::parallel::map_traced`]: each case charges a private
-//! tracer, merged in case-index order, so reports and trace bytes are
-//! identical for any thread count. Violations shrink to the smallest
-//! failing mutation index and emit a one-line `adversary_explore
-//! --repro` command.
+//! Exploration runs on the harness in [`upkit_sim::explore`], which the
+//! crash-consistency explorer shares: the never-brick check, the case
+//! fan-out (each case charges a private tracer, merged in case order, so
+//! reports and trace bytes are identical for any thread count), and the
+//! shrinker. Violations shrink to the smallest failing mutation index and
+//! emit a one-line `adversary_explore --repro` command.
 
 #![warn(missing_docs)]
 
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use upkit_compress::LzssError;
 use upkit_core::agent::{AgentError, AgentPhase, UpdatePlan};
 use upkit_core::components::check_record_signatures;
 use upkit_core::keys::TrustAnchors;
-use upkit_core::parallel::map_traced;
 use upkit_crypto::backend::TinyCryptBackend;
 use upkit_delta::blockdiff::{self, BlockDiffError};
 use upkit_delta::{FramedDiffOptions, FramedPatcher, PatchError, StreamPatcher};
@@ -63,11 +63,15 @@ use upkit_manifest::{
 };
 use upkit_net::{
     CachedOrigin, CachingProxy, FrameAdversary, FrameTamper, LinkProfile, LossyLink, PullSession,
-    PushEndpoints, PushSession, RetryPolicy, SessionEndpoints, SessionStream, StreamResolution,
-    Transport,
+    PushEndpoints, PushSession, RetryPolicy, SessionEndpoints, SessionOutcome, SessionStream,
+    Smartphone, StreamResolution, Transport,
 };
-pub use upkit_sim::failure::{mode_from_label, mode_label, select_cases};
-use upkit_sim::failure::{update_world, world_geometry, UpdateWorld, WorldConfig, WorldMode};
+pub use upkit_sim::explore::repro_command;
+use upkit_sim::explore::{never_brick, Case, CaseClass, Exploration, Shrunk};
+use upkit_sim::failure::{
+    select_cases, update_world, world_geometry, UpdateWorld, WorldConfig, WorldMode,
+    DEFAULT_MAX_BOOTS,
+};
 use upkit_sim::scenario::DEVICE_ID;
 use upkit_sim::FirmwareGenerator;
 use upkit_trace::{Counters, Event, Tracer};
@@ -157,27 +161,15 @@ impl MutationClass {
             MutationClass::CachePoison => "cache_poison",
         }
     }
+}
 
-    /// Inverse of [`MutationClass::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.label() == label)
-    }
+impl CaseClass for MutationClass {
+    const EXPLORER: &'static str = "adversary_explore";
+    const CASE_WORDS: &'static str = "<surface> <index>";
+    const CLASSES: &'static [Self] = &Self::ALL;
 
-    /// Whether this surface attacks a raw decoder (no device world) or a
-    /// live session.
-    #[must_use]
-    pub fn is_decoder_surface(self) -> bool {
-        matches!(
-            self,
-            MutationClass::Suit
-                | MutationClass::ManifestWire
-                | MutationClass::ComponentTable
-                | MutationClass::BlockDiff
-                | MutationClass::StreamDelta
-                | MutationClass::FramedDelta
-                | MutationClass::Lzss
-        )
+    fn label(self) -> &'static str {
+        MutationClass::label(self)
     }
 }
 
@@ -189,8 +181,6 @@ pub struct AdversaryConfig {
     /// Worker threads for the case fan-out (results are identical for
     /// any value ≥ 1).
     pub threads: usize,
-    /// Reboot budget for the post-session never-brick check.
-    pub max_boots: u32,
     /// Explore at most this many cases *per surface*, evenly strided
     /// across the surface's universe (`None` = every case).
     pub case_limit: Option<usize>,
@@ -203,7 +193,6 @@ impl AdversaryConfig {
         Self {
             scenario,
             threads: 1,
-            max_boots: 8,
             case_limit: None,
         }
     }
@@ -280,6 +269,35 @@ pub struct Baseline {
     pub budget: u64,
 }
 
+impl Baseline {
+    /// The honest corpus a decoder surface mutates; `None` for the
+    /// session surfaces, which never touch a raw decoder.
+    #[must_use]
+    pub fn corpus(&self, surface: MutationClass) -> Option<&[u8]> {
+        Some(match surface {
+            MutationClass::Suit => &self.suit_bytes,
+            MutationClass::ManifestWire => &self.manifest_wire,
+            MutationClass::ComponentTable => &self.multi_record_wire,
+            MutationClass::BlockDiff => &self.blockdiff_delta,
+            MutationClass::StreamDelta => &self.stream_delta,
+            MutationClass::FramedDelta => &self.framed_delta,
+            MutationClass::Lzss => &self.lzss_stream,
+            _ => return None,
+        })
+    }
+}
+
+/// The full contents of the booted `slot`.
+fn slot_bytes(world: &UpdateWorld, slot: SlotId) -> Vec<u8> {
+    let spec = world.layout.slot(slot).expect("booted slot exists");
+    let mut bytes = vec![0u8; spec.size as usize];
+    world
+        .layout
+        .read_slot(slot, 0, &mut bytes)
+        .expect("booted slot is readable");
+    bytes
+}
+
 /// The freshness nonce every run of `scenario` uses — baseline and cases
 /// must agree or the honest manifest itself would be stale.
 #[must_use]
@@ -327,15 +345,10 @@ pub fn record_baseline(scenario: &WorldConfig) -> Baseline {
     );
 
     let report = world
-        .reboot_to_fixed_point(8)
+        .reboot_to_fixed_point(DEFAULT_MAX_BOOTS)
         .expect("the honest install must boot");
     let booted_slot = report.outcome.booted_slot;
-    let spec = world.layout.slot(booted_slot).expect("booted slot exists");
-    let mut booted_bytes = vec![0u8; spec.size as usize];
-    world
-        .layout
-        .read_slot(booted_slot, 0, &mut booted_bytes)
-        .expect("booted slot is readable");
+    let booted_bytes = slot_bytes(&world, booted_slot);
 
     // Packages the server once legitimately signed, but for a different
     // freshness nonce / device — exactly what a compromised proxy can
@@ -416,26 +429,17 @@ pub fn record_baseline(scenario: &WorldConfig) -> Baseline {
 /// Size of a surface's mutation universe under `baseline`.
 #[must_use]
 pub fn universe(surface: MutationClass, baseline: &Baseline) -> u64 {
-    let corpus = |len: usize| len as u64 + STRUCTURAL_MUTATIONS;
-    match surface {
-        MutationClass::Suit => corpus(baseline.suit_bytes.len()),
-        MutationClass::ManifestWire => corpus(baseline.manifest_wire.len()),
-        MutationClass::ComponentTable => {
-            corpus(baseline.multi_record_wire.len()) + COMPONENT_TABLE_TARGETED
+    match (surface, baseline.corpus(surface)) {
+        (MutationClass::ComponentTable, Some(corpus)) => {
+            corpus.len() as u64 + STRUCTURAL_MUTATIONS + COMPONENT_TABLE_TARGETED
         }
-        MutationClass::BlockDiff => corpus(baseline.blockdiff_delta.len()),
-        MutationClass::StreamDelta => corpus(baseline.stream_delta.len()),
-        MutationClass::FramedDelta => corpus(baseline.framed_delta.len()),
-        MutationClass::Lzss => corpus(baseline.lzss_stream.len()),
-        MutationClass::FrameCorrupt
-        | MutationClass::FrameReorder
-        | MutationClass::FrameDuplicate
-        | MutationClass::FrameInject
-        | MutationClass::FrameDrop => baseline.frames,
-        MutationClass::DowngradeReplay => DOWNGRADE_CASES,
-        MutationClass::CachePoison => {
+        (_, Some(corpus)) => corpus.len() as u64 + STRUCTURAL_MUTATIONS,
+        (MutationClass::DowngradeReplay, None) => DOWNGRADE_CASES,
+        (MutationClass::CachePoison, None) => {
             u64::from(CachedOrigin::new(&baseline.honest_stream).blocks(CACHE_POISON_BLOCK_SIZE))
         }
+        // One case per frame of the honest session.
+        (_, None) => baseline.frames,
     }
 }
 
@@ -550,24 +554,39 @@ impl CaseResult {
     }
 }
 
-use upkit_net::Smartphone;
+impl Case for CaseResult {
+    type Class = MutationClass;
+
+    fn key(&self) -> (MutationClass, u64) {
+        (self.surface, self.index)
+    }
+
+    fn violation(&self) -> Option<&str> {
+        self.violation.as_deref()
+    }
+}
+
+/// Feeds `mutated` to a streaming patcher in 256-byte chunks, as a link
+/// would deliver it, then ends the stream (`None`). `feed` reports an
+/// error as whether it was a budget rejection. Returns the output length.
+fn stream_patched(
+    mutated: &[u8],
+    mut feed: impl FnMut(Option<&[u8]>, &mut Vec<u8>) -> Result<(), bool>,
+) -> Result<u64, bool> {
+    let mut out = Vec::new();
+    for chunk in mutated.chunks(256).map(Some).chain([None]) {
+        feed(chunk, &mut out)?;
+    }
+    Ok(out.len() as u64)
+}
 
 fn run_decoder_case(
     baseline: &Baseline,
     surface: MutationClass,
+    corpus: &[u8],
     index: u64,
     tracer: &Tracer,
 ) -> (String, bool, Option<String>) {
-    let corpus = match surface {
-        MutationClass::Suit => &baseline.suit_bytes,
-        MutationClass::ManifestWire => &baseline.manifest_wire,
-        MutationClass::ComponentTable => &baseline.multi_record_wire,
-        MutationClass::BlockDiff => &baseline.blockdiff_delta,
-        MutationClass::StreamDelta => &baseline.stream_delta,
-        MutationClass::FramedDelta => &baseline.framed_delta,
-        MutationClass::Lzss => &baseline.lzss_stream,
-        _ => unreachable!("decoder dispatch on a session surface"),
-    };
     let mutated = if surface == MutationClass::ComponentTable {
         mutate_component_table(corpus, index)
     } else {
@@ -575,16 +594,15 @@ fn run_decoder_case(
     };
     let budget = baseline.budget;
 
-    // (outcome label, produced output length, budget-rejected?)
+    // `Ok(output length)` when the input decoded; `Err(true)` for a
+    // budget rejection, `Err(false)` for any other typed error.
     let decoded = catch_unwind(AssertUnwindSafe(|| match surface {
-        MutationClass::Suit => match upkit_manifest::suit::from_suit_envelope(&mutated) {
-            Ok(_) => ("decoded", 0u64, false),
-            Err(_) => ("typed_error", 0, false),
-        },
-        MutationClass::ManifestWire => match SignedManifest::from_bytes(&mutated) {
-            Ok(_) => ("decoded", 0, false),
-            Err(_) => ("typed_error", 0, false),
-        },
+        MutationClass::Suit => upkit_manifest::suit::from_suit_envelope(&mutated)
+            .map(|_| 0)
+            .map_err(|_| false),
+        MutationClass::ManifestWire => SignedManifest::from_bytes(&mutated)
+            .map(|_| 0)
+            .map_err(|_| false),
         // The commit-record acceptance path: structural decode (which
         // bounds the count before allocating and rejects duplicate
         // slots), then the same dual-signature check the transactional
@@ -593,112 +611,70 @@ fn run_decoder_case(
         // changes at least one signed byte, any such acceptance is a
         // forgery.
         MutationClass::ComponentTable => match SignedMultiManifest::from_bytes(&mutated) {
-            Ok(record) => {
+            Ok(record)
                 if check_record_signatures(&TinyCryptBackend, &baseline.multi_anchors, &record)
-                    .is_ok()
-                {
-                    ("decoded", 0, false)
-                } else {
-                    ("typed_error", 0, false)
-                }
+                    .is_ok() =>
+            {
+                Ok(0)
             }
-            Err(_) => ("typed_error", 0, false),
+            _ => Err(false),
         },
         MutationClass::BlockDiff => {
-            match blockdiff::patch_with_budget(&baseline.old_firmware, &mutated, budget as usize) {
-                Ok(out) => ("decoded", out.len() as u64, false),
-                Err(BlockDiffError::BudgetExceeded) => ("budget_rejected", 0, true),
-                Err(_) => ("typed_error", 0, false),
-            }
+            blockdiff::patch_with_budget(&baseline.old_firmware, &mutated, budget as usize)
+                .map(|out| out.len() as u64)
+                .map_err(|e| e == BlockDiffError::BudgetExceeded)
         }
+        // A truncated bsdiff stream decodes what it carried: this surface
+        // never ends the stream.
         MutationClass::StreamDelta => {
             let mut patcher = StreamPatcher::with_budget(baseline.old_firmware.as_slice(), budget);
-            let mut out = Vec::new();
-            let mut verdict = ("decoded", 0u64, false);
-            for chunk in mutated.chunks(256) {
-                match patcher.push(chunk, &mut out) {
-                    Ok(()) => {}
-                    Err(PatchError::BudgetExceeded) => {
-                        verdict = ("budget_rejected", 0, true);
-                        break;
-                    }
-                    Err(_) => {
-                        verdict = ("typed_error", 0, false);
-                        break;
-                    }
-                }
-            }
-            if verdict.0 == "decoded" {
-                verdict.1 = out.len() as u64;
-            }
-            verdict
+            stream_patched(&mutated, |chunk, out| match chunk {
+                Some(chunk) => patcher
+                    .push(chunk, out)
+                    .map_err(|e| e == PatchError::BudgetExceeded),
+                None => Ok(()),
+            })
         }
         MutationClass::FramedDelta => {
             let mut patcher = FramedPatcher::with_budget(baseline.old_firmware.as_slice(), budget);
-            let mut out = Vec::new();
-            let mut verdict = ("decoded", 0u64, false);
-            for chunk in mutated.chunks(256) {
-                match patcher.push(chunk, &mut out) {
-                    Ok(()) => {}
-                    Err(e) if e.is_budget_rejection() => {
-                        verdict = ("budget_rejected", 0, true);
-                        break;
-                    }
-                    Err(_) => {
-                        verdict = ("typed_error", 0, false);
-                        break;
-                    }
+            stream_patched(&mutated, |chunk, out| {
+                match chunk {
+                    Some(chunk) => patcher.push(chunk, out),
+                    None => patcher.finish(),
                 }
-            }
-            if verdict.0 == "decoded" {
-                if let Err(e) = patcher.finish() {
-                    verdict.0 = if e.is_budget_rejection() {
-                        verdict.2 = true;
-                        "budget_rejected"
-                    } else {
-                        "typed_error"
-                    };
-                }
-            }
-            if verdict.0 == "decoded" {
-                verdict.1 = out.len() as u64;
-            }
-            verdict
+                .map_err(|e| e.is_budget_rejection())
+            })
         }
-        MutationClass::Lzss => match upkit_compress::decompress_with_budget(&mutated, budget) {
-            Ok(out) => ("decoded", out.len() as u64, false),
-            Err(LzssError::BudgetExceeded) => ("budget_rejected", 0, true),
-            Err(_) => ("typed_error", 0, false),
-        },
+        MutationClass::Lzss => upkit_compress::decompress_with_budget(&mutated, budget)
+            .map(|out| out.len() as u64)
+            .map_err(|e| e == LzssError::BudgetExceeded),
         _ => unreachable!("decoder dispatch on a session surface"),
     }));
 
-    match decoded {
-        Ok((label, produced, budget_rejected)) => {
-            if budget_rejected {
-                Counters::add(&tracer.counters().decode_overruns, 1);
-            }
-            let violation = if surface == MutationClass::ComponentTable && label == "decoded" {
-                Counters::add(&tracer.counters().forgeries_accepted, 1);
-                Some(
-                    "mutated commit record decoded and passed dual-signature verification"
-                        .to_string(),
-                )
-            } else {
-                (produced > budget).then(|| {
-                    format!(
-                        "decoder produced {produced} bytes, beyond the {budget}-byte slot budget"
-                    )
-                })
-            };
-            (label.to_string(), false, violation)
+    let (label, produced) = match decoded {
+        Ok(Ok(produced)) => ("decoded", produced),
+        Ok(Err(true)) => {
+            Counters::add(&tracer.counters().decode_overruns, 1);
+            ("budget_rejected", 0)
         }
-        Err(_) => (
-            "panicked".to_string(),
-            true,
-            Some(format!("{} decoder panicked", surface.label())),
-        ),
-    }
+        Ok(Err(false)) => ("typed_error", 0),
+        Err(_) => {
+            return (
+                "panicked".to_string(),
+                true,
+                Some(format!("{} decoder panicked", surface.label())),
+            )
+        }
+    };
+    let violation = if surface == MutationClass::ComponentTable && label == "decoded" {
+        Counters::add(&tracer.counters().forgeries_accepted, 1);
+        Some("mutated commit record decoded and passed dual-signature verification".to_string())
+    } else {
+        (produced > budget).then(|| {
+            format!("decoder produced {produced} bytes, beyond the {budget}-byte slot budget")
+        })
+    };
+    (label.to_string(), false, violation)
 }
 
 /// Post-session never-brick / never-accept check shared by every session
@@ -710,56 +686,66 @@ fn post_session_invariant(
     world: &mut UpdateWorld,
     baseline: &Baseline,
     completed: bool,
-    max_boots: u32,
 ) -> (Option<String>, bool) {
-    let base = world.base_version;
-    match world.reboot_to_fixed_point(max_boots) {
-        Ok(report) => {
-            let booted = report.outcome.booted_slot;
-            let version = report.outcome.version;
-            if !world.slot_verifies(booted) {
-                return (
-                    Some(format!(
-                        "booted slot {booted:?} does not hold a dual-signature-valid image"
-                    )),
-                    false,
-                );
-            }
-            if version < base {
-                return (
-                    Some(format!(
-                        "booted version {version} is older than the pre-update version {base}"
-                    )),
-                    false,
-                );
-            }
-            if version > base {
-                let spec = world.layout.slot(booted).expect("booted slot exists");
-                let mut bytes = vec![0u8; spec.size as usize];
-                world
-                    .layout
-                    .read_slot(booted, 0, &mut bytes)
-                    .expect("booted slot is readable");
-                if booted != baseline.booted_slot || bytes != baseline.booted_bytes {
-                    return (
-                        Some(
-                            "device kept an update that is not byte-identical to the \
-                             vendor image"
-                                .to_string(),
-                        ),
-                        true,
-                    );
-                }
-            } else if completed {
-                return (
-                    Some("session completed but the device still boots the old version".into()),
-                    false,
-                );
-            }
-            (None, false)
+    let report = match never_brick(world) {
+        Ok((report, None)) => report,
+        Ok((_, Some(violation))) | Err(violation) => return (Some(violation), false),
+    };
+    let booted = report.outcome.booted_slot;
+    if report.outcome.version > world.base_version {
+        // Read first: the read charges `flash_reads` whichever slot booted.
+        let bytes = slot_bytes(world, booted);
+        if booted != baseline.booted_slot || bytes != baseline.booted_bytes {
+            return (
+                Some(
+                    "device kept an update that is not byte-identical to the vendor image"
+                        .to_string(),
+                ),
+                true,
+            );
         }
-        Err(err) => (Some(format!("device bricked: {err}")), false),
+    } else if completed {
+        return (
+            Some("session completed but the device still boots the old version".into()),
+            false,
+        );
     }
+    (None, false)
+}
+
+/// Runs `session` on a fresh world of `scenario`, then the post-session
+/// check, each under its own `catch_unwind` so a panicking session or
+/// bootloader is a report line, not a harness crash. Returns the
+/// session's outcome label, whether either part panicked, and the
+/// check's violation; an accepted forgery is charged to `tracer`.
+fn checked_session(
+    scenario: &WorldConfig,
+    baseline: &Baseline,
+    tracer: &Tracer,
+    session: impl FnOnce(&mut UpdateWorld) -> SessionOutcome,
+) -> (String, bool, Option<String>) {
+    let mut world = update_world(scenario, Box::new(SimFlash::new(world_geometry(scenario))));
+    world.layout.set_tracer(tracer.clone());
+    let (label, completed, mut panicked) =
+        match catch_unwind(AssertUnwindSafe(|| session(&mut world))) {
+            Ok(outcome) => (outcome.label().to_string(), outcome.is_complete(), false),
+            Err(_) => ("panicked".to_string(), false, true),
+        };
+
+    // Whatever the session did, the device must still boot a valid image
+    // — and if it *kept* the update, the update must be byte-identical to
+    // the vendor's (never-accept).
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        post_session_invariant(&mut world, baseline, completed)
+    }));
+    let (violation, forged) = checked.unwrap_or_else(|_| {
+        panicked = true;
+        (Some("post-session boot check panicked".to_string()), false)
+    });
+    if forged {
+        Counters::add(&tracer.counters().forgeries_accepted, 1);
+    }
+    (label, panicked, violation)
 }
 
 /// [`SessionEndpoints`] for a device pulling through a caching gateway:
@@ -802,7 +788,6 @@ fn run_cache_case(
     scenario: &WorldConfig,
     baseline: &Baseline,
     index: u64,
-    max_boots: u32,
     tracer: &Tracer,
 ) -> (String, bool, Option<String>) {
     let nonce = scenario_nonce(scenario);
@@ -837,48 +822,27 @@ fn run_cache_case(
     let mut panicked = false;
     let mut violation: Option<String> = None;
     for device in 0..CACHE_POISON_DOWNSTREAM {
-        let mut world = update_world(scenario, Box::new(SimFlash::new(world_geometry(scenario))));
-        world.layout.set_tracer(tracer.clone());
-        let session_result = {
-            let link = LinkProfile::ieee802154_6lowpan();
-            let mut session = PullSession::new(
-                LossyLink::reliable(link),
-                RetryPolicy::for_link(&link),
-                device as u64,
-            );
-            session.set_tracer(tracer.clone());
-            let plan = world.plan.clone();
-            catch_unwind(AssertUnwindSafe(|| {
+        let (device_label, device_panicked, device_violation) =
+            checked_session(scenario, baseline, tracer, |world| {
+                let link = LinkProfile::ieee802154_6lowpan();
+                let mut session = PullSession::new(
+                    LossyLink::reliable(link),
+                    RetryPolicy::for_link(&link),
+                    device as u64,
+                );
+                session.set_tracer(tracer.clone());
+                let plan = world.plan.clone();
                 let mut endpoints = CachedPullEndpoints {
                     proxy: &mut proxy,
                     origin: &origin,
-                    world: &mut world,
+                    world,
                     plan: Some(plan),
                     nonce,
                 };
                 session.run_to_completion(&mut endpoints).outcome
-            }))
-        };
-        let (device_label, completed, device_panicked) = match &session_result {
-            Ok(outcome) => (outcome.label().to_string(), outcome.is_complete(), false),
-            Err(_) => ("panicked".to_string(), false, true),
-        };
+            });
         panicked |= device_panicked;
         label = device_label;
-
-        let checked = catch_unwind(AssertUnwindSafe(|| {
-            post_session_invariant(&mut world, baseline, completed, max_boots)
-        }));
-        let (device_violation, forged) = match checked {
-            Ok(v) => v,
-            Err(_) => {
-                panicked = true;
-                (Some("post-session boot check panicked".to_string()), false)
-            }
-        };
-        if forged {
-            Counters::add(&tracer.counters().forgeries_accepted, 1);
-        }
         if violation.is_none() {
             violation = device_violation
                 .map(|v| format!("downstream device {device}: {v}"))
@@ -895,16 +859,12 @@ fn run_session_case(
     baseline: &Baseline,
     surface: MutationClass,
     index: u64,
-    max_boots: u32,
     tracer: &Tracer,
 ) -> (String, bool, Option<String>) {
     let tamper =
         frame_tamper(surface, index, baseline).expect("session dispatch on a session surface");
     let nonce = scenario_nonce(scenario);
-    let mut world = update_world(scenario, Box::new(SimFlash::new(world_geometry(scenario))));
-    world.layout.set_tracer(tracer.clone());
-
-    let session_result = catch_unwind(AssertUnwindSafe(|| {
+    let (label, panicked, violation) = checked_session(scenario, baseline, tracer, |world| {
         let link = LinkProfile::ble_gatt();
         let mut phone = Smartphone::new();
         let mut session =
@@ -920,32 +880,7 @@ fn run_session_case(
         );
         let mut adversary = FrameAdversary::new(endpoints, tamper);
         session.run_to_completion(&mut adversary).outcome
-    }));
-
-    let (label, completed, mut panicked) = match &session_result {
-        Ok(outcome) => (outcome.label().to_string(), outcome.is_complete(), false),
-        Err(_) => ("panicked".to_string(), false, true),
-    };
-
-    // Whatever the session did, the device must still boot a valid image
-    // — and if it *kept* the update, the update must be byte-identical to
-    // the vendor's (never-accept). The check runs under its own
-    // catch_unwind so a panicking bootloader is a report line, not a
-    // harness crash.
-    let checked = catch_unwind(AssertUnwindSafe(|| {
-        post_session_invariant(&mut world, baseline, completed, max_boots)
-    }));
-
-    let (violation, forged) = match checked {
-        Ok(v) => v,
-        Err(_) => {
-            panicked = true;
-            (Some("post-session boot check panicked".to_string()), false)
-        }
-    };
-    if forged {
-        Counters::add(&tracer.counters().forgeries_accepted, 1);
-    }
+    });
     let violation = violation
         .or_else(|| panicked.then(|| format!("{} session path panicked", surface.label())));
     (label, panicked, violation)
@@ -959,7 +894,6 @@ pub fn run_case(
     baseline: &Baseline,
     surface: MutationClass,
     index: u64,
-    max_boots: u32,
     tracer: &Tracer,
 ) -> CaseResult {
     tracer.emit(|| Event::MutationInjected {
@@ -967,12 +901,12 @@ pub fn run_case(
         surface: surface.label(),
     });
 
-    let (outcome, panicked, violation) = if surface.is_decoder_surface() {
-        run_decoder_case(baseline, surface, index, tracer)
+    let (outcome, panicked, violation) = if let Some(corpus) = baseline.corpus(surface) {
+        run_decoder_case(baseline, surface, corpus, index, tracer)
     } else if surface == MutationClass::CachePoison {
-        run_cache_case(scenario, baseline, index, max_boots, tracer)
+        run_cache_case(scenario, baseline, index, tracer)
     } else {
-        run_session_case(scenario, baseline, surface, index, max_boots, tracer)
+        run_session_case(scenario, baseline, surface, index, tracer)
     };
 
     let ok = violation.is_none();
@@ -992,50 +926,30 @@ pub fn run_case(
     }
 }
 
-/// Everything one exploration run learned.
+/// Everything one exploration run learned. Dereferences to the
+/// [`Exploration`]: the scenario, the `(surface, index)` case list in
+/// surface-major order, and one result per case.
 #[derive(Debug)]
 pub struct AdversaryReport {
-    /// The scenario whose inputs were mutated.
-    pub scenario: WorldConfig,
     /// Full universe size per surface.
     pub universes: Vec<(MutationClass, u64)>,
-    /// The `(surface, index)` cases actually explored.
-    pub explored: Vec<(MutationClass, u64)>,
-    /// One result per explored case, in canonical order.
-    pub cases: Vec<CaseResult>,
+    /// The explored cases and their results.
+    pub exploration: Exploration<CaseResult>,
+}
+
+impl Deref for AdversaryReport {
+    type Target = Exploration<CaseResult>;
+
+    fn deref(&self) -> &Exploration<CaseResult> {
+        &self.exploration
+    }
 }
 
 impl AdversaryReport {
-    /// The cases that violated the invariant.
-    #[must_use]
-    pub fn violations(&self) -> Vec<&CaseResult> {
-        self.cases.iter().filter(|c| !c.ok()).collect()
-    }
-
     /// The cases that panicked.
     #[must_use]
     pub fn panics(&self) -> usize {
         self.cases.iter().filter(|c| c.panicked).count()
-    }
-
-    /// The violation at the smallest `(surface, index)` pair, if any.
-    #[must_use]
-    pub fn minimal_violation(&self) -> Option<&CaseResult> {
-        self.cases
-            .iter()
-            .filter(|c| !c.ok())
-            .min_by_key(|c| (c.surface, c.index))
-    }
-
-    /// Whether the case set equals the selected cross product exactly —
-    /// nothing skipped, nothing duplicated.
-    #[must_use]
-    pub fn full_coverage(&self) -> bool {
-        use std::collections::HashSet;
-        let expected: HashSet<(MutationClass, u64)> = self.explored.iter().copied().collect();
-        let actual: HashSet<(MutationClass, u64)> =
-            self.cases.iter().map(|c| (c.surface, c.index)).collect();
-        actual == expected && self.cases.len() == expected.len()
     }
 }
 
@@ -1049,11 +963,9 @@ pub fn explore(config: &AdversaryConfig) -> AdversaryReport {
 /// `(surface, index)` case across `config.threads` workers.
 ///
 /// Determinism: every case is a pure function of `(scenario, baseline,
-/// surface, index)`, the baseline is a pure function of the scenario,
-/// each worker charges a case-private tracer, and the private buffers are
-/// merged into `tracer` in case-index order — so the report, counter
-/// totals, and trace record sequence are byte-identical for any thread
-/// count.
+/// surface, index)` and the baseline is a pure function of the scenario,
+/// so the report, counter totals, and trace record sequence are
+/// byte-identical for any thread count (see [`Exploration::run`]).
 #[must_use]
 pub fn explore_traced(config: &AdversaryConfig, tracer: &Tracer) -> AdversaryReport {
     let baseline = record_baseline(&config.scenario);
@@ -1061,7 +973,7 @@ pub fn explore_traced(config: &AdversaryConfig, tracer: &Tracer) -> AdversaryRep
         .into_iter()
         .map(|s| (s, universe(s, &baseline)))
         .collect();
-    let cases: Vec<(MutationClass, u64)> = universes
+    let cases = universes
         .iter()
         .flat_map(|&(surface, total)| {
             select_cases(total, config.case_limit)
@@ -1069,101 +981,36 @@ pub fn explore_traced(config: &AdversaryConfig, tracer: &Tracer) -> AdversaryRep
                 .map(move |i| (surface, i))
         })
         .collect();
-
-    let results = map_traced(
-        &cases,
+    let exploration = Exploration::run(
+        config.scenario,
+        cases,
         config.threads,
         tracer,
-        |_, &(surface, index), case| {
-            run_case(
-                &config.scenario,
-                &baseline,
-                surface,
-                index,
-                config.max_boots,
-                case,
-            )
-        },
+        |surface, index, case| run_case(&config.scenario, &baseline, surface, index, case),
     );
-
     AdversaryReport {
-        scenario: config.scenario,
         universes,
-        explored: cases,
-        cases: results,
+        exploration,
     }
 }
 
-/// A violation reduced to its smallest failing mutation, plus the
-/// one-line command that reproduces it.
-#[derive(Debug)]
-pub struct Shrunk {
-    /// The minimal failing case.
-    pub case: CaseResult,
-    /// A `cargo run` command reproducing exactly this case.
-    pub command: String,
-}
-
-/// The reproducer command for one `(scenario, surface, index)` case.
-#[must_use]
-pub fn repro_command(scenario: &WorldConfig, surface: MutationClass, index: u64) -> String {
-    format!(
-        "cargo run --release -p upkit-bench --bin adversary_explore -- --repro {} {} {} {} {} {}",
-        mode_label(scenario.mode),
-        scenario.seed,
-        scenario.firmware_size,
-        scenario.slot_size,
-        surface.label(),
-        index
-    )
-}
-
 /// Shrinks the report's minimal violation to the smallest mutation index
-/// that still fails on the same surface, re-running only indices the
-/// (possibly strided) exploration skipped. Returns `None` when the report
-/// has no violations.
+/// that still fails on the same surface (see [`Exploration::shrink`]).
+/// Returns `None` when the report has no violations.
 #[must_use]
 pub fn shrink_violation(
     config: &AdversaryConfig,
     baseline: &Baseline,
     report: &AdversaryReport,
-) -> Option<Shrunk> {
-    let worst = report.minimal_violation()?;
-    let passed: std::collections::HashSet<u64> = report
-        .cases
-        .iter()
-        .filter(|c| c.surface == worst.surface && c.ok())
-        .map(|c| c.index)
-        .collect();
-    let tracer = Tracer::disabled();
-    for index in 0..worst.index {
-        if passed.contains(&index) {
-            continue;
-        }
-        let case = run_case(
-            &config.scenario,
-            baseline,
-            worst.surface,
-            index,
-            config.max_boots,
-            &tracer,
-        );
-        if !case.ok() {
-            let command = repro_command(&config.scenario, case.surface, case.index);
-            return Some(Shrunk { case, command });
-        }
-    }
-    let command = repro_command(&config.scenario, worst.surface, worst.index);
-    Some(Shrunk {
-        case: worst.clone(),
-        command,
+) -> Option<Shrunk<CaseResult>> {
+    report.shrink(|surface, index, tracer| {
+        run_case(&config.scenario, baseline, surface, index, tracer)
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upkit_sim::failure::WorldMode;
 
     #[test]
     fn labels_round_trip() {
@@ -1171,13 +1018,6 @@ mod tests {
             assert_eq!(MutationClass::from_label(surface.label()), Some(surface));
         }
         assert_eq!(MutationClass::from_label("telepathy"), None);
-        for mode in [
-            WorldMode::Ab,
-            WorldMode::StaticSwap { recovery: false },
-            WorldMode::StaticSwap { recovery: true },
-        ] {
-            assert_eq!(mode_from_label(mode_label(mode)), Some(mode));
-        }
     }
 
     #[test]

@@ -22,65 +22,25 @@
 //! emits) and exits non-zero if the invariant fails.
 
 use upkit_adversary::{
-    explore_traced, mode_from_label, record_baseline, repro_command, shrink_violation,
-    AdversaryConfig, AdversaryReport, MutationClass,
+    explore_traced, record_baseline, run_case, shrink_violation, AdversaryConfig, AdversaryReport,
+    CaseResult, MutationClass,
 };
-use upkit_bench::{metrics_json, print_table, Json};
+use upkit_bench::{
+    counterexamples, exit_on_counterexamples, metrics_json, print_table, repro, Json,
+};
 use upkit_sim::{WorldConfig, WorldMode};
 use upkit_trace::Tracer;
 
-fn repro(args: &[String]) -> i32 {
-    let usage = "usage: adversary_explore --repro <mode> <seed> <firmware_size> <slot_size> \
-                 <surface> <index>";
-    let [mode, seed, firmware_size, slot_size, surface, index] = args else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    let (Some(mode), Ok(seed), Ok(firmware_size), Ok(slot_size), Some(surface), Ok(index)) = (
-        mode_from_label(mode),
-        seed.parse::<u64>(),
-        firmware_size.parse::<usize>(),
-        slot_size.parse::<u32>(),
-        MutationClass::from_label(surface),
-        index.parse::<u64>(),
-    ) else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    let scenario = WorldConfig {
-        seed,
-        firmware_size,
-        slot_size,
-        mode,
-    };
-    let baseline = record_baseline(&scenario);
-    let case =
-        upkit_adversary::run_case(&scenario, &baseline, surface, index, 8, &Tracer::disabled());
-    println!("{case:#?}");
-    i32::from(!case.ok())
-}
-
-fn surface_rows(report: &AdversaryReport) -> Vec<Vec<String>> {
+/// `(surface, universe, explored, violations)` for every surface.
+fn surface_counts(report: &AdversaryReport) -> Vec<(MutationClass, u64, usize, usize)> {
+    let violations = report.violations();
     report
         .universes
         .iter()
         .map(|&(surface, total)| {
-            let explored = report
-                .explored
-                .iter()
-                .filter(|(s, _)| *s == surface)
-                .count();
-            let violations = report
-                .violations()
-                .iter()
-                .filter(|c| c.surface == surface)
-                .count();
-            vec![
-                surface.label().to_string(),
-                total.to_string(),
-                explored.to_string(),
-                violations.to_string(),
-            ]
+            let explored = report.explored.iter().filter(|(s, _)| *s == surface);
+            let violated = violations.iter().filter(|c| c.surface == surface);
+            (surface, total, explored.count(), violated.count())
         })
         .collect()
 }
@@ -88,7 +48,13 @@ fn surface_rows(report: &AdversaryReport) -> Vec<Vec<String>> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--repro") {
-        std::process::exit(repro(&args[1..]));
+        std::process::exit(repro::<CaseResult>(
+            &args[1..],
+            |scenario, surface, index| {
+                let baseline = record_baseline(scenario);
+                run_case(scenario, &baseline, surface, index, &Tracer::disabled())
+            },
+        ));
     }
     let smoke = args.iter().any(|arg| arg == "--smoke");
 
@@ -107,7 +73,6 @@ fn main() {
             mode: WorldMode::Ab,
         },
         threads: 4,
-        max_boots: 8,
         case_limit,
     };
 
@@ -122,27 +87,15 @@ fn main() {
         "coverage hole — selected cases and result set disagree"
     );
 
-    let mut repro_lines = Vec::new();
-    if let Some(shrunk) = {
-        let baseline = record_baseline(&config.scenario);
-        shrink_violation(&config, &baseline, &report)
-    } {
-        repro_lines.push(format!(
-            "surface {} index {} — {}\n  reproduce: {}",
-            shrunk.case.surface.label(),
-            shrunk.case.index,
-            shrunk.case.violation.as_deref().unwrap_or("violation"),
-            shrunk.command
-        ));
-        for violation in report.violations() {
-            repro_lines.push(format!(
-                "  also at surface {} index {}: {}",
-                violation.surface.label(),
-                violation.index,
-                repro_command(&config.scenario, violation.surface, violation.index)
-            ));
-        }
-    }
+    let surfaces = surface_counts(&report);
+    // Shrinking replays cases against a fresh baseline: record it only
+    // when there is a violation to shrink.
+    let shrunk = report
+        .minimal_violation()
+        .and_then(|_| shrink_violation(&config, &record_baseline(&config.scenario), &report));
+    let repro_lines = counterexamples("", &report, shrunk, |surface, index| {
+        format!("surface {} index {index}", surface.label())
+    });
 
     print_table(
         &format!(
@@ -150,7 +103,17 @@ fn main() {
             MutationClass::ALL.len()
         ),
         &["Surface", "Universe", "Explored", "Violations"],
-        &surface_rows(&report),
+        &surfaces
+            .iter()
+            .map(|&(surface, total, explored, violations)| {
+                vec![
+                    surface.label().to_string(),
+                    total.to_string(),
+                    explored.to_string(),
+                    violations.to_string(),
+                ]
+            })
+            .collect::<Vec<_>>(),
     );
     println!(
         "\nEach case applies one structure-aware mutation (bit flip,\n\
@@ -161,23 +124,13 @@ fn main() {
          the slot budget, and still boots to a fixed point."
     );
 
-    let surfaces_json = report
-        .universes
+    let surfaces_json = surfaces
         .iter()
-        .map(|&(surface, total)| {
+        .map(|&(surface, total, explored, _)| {
             Json::obj(vec![
                 ("surface", Json::Str(surface.label().into())),
                 ("universe", Json::Int(total)),
-                (
-                    "explored",
-                    Json::Int(
-                        report
-                            .explored
-                            .iter()
-                            .filter(|(s, _)| *s == surface)
-                            .count() as u64,
-                    ),
-                ),
+                ("explored", Json::Int(explored as u64)),
             ])
         })
         .collect();
@@ -194,10 +147,9 @@ fn main() {
     std::fs::write("BENCH_adversary.json", json.render()).expect("write BENCH_adversary.json");
     println!("\nwrote BENCH_adversary.json");
 
-    if !repro_lines.is_empty() {
-        let body = repro_lines.join("\n") + "\n";
-        std::fs::write("ADVERSARY_repro.txt", &body).expect("write ADVERSARY_repro.txt");
-        eprintln!("\nadversarial-input violations found:\n{body}");
-        std::process::exit(1);
-    }
+    exit_on_counterexamples(
+        "ADVERSARY_repro.txt",
+        "adversarial-input violations found",
+        &repro_lines,
+    );
 }

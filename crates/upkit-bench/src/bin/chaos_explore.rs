@@ -26,58 +26,21 @@
 //! byte for byte with
 //! `crates/upkit-bench/baselines/BENCH_chaos_smoke.json`.
 
-use upkit_bench::{metrics_json, print_table, Json};
-use upkit_chaos::{
-    explore_traced, mode_from_label, repro_command, shrink_violation, ChaosConfig, ChaosReport,
-    FaultClass,
+use upkit_bench::{
+    counterexamples, exit_on_counterexamples, metrics_json, print_table, repro, Json,
 };
+use upkit_chaos::{explore_traced, run_case, shrink_violation, CaseResult, ChaosConfig};
+use upkit_sim::failure::mode_label;
 use upkit_sim::{WorldConfig, WorldMode};
 use upkit_trace::Tracer;
-
-fn repro(args: &[String]) -> i32 {
-    let usage =
-        "usage: chaos_explore --repro <mode> <seed> <firmware_size> <slot_size> <fault> <boundary>";
-    let [mode, seed, firmware_size, slot_size, fault, boundary] = args else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    let (Some(mode), Ok(seed), Ok(firmware_size), Ok(slot_size), Some(fault), Ok(boundary)) = (
-        mode_from_label(mode),
-        seed.parse::<u64>(),
-        firmware_size.parse::<usize>(),
-        slot_size.parse::<u32>(),
-        FaultClass::from_label(fault),
-        boundary.parse::<u64>(),
-    ) else {
-        eprintln!("{usage}");
-        return 2;
-    };
-    let scenario = WorldConfig {
-        seed,
-        firmware_size,
-        slot_size,
-        mode,
-    };
-    let case = upkit_chaos::run_case(&scenario, boundary, fault, 8, &Tracer::disabled());
-    println!("{case:#?}");
-    i32::from(!case.ok())
-}
-
-fn scenario_row(label: &str, report: &ChaosReport) -> Vec<String> {
-    vec![
-        label.to_string(),
-        report.recorded_ops.to_string(),
-        report.explored.len().to_string(),
-        report.cases.len().to_string(),
-        report.violations().len().to_string(),
-        report.max_boots_to_recovery.to_string(),
-    ]
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--repro") {
-        std::process::exit(repro(&args[1..]));
+        std::process::exit(repro::<CaseResult>(
+            &args[1..],
+            |scenario, fault, boundary| run_case(scenario, boundary, fault, &Tracer::disabled()),
+        ));
     }
     let smoke = args.iter().any(|arg| arg == "--smoke");
     let components: Option<u8> =
@@ -109,7 +72,7 @@ fn main() {
         // boundary, so cuts between component swaps and double cuts
         // mid-replay are all in the case universe.
         let mode = WorldMode::Multi { components };
-        scenarios.push((upkit_chaos::mode_label(mode), mode));
+        scenarios.push((mode_label(mode), mode));
     }
 
     // One tracer across every case of every scenario, merged in
@@ -129,7 +92,6 @@ fn main() {
                 mode,
             },
             threads: 4,
-            max_boots: 8,
             boundary_limit: None,
         };
         let report = explore_traced(&config, &tracer);
@@ -138,24 +100,20 @@ fn main() {
             report.full_coverage(),
             "{label}: coverage hole — explored boundaries and case set disagree"
         );
-        if let Some(shrunk) = shrink_violation(&config, &report) {
-            repro_lines.push(format!(
-                "{label}: boundary {} fault {} — {}\n  reproduce: {}",
-                shrunk.case.boundary,
-                shrunk.case.fault.label(),
-                shrunk.case.violation.as_deref().unwrap_or("violation"),
-                shrunk.command
-            ));
-            for violation in report.violations() {
-                repro_lines.push(format!(
-                    "  also at boundary {} fault {}: {}",
-                    violation.boundary,
-                    violation.fault.label(),
-                    repro_command(&config.scenario, violation.fault, violation.boundary)
-                ));
-            }
-        }
-        rows.push(scenario_row(label, &report));
+        repro_lines.extend(counterexamples(
+            &format!("{label}: "),
+            &report,
+            shrink_violation(&config, &report),
+            |fault, boundary| format!("boundary {boundary} fault {}", fault.label()),
+        ));
+        rows.push(vec![
+            label.to_string(),
+            report.recorded_ops.to_string(),
+            report.explored.len().to_string(),
+            report.cases.len().to_string(),
+            report.violations().len().to_string(),
+            report.max_boots_to_recovery.to_string(),
+        ]);
         scenario_json.push(Json::obj(vec![
             ("scenario", Json::Str(label.into())),
             ("boundaries", Json::Int(report.recorded_ops as u64)),
@@ -198,10 +156,9 @@ fn main() {
     std::fs::write("BENCH_chaos.json", json.render()).expect("write BENCH_chaos.json");
     println!("\nwrote BENCH_chaos.json");
 
-    if !repro_lines.is_empty() {
-        let body = repro_lines.join("\n") + "\n";
-        std::fs::write("CHAOS_repro.txt", &body).expect("write CHAOS_repro.txt");
-        eprintln!("\nnever-brick violations found:\n{body}");
-        std::process::exit(1);
-    }
+    exit_on_counterexamples(
+        "CHAOS_repro.txt",
+        "never-brick violations found",
+        &repro_lines,
+    );
 }

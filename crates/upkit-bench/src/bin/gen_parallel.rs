@@ -5,8 +5,8 @@
 //! release), three ways:
 //!
 //! 1. **baseline_sequential** — the pre-optimization path: every request
-//!    rebuilds the old image's suffix array with prefix doubling, re-diffs,
-//!    re-compresses, and signs, exactly like the seed's `prepare_update`.
+//!    rebuilds the old image's suffix array, re-diffs, re-compresses, and
+//!    signs, exactly like the seed's `prepare_update`.
 //! 2. **optimized_sequential** — `UpdateServer::prepare_update` with the
 //!    SA-IS delta engine and the per-base `DeltaContext`/payload caches.
 //! 3. **optimized_parallel** — the same server driven by
@@ -35,24 +35,23 @@ use upkit_compress::{compress, Params as LzssParams};
 use upkit_core::generation::{Release, UpdateServer, VendorServer};
 use upkit_core::parallel::ParallelGenerator;
 use upkit_crypto::ecdsa::SigningKey;
-use upkit_delta::{patch_framed, DeltaContext, FramedDiffOptions, SuffixAlgorithm};
+use upkit_delta::{patch_framed, DeltaContext, FramedDiffOptions};
 use upkit_manifest::{server_sign, DeviceToken, Manifest, SignedManifest, UpdateImage, Version};
 use upkit_sim::FirmwareGenerator;
 
 const APP_ID: u32 = 0xF1;
 const LINK_OFFSET: u32 = 0;
 
-/// The seed's per-request generation path: prefix-doubling suffix array
-/// rebuilt per call, no context or payload reuse. Kept here as the
-/// reference; its output must stay byte-identical to the optimized
-/// server's.
+/// The seed's per-request generation path: suffix array rebuilt per call,
+/// no context or payload reuse. Kept here as the reference; its output
+/// must stay byte-identical to the optimized server's.
 fn prepare_baseline(
     server_key: &SigningKey,
     base: &Release,
     latest: &Release,
     token: &DeviceToken,
 ) -> UpdateImage {
-    let context = DeltaContext::with_algorithm(&base.firmware, SuffixAlgorithm::PrefixDoubling);
+    let context = DeltaContext::new(&base.firmware);
     let patch = context.diff(&base.firmware, &latest.firmware);
     let mut payload = compress(&patch, LzssParams::default());
     if let Ok(sparse) = LzssParams::new(8) {
@@ -131,19 +130,10 @@ fn main() {
         })
         .collect();
 
-    // Suffix-array construction: both algorithms yield identical patches.
-    let doubling_ctx =
-        DeltaContext::with_algorithm(&releases[0].firmware, SuffixAlgorithm::PrefixDoubling);
-    let sais_ctx = DeltaContext::with_algorithm(&releases[0].firmware, SuffixAlgorithm::SaIs);
-    assert_eq!(
-        doubling_ctx.diff(&releases[0].firmware, &latest.firmware),
-        sais_ctx.diff(&releases[0].firmware, &latest.firmware),
-        "constructions must yield identical patches"
-    );
-
     // Single diff: a fresh build per call equals a reused context.
+    let context = DeltaContext::new(&releases[0].firmware);
     let fresh_patch = upkit_delta::diff(&releases[0].firmware, &latest.firmware);
-    let reused_patch = sais_ctx.diff(&releases[0].firmware, &latest.firmware);
+    let reused_patch = context.diff(&releases[0].firmware, &latest.firmware);
     assert_eq!(fresh_patch, reused_patch);
 
     // Multi-target batch, three ways.
@@ -204,7 +194,7 @@ fn main() {
     let mut framed_reference: Option<Vec<u8>> = None;
     for threads in [1usize, 2, 8] {
         let options = FramedDiffOptions::default().with_threads(threads);
-        let container = sais_ctx.framed_diff(&releases[0].firmware, &latest.firmware, &options);
+        let container = context.framed_diff(&releases[0].firmware, &latest.firmware, &options);
         match &framed_reference {
             None => {
                 assert_eq!(
@@ -251,8 +241,8 @@ fn main() {
         image_size / 1024
     );
     println!(
-        "baseline (prefix-doubling, no reuse), optimized sequential (SA-IS + caches) \
-         and optimized parallel emit identical wire images: {wire_bytes} bytes"
+        "baseline (no reuse), optimized sequential (caches) and optimized \
+         parallel emit identical wire images: {wire_bytes} bytes"
     );
     println!(
         "chunked framed diff: {framed_container_bytes}-byte container, \

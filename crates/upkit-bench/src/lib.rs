@@ -7,6 +7,12 @@
 
 #![warn(missing_docs)]
 
+use std::fmt::Debug;
+
+use upkit_sim::explore::{repro_command, Case, CaseClass, Exploration, Shrunk};
+use upkit_sim::failure::mode_from_label;
+use upkit_sim::WorldConfig;
+
 /// Prints a table with a title, header row, and aligned columns.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
@@ -384,6 +390,109 @@ pub fn metrics_json(snapshot: &upkit_trace::CountersSnapshot) -> Json {
             .map(|(name, value)| (name, Json::Int(value)))
             .collect(),
     )
+}
+
+/// Parses the words after an explorer's `--repro` — `<mode> <seed>
+/// <firmware_size> <slot_size> <class> <index>`, the shape
+/// [`repro_command`] emits — into the scenario and the case they name.
+///
+/// # Errors
+///
+/// The explorer's usage line, when the words are malformed.
+pub fn parse_repro<K: CaseClass>(args: &[String]) -> Result<(WorldConfig, K, u64), String> {
+    let usage = format!(
+        "usage: {} --repro <mode> <seed> <firmware_size> <slot_size> {}",
+        K::EXPLORER,
+        K::CASE_WORDS
+    );
+    let [mode, seed, firmware_size, slot_size, class, index] = args else {
+        return Err(usage);
+    };
+    match (
+        mode_from_label(mode),
+        seed.parse(),
+        firmware_size.parse(),
+        slot_size.parse(),
+        K::from_label(class),
+        index.parse(),
+    ) {
+        (Some(mode), Ok(seed), Ok(firmware_size), Ok(slot_size), Some(class), Ok(index)) => Ok((
+            WorldConfig {
+                seed,
+                firmware_size,
+                slot_size,
+                mode,
+            },
+            class,
+            index,
+        )),
+        _ => Err(usage),
+    }
+}
+
+/// Replays the one case the words after `--repro` name, with `run`, and
+/// prints it. Returns the exit code: 0 when the invariant held, 1 when it
+/// broke, and 2 when the words are malformed (after printing the usage
+/// line on stderr).
+pub fn repro<C: Case + Debug>(
+    args: &[String],
+    run: impl FnOnce(&WorldConfig, C::Class, u64) -> C,
+) -> i32 {
+    match parse_repro::<C::Class>(args) {
+        Ok((scenario, class, index)) => {
+            let case = run(&scenario, class, index);
+            println!("{case:#?}");
+            i32::from(case.violation().is_some())
+        }
+        Err(usage) => {
+            eprintln!("{usage}");
+            2
+        }
+    }
+}
+
+/// The counterexample lines of one exploration: the shrunk violation with
+/// its reproducer, then the reproducer of every violation found; none
+/// when nothing was shrunk. `prefix` heads the first line, and `name`
+/// names a `(class, index)` case the way the explorer's report does.
+pub fn counterexamples<C: Case>(
+    prefix: &str,
+    exploration: &Exploration<C>,
+    shrunk: Option<Shrunk<C>>,
+    name: impl Fn(C::Class, u64) -> String,
+) -> Vec<String> {
+    let Some(shrunk) = shrunk else {
+        return Vec::new();
+    };
+    let (class, index) = shrunk.case.key();
+    let mut lines = vec![format!(
+        "{prefix}{} — {}\n  reproduce: {}",
+        name(class, index),
+        shrunk.case.violation().unwrap_or("violation"),
+        shrunk.command
+    )];
+    lines.extend(exploration.violations().into_iter().map(|case| {
+        let (class, index) = case.key();
+        format!(
+            "  also at {}: {}",
+            name(class, index),
+            repro_command(&exploration.scenario, class, index)
+        )
+    }));
+    lines
+}
+
+/// Ends an exploration run that found counterexamples: writes `lines` to
+/// `file`, prints them on stderr under `heading`, and exits 1. Returns
+/// when `lines` is empty.
+pub fn exit_on_counterexamples(file: &str, heading: &str, lines: &[String]) {
+    if lines.is_empty() {
+        return;
+    }
+    let body = lines.join("\n") + "\n";
+    std::fs::write(file, &body).unwrap_or_else(|err| panic!("write {file}: {err}"));
+    eprintln!("\n{heading}:\n{body}");
+    std::process::exit(1);
 }
 
 #[cfg(test)]

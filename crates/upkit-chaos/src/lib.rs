@@ -29,24 +29,26 @@
 //! | [`FaultClass::BitFlip`] | op is cut AND a bit of its first byte reads back wrong |
 //! | [`FaultClass::DoubleCut`] | clean cut, and a second cut on the first recovery write |
 //!
-//! Exploration fans out across threads through
-//! [`upkit_core::parallel::map_traced`]: each case runs with a private
-//! tracer, and results are merged in case-index order, so the report,
-//! the counter totals, and the trace byte stream are identical for any
-//! thread count.
-//!
-//! When a violation is found, [`shrink_violation`] reduces it to the
-//! smallest failing boundary for that fault class and emits a one-line
-//! reproducer command for the `chaos_explore` bench binary.
+//! Exploration runs on the harness in [`upkit_sim::explore`], which the
+//! adversarial-input explorer shares: the never-brick check, the case
+//! fan-out (each case charges a private tracer, merged in case order, so
+//! the report, the counter totals, and the trace byte stream are identical
+//! for any thread count), and the shrinker. When a violation is found,
+//! [`shrink_violation`] reduces it to the smallest failing boundary for
+//! that fault class and emits a one-line reproducer command for the
+//! `chaos_explore` bench binary.
 
 #![warn(missing_docs)]
 
-use upkit_core::parallel::map_traced;
+use std::ops::Deref;
+
 use upkit_flash::fault::{FaultFlash, FaultKind, FaultPlan, FlashOp};
 use upkit_flash::SimFlash;
-pub use upkit_sim::failure::{mode_from_label, mode_label};
-use upkit_sim::failure::{select_cases, update_world, world_geometry, WorldConfig};
-use upkit_trace::{Event, Tracer};
+use upkit_sim::explore::{never_brick, Case, CaseClass, Exploration, Shrunk};
+use upkit_sim::failure::{
+    select_cases, update_world, world_geometry, WorldConfig, DEFAULT_MAX_BOOTS,
+};
+use upkit_trace::{Counters, Event, Tracer};
 
 /// The five fault classes injected at every explored boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -88,12 +90,6 @@ impl FaultClass {
         }
     }
 
-    /// Inverse of [`FaultClass::label`].
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|f| f.label() == label)
-    }
-
     /// The flash-level fault plan realising this class at `boundary`.
     #[must_use]
     pub fn plan(self, boundary: u64) -> FaultPlan {
@@ -113,6 +109,16 @@ impl FaultClass {
     }
 }
 
+impl CaseClass for FaultClass {
+    const EXPLORER: &'static str = "chaos_explore";
+    const CASE_WORDS: &'static str = "<fault> <boundary>";
+    const CLASSES: &'static [Self] = &Self::ALL;
+
+    fn label(self) -> &'static str {
+        FaultClass::label(self)
+    }
+}
+
 /// Parameters of one exploration run.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
@@ -121,8 +127,6 @@ pub struct ChaosConfig {
     /// Worker threads for the case fan-out (results are identical for
     /// any value ≥ 1).
     pub threads: usize,
-    /// Reboot budget per case before declaring non-convergence.
-    pub max_boots: u32,
     /// Explore at most this many boundaries, evenly strided across the
     /// recording (`None` = every boundary).
     pub boundary_limit: Option<usize>,
@@ -135,7 +139,6 @@ impl ChaosConfig {
         Self {
             scenario,
             threads: 1,
-            max_boots: 8,
             boundary_limit: None,
         }
     }
@@ -168,53 +171,40 @@ impl CaseResult {
     }
 }
 
-/// Everything one exploration run learned.
+impl Case for CaseResult {
+    type Class = FaultClass;
+
+    fn key(&self) -> (FaultClass, u64) {
+        (self.fault, self.boundary)
+    }
+
+    fn violation(&self) -> Option<&str> {
+        self.violation.as_deref()
+    }
+}
+
+/// Everything one exploration run learned. Dereferences to the
+/// [`Exploration`]: the scenario, the `(fault, boundary)` case list in
+/// boundary-major order, and one result per case.
 #[derive(Debug)]
 pub struct ChaosReport {
-    /// The scenario that was explored.
-    pub scenario: WorldConfig,
     /// Mutating flash ops recorded for the fault-free run (== the full
     /// boundary universe).
     pub recorded_ops: usize,
     /// The boundaries actually explored (all of them unless
     /// [`ChaosConfig::boundary_limit`] strided them).
     pub explored: Vec<u64>,
-    /// One result per `(boundary, fault)` pair, in canonical order.
-    pub cases: Vec<CaseResult>,
     /// The worst-case boot count any case needed to converge.
     pub max_boots_to_recovery: u32,
+    /// The explored cases and their results.
+    pub exploration: Exploration<CaseResult>,
 }
 
-impl ChaosReport {
-    /// The cases that violated the never-brick invariant.
-    #[must_use]
-    pub fn violations(&self) -> Vec<&CaseResult> {
-        self.cases.iter().filter(|c| !c.ok()).collect()
-    }
+impl Deref for ChaosReport {
+    type Target = Exploration<CaseResult>;
 
-    /// The violation at the smallest `(boundary, fault)` pair, if any.
-    #[must_use]
-    pub fn minimal_violation(&self) -> Option<&CaseResult> {
-        self.cases
-            .iter()
-            .filter(|c| !c.ok())
-            .min_by_key(|c| (c.boundary, c.fault))
-    }
-
-    /// Whether every explored boundary was checked under every fault
-    /// class — the coverage obligation: the case set must equal the
-    /// full cross product, nothing skipped, nothing duplicated.
-    #[must_use]
-    pub fn full_coverage(&self) -> bool {
-        use std::collections::HashSet;
-        let expected: HashSet<(u64, FaultClass)> = self
-            .explored
-            .iter()
-            .flat_map(|&b| FaultClass::ALL.into_iter().map(move |f| (b, f)))
-            .collect();
-        let actual: HashSet<(u64, FaultClass)> =
-            self.cases.iter().map(|c| (c.boundary, c.fault)).collect();
-        actual == expected && self.cases.len() == expected.len()
+    fn deref(&self) -> &Exploration<CaseResult> {
+        &self.exploration
     }
 }
 
@@ -234,21 +224,21 @@ pub fn record_boundaries(scenario: &WorldConfig) -> Vec<FlashOp> {
     );
     log.lock().expect("op log poisoned").push(FlashOp::Reboot);
     world
-        .reboot_to_fixed_point(8)
+        .reboot_to_fixed_point(DEFAULT_MAX_BOOTS)
         .expect("the fault-free run must boot");
     let ops = log.lock().expect("op log poisoned").clone();
     ops
 }
 
 /// Re-runs the scenario with `fault` injected at `boundary`, reboots to
-/// a fixed point, and checks the never-brick invariant. Flash, boot, and
+/// a fixed point, and checks the never-brick invariant — plus, in a
+/// multi-component world, the never-mixed-set invariant. Flash, boot, and
 /// fault counters are charged to `tracer`, which also receives
 /// `fault_injected` / `fault_checked` events.
 pub fn run_case(
     scenario: &WorldConfig,
     boundary: u64,
     fault: FaultClass,
-    max_boots: u32,
     tracer: &Tracer,
 ) -> CaseResult {
     // Build the proxy idle and only arm the plan once the world is
@@ -259,48 +249,35 @@ pub fn run_case(
     let mut world = update_world(scenario, Box::new(proxy));
     handle.inject(fault.plan(boundary));
     world.layout.set_tracer(tracer.clone());
-    upkit_trace::Counters::add(&tracer.counters().faults_injected, 1);
+    Counters::add(&tracer.counters().faults_injected, 1);
     tracer.emit(|| Event::FaultInjected {
         boundary,
         fault: fault.label(),
     });
 
-    let outcome = world.run_push_once(scenario.seed as u32 | 1);
-    let session_interrupted = !matches!(outcome, upkit_net::SessionOutcome::Complete);
-
-    let base = world.base_version;
-    let (boots, version, violation) = match world.reboot_to_fixed_point(max_boots) {
-        Ok(report) => {
-            let booted = report.outcome.booted_slot;
-            let version = report.outcome.version;
-            let violation = if !world.slot_verifies(booted) {
-                Some(format!(
-                    "booted slot {booted:?} does not hold a dual-signature-valid image"
-                ))
-            } else if version < base {
-                Some(format!(
-                    "booted version {version} is older than the pre-update version {base}"
-                ))
-            } else if world.component_set_mixed() {
-                // The never-mixed-set invariant (multi-component worlds
-                // only; `component_set_mixed` is vacuously false
-                // otherwise): a stable boot must run either the complete
-                // old set or the complete new set.
-                upkit_trace::Counters::add(&tracer.counters().mixed_set_violations, 1);
-                Some(format!(
-                    "mixed component set at the fixed point: {:?}",
-                    world.component_versions()
-                ))
-            } else {
-                None
-            };
-            (report.boots, Some(version.0), violation)
+    let session_interrupted = !world.run_push_once(scenario.seed as u32 | 1).is_complete();
+    let (boots, version, violation) = match never_brick(&mut world) {
+        Ok((report, violation)) => {
+            // The never-mixed-set invariant (multi-component worlds only;
+            // `component_set_mixed` is vacuously false otherwise): a
+            // stable boot must run either the complete old set or the
+            // complete new set.
+            let violation = violation.or_else(|| {
+                world.component_set_mixed().then(|| {
+                    Counters::add(&tracer.counters().mixed_set_violations, 1);
+                    format!(
+                        "mixed component set at the fixed point: {:?}",
+                        world.component_versions()
+                    )
+                })
+            });
+            (report.boots, Some(report.outcome.version.0), violation)
         }
-        Err(err) => (0, None, Some(format!("device bricked: {err}"))),
+        Err(bricked) => (0, None, Some(bricked)),
     };
 
     if violation.is_some() {
-        upkit_trace::Counters::add(&tracer.counters().fault_violations, 1);
+        Counters::add(&tracer.counters().fault_violations, 1);
     }
     tracer.emit(|| Event::FaultChecked {
         boundary,
@@ -327,13 +304,9 @@ pub fn explore(config: &ChaosConfig) -> ChaosReport {
 }
 
 /// Records the scenario's boundaries, then explores every selected
-/// `(boundary, fault)` case across `config.threads` workers.
-///
-/// Determinism: every case is a pure function of `(scenario, boundary,
-/// fault)`; each worker charges a case-private tracer, and the private
-/// buffers are merged into `tracer` in case-index order — so the report,
+/// `(boundary, fault)` case across `config.threads` workers; the report,
 /// counter totals, and trace record sequence are byte-identical for any
-/// thread count.
+/// thread count (see [`Exploration::run`]).
 #[must_use]
 pub fn explore_traced(config: &ChaosConfig, tracer: &Tracer) -> ChaosReport {
     let ops = record_boundaries(&config.scenario);
@@ -342,96 +315,37 @@ pub fn explore_traced(config: &ChaosConfig, tracer: &Tracer) -> ChaosReport {
         .filter(|op| !matches!(op, FlashOp::Reboot))
         .count();
     let explored = select_cases(recorded_ops as u64, config.boundary_limit);
-
-    let cases: Vec<(u64, FaultClass)> = explored
+    let cases = explored
         .iter()
-        .flat_map(|&b| FaultClass::ALL.into_iter().map(move |f| (b, f)))
+        .flat_map(|&b| FaultClass::ALL.into_iter().map(move |f| (f, b)))
         .collect();
-
-    let results = map_traced(
-        &cases,
+    let exploration = Exploration::run(
+        config.scenario,
+        cases,
         config.threads,
         tracer,
-        |_, &(boundary, fault), case| {
-            run_case(&config.scenario, boundary, fault, config.max_boots, case)
-        },
+        |fault, boundary, case| run_case(&config.scenario, boundary, fault, case),
     );
-
-    let max_boots_to_recovery = results.iter().map(|c| c.boots).max().unwrap_or(0);
+    let max_boots_to_recovery = exploration.cases.iter().map(|c| c.boots).max().unwrap_or(0);
     ChaosReport {
-        scenario: config.scenario,
         recorded_ops,
         explored,
-        cases: results,
         max_boots_to_recovery,
+        exploration,
     }
-}
-
-/// A violation reduced to its smallest failing boundary, plus the
-/// one-line command that reproduces it.
-#[derive(Debug)]
-pub struct Shrunk {
-    /// The minimal failing case.
-    pub case: CaseResult,
-    /// A `cargo run` command reproducing exactly this case.
-    pub command: String,
-}
-
-/// The reproducer command for one `(scenario, fault, boundary)` case.
-#[must_use]
-pub fn repro_command(scenario: &WorldConfig, fault: FaultClass, boundary: u64) -> String {
-    format!(
-        "cargo run --release -p upkit-bench --bin chaos_explore -- --repro {} {} {} {} {} {}",
-        mode_label(scenario.mode),
-        scenario.seed,
-        scenario.firmware_size,
-        scenario.slot_size,
-        fault.label(),
-        boundary
-    )
 }
 
 /// Shrinks the report's minimal violation to the smallest boundary that
-/// still fails under the same fault class, re-running only boundaries
-/// the (possibly strided) exploration skipped. Returns `None` when the
-/// report has no violations.
+/// still fails under the same fault class (see [`Exploration::shrink`]).
+/// Returns `None` when the report has no violations.
 #[must_use]
-pub fn shrink_violation(config: &ChaosConfig, report: &ChaosReport) -> Option<Shrunk> {
-    let worst = report.minimal_violation()?;
-    let passed: std::collections::HashSet<u64> = report
-        .cases
-        .iter()
-        .filter(|c| c.fault == worst.fault && c.ok())
-        .map(|c| c.boundary)
-        .collect();
-    let tracer = Tracer::disabled();
-    for boundary in 0..worst.boundary {
-        if passed.contains(&boundary) {
-            continue;
-        }
-        let case = run_case(
-            &config.scenario,
-            boundary,
-            worst.fault,
-            config.max_boots,
-            &tracer,
-        );
-        if !case.ok() {
-            let command = repro_command(&config.scenario, case.fault, case.boundary);
-            return Some(Shrunk { case, command });
-        }
-    }
-    let command = repro_command(&config.scenario, worst.fault, worst.boundary);
-    Some(Shrunk {
-        case: worst.clone(),
-        command,
-    })
+pub fn shrink_violation(config: &ChaosConfig, report: &ChaosReport) -> Option<Shrunk<CaseResult>> {
+    report.shrink(|fault, boundary, tracer| run_case(&config.scenario, boundary, fault, tracer))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upkit_sim::failure::WorldMode;
 
     #[test]
     fn labels_round_trip() {
@@ -439,19 +353,6 @@ mod tests {
             assert_eq!(FaultClass::from_label(fault.label()), Some(fault));
         }
         assert_eq!(FaultClass::from_label("meteor_strike"), None);
-        for mode in [
-            WorldMode::Ab,
-            WorldMode::StaticSwap { recovery: false },
-            WorldMode::StaticSwap { recovery: true },
-            WorldMode::Multi { components: 2 },
-            WorldMode::Multi { components: 3 },
-            WorldMode::Multi { components: 8 },
-        ] {
-            assert_eq!(mode_from_label(mode_label(mode)), Some(mode));
-        }
-        assert_eq!(mode_from_label("multi-1"), None);
-        assert_eq!(mode_from_label("multi-9"), None);
-        assert_eq!(mode_from_label("multi-x"), None);
     }
 
     #[test]

@@ -189,8 +189,6 @@ pub struct UpdateServer {
     /// to [`PatchFormat::Raw`] (one LZSS-compressed bsdiff stream), the
     /// format every deployed decoder understands.
     patch_format: PatchFormat,
-    /// Worker threads per framed diff (windows diffed concurrently).
-    diff_threads: usize,
     /// Tracer used by [`Self::prepare_update`]; disabled by default.
     tracer: Tracer,
     /// One [`DeltaContext`] per base image, keyed by content digest and
@@ -221,6 +219,18 @@ type CampaignKey = (Option<[u8; 32]>, [u8; 32], u32, PatchFormat);
 /// computes, everyone else blocks on the same cell and reads the result.
 type SingleFlight<T> = Arc<OnceLock<Arc<T>>>;
 
+/// The cell `cache` holds for `key`, inserting an empty one on first use.
+/// A hit takes only the read lock; the write lock is taken only when the
+/// key is missing.
+fn single_flight_cell<K: Ord, T>(
+    cache: &RwLock<BTreeMap<K, SingleFlight<T>>>,
+    key: K,
+) -> SingleFlight<T> {
+    const POISON: &str = "no poisoned lock: caches are written outside panics";
+    let hit = cache.read().expect(POISON).get(&key).map(Arc::clone);
+    hit.unwrap_or_else(|| Arc::clone(cache.write().expect(POISON).entry(key).or_default()))
+}
+
 /// A cached patch decision: the pre-encryption payload bytes and whether
 /// they are a differential patch or a full-image fallback. Deliberately
 /// content-pure — no version numbers — so the entry stays valid however
@@ -248,7 +258,6 @@ impl UpdateServer {
             lzss: LzssParams::default(),
             content_key: None,
             patch_format: PatchFormat::Raw,
-            diff_threads: 1,
             tracer: Tracer::disabled(),
             delta_contexts: RwLock::new(BTreeMap::new()),
             patches: RwLock::new(BTreeMap::new()),
@@ -257,19 +266,11 @@ impl UpdateServer {
     }
 
     /// Selects the patch container served to differential-capable devices.
-    /// [`PatchFormat::Framed`] enables the windowed container (and with it
-    /// parallel diff generation); the default [`PatchFormat::Raw`] keeps
-    /// the seed wire format byte-for-byte. Devices sniff the container
+    /// [`PatchFormat::Framed`] enables the windowed container; the default
+    /// [`PatchFormat::Raw`] keeps the seed wire format byte-for-byte. Devices sniff the container
     /// from the payload magic, so no device-side configuration changes.
     pub fn set_patch_format(&mut self, format: PatchFormat) {
         self.patch_format = format;
-    }
-
-    /// Sets how many worker threads a framed diff may use. Output bytes do
-    /// not depend on this (asserted by the framed encoder's tests); it
-    /// only bounds wall-clock. Ignored for [`PatchFormat::Raw`].
-    pub fn set_diff_threads(&mut self, threads: usize) {
-        self.diff_threads = threads.max(1);
     }
 
     /// Installs the tracer [`Self::prepare_update`] charges cache hits and
@@ -337,25 +338,7 @@ impl UpdateServer {
     /// first use. Single-flight: concurrent first requests block on one
     /// [`OnceLock`] cell instead of each building the suffix array.
     fn delta_context(&self, base: &Release) -> Arc<DeltaContext> {
-        let cell = {
-            let contexts = self
-                .delta_contexts
-                .read()
-                .expect("no poisoned lock: caches are written outside panics");
-            match contexts.get(&base.digest) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(contexts);
-                    Arc::clone(
-                        self.delta_contexts
-                            .write()
-                            .expect("no poisoned lock: caches are written outside panics")
-                            .entry(base.digest)
-                            .or_default(),
-                    )
-                }
-            }
-        };
+        let cell = single_flight_cell(&self.delta_contexts, base.digest);
         Arc::clone(cell.get_or_init(|| Arc::new(DeltaContext::new(&base.firmware))))
     }
 
@@ -375,7 +358,7 @@ impl UpdateServer {
                 // so decoders need no configuration.
                 let options = FramedDiffOptions {
                     lzss: Some(self.lzss),
-                    ..FramedDiffOptions::default().with_threads(self.diff_threads)
+                    ..FramedDiffOptions::default()
                 };
                 context.framed_diff(&base.firmware, &latest.firmware, &options)
             }
@@ -407,25 +390,7 @@ impl UpdateServer {
         tracer: &Tracer,
     ) -> Arc<CachedPatch> {
         let key = (base.digest, latest.digest, latest.app_id, self.patch_format);
-        let cell = {
-            let patches = self
-                .patches
-                .read()
-                .expect("no poisoned lock: caches are written outside panics");
-            match patches.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(patches);
-                    Arc::clone(
-                        self.patches
-                            .write()
-                            .expect("no poisoned lock: caches are written outside panics")
-                            .entry(key)
-                            .or_default(),
-                    )
-                }
-            }
-        };
+        let cell = single_flight_cell(&self.patches, key);
         let mut fresh = false;
         let cached = Arc::clone(cell.get_or_init(|| {
             fresh = true;
@@ -618,25 +583,7 @@ impl UpdateServer {
             latest.app_id,
             self.patch_format,
         );
-        let cell = {
-            let responses = self
-                .campaign_responses
-                .read()
-                .expect("no poisoned lock: caches are written outside panics");
-            match responses.get(&key) {
-                Some(cell) => Arc::clone(cell),
-                None => {
-                    drop(responses);
-                    Arc::clone(
-                        self.campaign_responses
-                            .write()
-                            .expect("no poisoned lock: caches are written outside panics")
-                            .entry(key)
-                            .or_default(),
-                    )
-                }
-            }
-        };
+        let cell = single_flight_cell(&self.campaign_responses, key);
         // Broadcast responses share one ciphertext: the content nonce is
         // derived from the zero device/nonce pair and the version.
         Some(Arc::clone(cell.get_or_init(|| {
@@ -933,7 +880,6 @@ mod tests {
         server.publish(vendor.release(v1, Version(1), 0, 0xA));
         server.publish(vendor.release(v2.clone(), Version(2), 0, 0xA));
         server.set_patch_format(PatchFormat::Framed);
-        server.set_diff_threads(2);
 
         let prepared = server.prepare_update(&token(7, 1)).unwrap();
         assert_eq!(prepared.kind, ServedKind::Differential { from: Version(1) });

@@ -249,18 +249,6 @@ impl<O: OldImage + ?Sized> OldImage for alloc::sync::Arc<O> {
     }
 }
 
-/// Which suffix-array construction a [`DeltaContext`] uses.
-#[cfg(feature = "std")]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SuffixAlgorithm {
-    /// Linear-time SA-IS (the default).
-    #[default]
-    SaIs,
-    /// Manber–Myers prefix doubling, `O(n log² n)` (the test reference
-    /// and bench baseline).
-    PrefixDoubling,
-}
-
 /// Reusable per-old-image state for differencing.
 ///
 /// Building the suffix array dominates [`diff`]; when one old image is
@@ -292,26 +280,11 @@ pub struct DeltaContext {
 
 #[cfg(feature = "std")]
 impl DeltaContext {
-    /// Builds the context for `old` with the default suffix-array
-    /// construction.
+    /// Builds the context for `old`.
     #[must_use]
     pub fn new(old: &[u8]) -> Self {
         Self {
             suffix_array: SuffixArray::build(old),
-            old_image_hash: upkit_crypto::sha256::sha256(old),
-        }
-    }
-
-    /// Builds the context with an explicit suffix-array construction
-    /// (benchmarks compare the two; production uses [`DeltaContext::new`]).
-    #[must_use]
-    pub fn with_algorithm(old: &[u8], algorithm: SuffixAlgorithm) -> Self {
-        let suffix_array = match algorithm {
-            SuffixAlgorithm::SaIs => SuffixArray::build_sais(old),
-            SuffixAlgorithm::PrefixDoubling => SuffixArray::build_prefix_doubling(old),
-        };
-        Self {
-            suffix_array,
             old_image_hash: upkit_crypto::sha256::sha256(old),
         }
     }
@@ -632,9 +605,13 @@ impl<O: OldImage> StreamPatcher<O> {
 
     /// Feeds patch bytes, appending reconstructed output to `out`.
     ///
-    /// Output overruns are detected *before* any byte of the offending
-    /// block is emitted, so a sink sized to the (budget-checked) declared
-    /// length can never overflow.
+    /// Each control entry is checked once, when its control word
+    /// completes and before any byte of it is emitted: an entry that would
+    /// overrun the declared length, or whose diff block lies outside the
+    /// old image, is rejected there. So a sink sized to the
+    /// (budget-checked) declared length can never overflow, and the error
+    /// and the bytes emitted before it do not depend on how the patch is
+    /// cut into pushes.
     pub fn push<S: ByteSink + ?Sized>(
         &mut self,
         input: &[u8],
@@ -680,6 +657,18 @@ impl<O: OldImage> StreamPatcher<O> {
                         let diff_len = u32::from_le_bytes([d0, d1, d2, d3]);
                         self.extra_after_diff = u32::from_le_bytes([e0, e1, e2, e3]);
                         self.seek_after_extra = i32::from_le_bytes([s0, s1, s2, s3]);
+                        let entry_len = u64::from(diff_len) + u64::from(self.extra_after_diff);
+                        if self.produced + entry_len > self.new_len {
+                            return Err(PatchError::OutputOverrun);
+                        }
+                        // Old bytes [old_pos, old_pos + diff_len).
+                        if diff_len > 0
+                            && (self.old_pos < 0
+                                || (self.old_pos as u64).saturating_add(u64::from(diff_len))
+                                    > self.old.len())
+                        {
+                            return Err(PatchError::OldRangeOutOfBounds);
+                        }
                         self.state = PatchState::Diff {
                             remaining: diff_len,
                         };
@@ -690,15 +679,6 @@ impl<O: OldImage> StreamPatcher<O> {
                 }
                 PatchState::Diff { remaining } => {
                     let take = (remaining as usize).min(input.len());
-                    if self.produced + take as u64 > self.new_len {
-                        return Err(PatchError::OutputOverrun);
-                    }
-                    // Bounds: old bytes [old_pos, old_pos + take).
-                    if self.old_pos < 0
-                        || (self.old_pos as u64).saturating_add(take as u64) > self.old.len()
-                    {
-                        return Err(PatchError::OldRangeOutOfBounds);
-                    }
                     let mut block = [0u8; DIFF_CHUNK];
                     let mut at = self.old_pos as u64;
                     for delta in input[..take].chunks(DIFF_CHUNK) {
@@ -720,9 +700,6 @@ impl<O: OldImage> StreamPatcher<O> {
                 }
                 PatchState::Extra { remaining } => {
                     let take = (remaining as usize).min(input.len());
-                    if self.produced + take as u64 > self.new_len {
-                        return Err(PatchError::OutputOverrun);
-                    }
                     out.put_slice(&input[..take]);
                     self.produced += take as u64;
                     input = &input[take..];
@@ -977,6 +954,106 @@ mod tests {
         assert_eq!(patch(b"abcd", &delta), Err(PatchError::OldRangeOutOfBounds));
     }
 
+    /// Pushes `pieces` in order, stops at the first error, then finishes:
+    /// the verdict and every byte emitted before it.
+    fn push_pieces<'a>(
+        old: &[u8],
+        pieces: impl IntoIterator<Item = &'a [u8]>,
+    ) -> (Result<(), PatchError>, Vec<u8>) {
+        let mut patcher = StreamPatcher::new(old);
+        let mut out = Vec::new();
+        let result = pieces
+            .into_iter()
+            .try_for_each(|piece| patcher.push(piece, &mut out))
+            .and_then(|()| patcher.finish());
+        (result, out)
+    }
+
+    #[test]
+    fn overlong_entry_fails_the_same_however_the_patch_is_cut() {
+        // A 5-byte old image and one entry whose 20-byte diff block
+        // overruns the 10 declared output bytes before it walks off the
+        // old image: rejected at its control word, nothing emitted.
+        let mut delta = Vec::new();
+        delta.extend_from_slice(&MAGIC);
+        delta.extend_from_slice(&5u32.to_le_bytes()); // old len
+        delta.extend_from_slice(&10u32.to_le_bytes()); // new len
+        delta.extend_from_slice(&20u32.to_le_bytes()); // diff 20
+        delta.extend_from_slice(&0u32.to_le_bytes()); // extra 0
+        delta.extend_from_slice(&0i32.to_le_bytes()); // seek 0
+        delta.extend_from_slice(&[0; 20]);
+        let old = b"abcde".as_slice();
+        let expected = (Err(PatchError::OutputOverrun), Vec::new());
+        assert_eq!(push_pieces(old, [delta.as_slice()]), expected, "one push");
+        assert_eq!(
+            push_pieces(old, delta.chunks(1)),
+            expected,
+            "one-byte pushes"
+        );
+    }
+
+    mod chunking {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Honest and mutated patches give the same verdict and emit
+            /// the same bytes whether pushed whole, cut at random points
+            /// or in one-byte pieces.
+            #[test]
+            fn verdict_and_output_do_not_depend_on_the_cut(
+                old in proptest::collection::vec(any::<u8>(), 1..600),
+                edits in proptest::collection::vec((any::<u16>(), any::<u8>()), 0..8),
+                insert in proptest::collection::vec(any::<u8>(), 0..64),
+                insert_at in any::<u16>(),
+                mutation in 0u8..4,
+                at in any::<u16>(),
+                value in any::<u32>(),
+                cuts in proptest::collection::vec(any::<u16>(), 0..12),
+            ) {
+                let mut new = old.clone();
+                for (at, byte) in edits {
+                    let at = usize::from(at) % new.len();
+                    new[at] = byte;
+                }
+                // An insertion makes extra blocks, several entries and a
+                // length change.
+                let insert_at = usize::from(insert_at) % (new.len() + 1);
+                new.splice(insert_at..insert_at, insert);
+                let mut delta = diff(&old, &new);
+                let at = usize::from(at);
+                match mutation {
+                    0 => {}
+                    1 => {
+                        let at = at % delta.len();
+                        delta[at] ^= 1 << (value % 8);
+                    }
+                    // One field of one of the first two control words.
+                    2 => {
+                        let field = HEADER_LEN + (at % 6 / 3) * CONTROL_LEN + (at % 3) * 4;
+                        if let Some(word) = delta.get_mut(field..field + 4) {
+                            word.copy_from_slice(&value.to_le_bytes());
+                        }
+                    }
+                    _ => delta.truncate(at % (delta.len() + 1)),
+                }
+
+                let whole = push_pieces(&old, [delta.as_slice()]);
+                let mut cuts: Vec<usize> =
+                    cuts.iter().map(|&c| usize::from(c) % (delta.len() + 1)).collect();
+                cuts.sort_unstable();
+                cuts.push(delta.len());
+                let pieces = cuts.iter().scan(0, |start, &end| {
+                    let piece = &delta[*start..end];
+                    *start = end;
+                    Some(piece)
+                });
+                prop_assert_eq!(&push_pieces(&old, pieces), &whole, "random cuts");
+                prop_assert_eq!(&push_pieces(&old, delta.chunks(1)), &whole, "one-byte pieces");
+            }
+        }
+    }
+
     #[test]
     fn patcher_reports_progress() {
         let old = lcg_bytes(13, 4000);
@@ -1006,14 +1083,18 @@ mod tests {
     }
 
     #[test]
-    fn context_algorithms_produce_identical_patches() {
+    fn context_suffix_array_matches_the_naive_sort() {
+        // The patch is a function of the suffix array, so a context whose
+        // array equals the oracle's emits the oracle's patch.
         let old = lcg_bytes(26, 12_000);
         let mut new = old.clone();
         new[4000..4100].copy_from_slice(&lcg_bytes(27, 100));
-        let sais = DeltaContext::with_algorithm(&old, SuffixAlgorithm::SaIs);
-        let doubling = DeltaContext::with_algorithm(&old, SuffixAlgorithm::PrefixDoubling);
-        let patch_bytes = sais.diff(&old, &new);
-        assert_eq!(patch_bytes, doubling.diff(&old, &new));
+        let context = DeltaContext::new(&old);
+        assert_eq!(
+            context.suffix_array().offsets(),
+            suffix::tests::naive_sa(&old)
+        );
+        let patch_bytes = context.diff(&old, &new);
         assert_eq!(patch(&old, &patch_bytes).unwrap(), new);
     }
 

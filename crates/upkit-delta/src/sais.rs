@@ -7,8 +7,8 @@
 //! when their substrings are not pairwise distinct — and the rest of the
 //! order is induced from them in two linear bucket scans. Overall `O(n)`
 //! time and `O(n)` extra space, against `O(n log² n)` for the
-//! prefix-doubling construction it replaced, which stays as the test
-//! reference.
+//! prefix-doubling construction it replaced. The tests check it against
+//! a plain sort of the suffixes.
 
 /// Marker for an unfilled suffix-array slot during induction.
 const EMPTY: u32 = u32::MAX;
@@ -16,8 +16,7 @@ const EMPTY: u32 = u32::MAX;
 /// Computes the suffix array of `data` in linear time.
 ///
 /// Returns the start offsets of all suffixes of `data` in increasing
-/// lexicographic order, exactly like the prefix-doubling construction
-/// (no sentinel suffix is included).
+/// lexicographic order (no sentinel suffix is included).
 #[must_use]
 pub fn suffix_array(data: &[u8]) -> Vec<u32> {
     match data.len() {
@@ -204,12 +203,7 @@ fn lms_substrings_equal(text: &[u32], is_s: &[bool], a: usize, b: usize) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive_sa(data: &[u8]) -> Vec<u32> {
-        let mut sa: Vec<u32> = (0..data.len() as u32).collect();
-        sa.sort_by(|&a, &b| data[a as usize..].cmp(&data[b as usize..]));
-        sa
-    }
+    use crate::suffix::tests::naive_sa;
 
     #[test]
     fn matches_naive_on_classic_inputs() {

@@ -3,10 +3,8 @@
 //! `bsdiff` finds, for every position of the new firmware, the longest
 //! match anywhere in the old firmware. The classic implementation does this
 //! with a suffix array over the old image. Construction uses the
-//! linear-time SA-IS algorithm ([`crate::sais`]); the Manber–Myers
-//! prefix-doubling construction (`O(n log² n)`) is kept as the reference
-//! SA-IS is checked against in tests and the baseline column of the
-//! generation bench.
+//! linear-time SA-IS algorithm ([`crate::sais`]), which the tests check
+//! against a plain sort of the suffixes.
 
 /// A suffix array over a byte string.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -16,66 +14,13 @@ pub struct SuffixArray {
 }
 
 impl SuffixArray {
-    /// Builds the suffix array of `data` with the default construction,
-    /// SA-IS.
+    /// Builds the suffix array of `data` with the linear-time SA-IS
+    /// construction.
     #[must_use]
     pub fn build(data: &[u8]) -> Self {
-        Self::build_sais(data)
-    }
-
-    /// Builds the suffix array with the linear-time SA-IS construction.
-    #[must_use]
-    pub fn build_sais(data: &[u8]) -> Self {
         Self {
             sa: crate::sais::suffix_array(data),
         }
-    }
-
-    /// Builds the suffix array with Manber–Myers prefix doubling
-    /// (`O(n log² n)`), the reference construction.
-    ///
-    /// Each round sorts by a precomputed per-suffix key packing
-    /// `(rank[i], rank[i + k] + 1)` into one `u64` — recomputing the pair
-    /// inside the sort comparator would evaluate it `O(n log n)` times per
-    /// round — and the loop exits as soon as every rank is distinct.
-    #[must_use]
-    pub fn build_prefix_doubling(data: &[u8]) -> Self {
-        let n = data.len();
-        if n == 0 {
-            return Self { sa: Vec::new() };
-        }
-
-        let mut sa: Vec<u32> = (0..n as u32).collect();
-        let mut rank: Vec<u32> = data.iter().map(|&b| u32::from(b)).collect();
-        let mut tmp = vec![0u32; n];
-        let mut keys = vec![0u64; n];
-
-        let mut k = 1usize;
-        while k < n {
-            for i in 0..n {
-                let second = if i + k < n {
-                    u64::from(rank[i + k]) + 1
-                } else {
-                    0
-                };
-                keys[i] = (u64::from(rank[i]) << 32) | second;
-            }
-            sa.sort_unstable_by_key(|&i| keys[i as usize]);
-
-            tmp[sa[0] as usize] = 0;
-            for w in 1..n {
-                let prev = sa[w - 1] as usize;
-                let cur = sa[w] as usize;
-                tmp[cur] = tmp[prev] + u32::from(keys[prev] != keys[cur]);
-            }
-            core::mem::swap(&mut rank, &mut tmp);
-            if rank[sa[n - 1] as usize] as usize == n - 1 {
-                break;
-            }
-            k *= 2;
-        }
-
-        Self { sa }
     }
 
     /// The sorted suffix offsets: `offsets()[i]` is the start position of
@@ -141,10 +86,12 @@ impl SuffixArray {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn naive_sa(data: &[u8]) -> Vec<u32> {
+    /// The suffix array by plain sorting: the oracle SA-IS is checked
+    /// against.
+    pub(crate) fn naive_sa(data: &[u8]) -> Vec<u32> {
         let mut sa: Vec<u32> = (0..data.len() as u32).collect();
         sa.sort_by(|&a, &b| data[a as usize..].cmp(&data[b as usize..]));
         sa
@@ -161,11 +108,7 @@ mod tests {
             b"abababababab".to_vec(),
         ] {
             let sa = SuffixArray::build(&data);
-            assert_eq!(sa.sa, naive_sa(&data), "default, input {data:?}");
-            let sais = SuffixArray::build_sais(&data);
-            assert_eq!(sais.sa, naive_sa(&data), "SA-IS, input {data:?}");
-            let doubling = SuffixArray::build_prefix_doubling(&data);
-            assert_eq!(doubling.sa, naive_sa(&data), "doubling, input {data:?}");
+            assert_eq!(sa.sa, naive_sa(&data), "input {data:?}");
         }
     }
 
@@ -192,11 +135,7 @@ mod tests {
                     (state >> 26) as u8
                 })
                 .collect();
-            assert_eq!(
-                SuffixArray::build_sais(&data).sa,
-                SuffixArray::build_prefix_doubling(&data).sa,
-                "len {len}"
-            );
+            assert_eq!(SuffixArray::build(&data).sa, naive_sa(&data), "len {len}");
         }
     }
 

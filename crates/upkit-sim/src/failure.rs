@@ -634,6 +634,23 @@ mod tests {
     use upkit_core::agent::AgentConfig;
 
     #[test]
+    fn mode_labels_round_trip() {
+        for mode in [
+            WorldMode::Ab,
+            WorldMode::StaticSwap { recovery: false },
+            WorldMode::StaticSwap { recovery: true },
+            WorldMode::Multi { components: 2 },
+            WorldMode::Multi { components: 3 },
+            WorldMode::Multi { components: 8 },
+        ] {
+            assert_eq!(mode_from_label(mode_label(mode)), Some(mode));
+        }
+        assert_eq!(mode_from_label("multi-1"), None);
+        assert_eq!(mode_from_label("multi-9"), None);
+        assert_eq!(mode_from_label("multi-x"), None);
+    }
+
+    #[test]
     fn case_selection_is_total_or_evenly_strided() {
         assert_eq!(select_cases(4, None), vec![0, 1, 2, 3]);
         assert_eq!(select_cases(4, Some(10)), vec![0, 1, 2, 3]);

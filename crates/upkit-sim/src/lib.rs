@@ -16,6 +16,9 @@
 //! * [`failure`] — power-loss injection at arbitrary flash-write offsets;
 //!   asserts the never-brick property the bootloader's re-verification
 //!   provides.
+//! * [`explore`] — the harness the crash and adversarial explorers share:
+//!   one never-brick check, one case fan-out, one shrinker and the
+//!   `--repro` command vocabulary.
 //! * [`lifetime`] — flash-wear accounting over long update chains (A/B vs
 //!   static endurance).
 //! * [`device`] / [`fleet`] — [`SimDevice`], the one provisioned
@@ -41,6 +44,7 @@
 pub mod campaign;
 pub mod device;
 pub mod events;
+pub mod explore;
 pub mod failure;
 pub mod firmware;
 pub mod fleet;

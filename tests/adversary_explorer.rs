@@ -29,7 +29,6 @@ fn strided_exploration_covers_every_surface_with_zero_violations() {
     let config = AdversaryConfig {
         scenario: scenario(),
         threads: 2,
-        max_boots: 8,
         case_limit: Some(24),
     };
     let report = explore(&config);
@@ -66,7 +65,6 @@ fn downgrade_replays_are_rejected_at_the_manifest() {
             &baseline,
             MutationClass::DowngradeReplay,
             index,
-            8,
             &Tracer::disabled(),
         );
         assert!(case.ok(), "replay case {index}: {:?}", case.violation);
@@ -80,7 +78,6 @@ fn rejections_are_ledgered_and_forgeries_stay_zero() {
     let config = AdversaryConfig {
         scenario: scenario(),
         threads: 2,
-        max_boots: 8,
         case_limit: Some(12),
     };
     let sink = Arc::new(MemorySink::new());
@@ -122,8 +119,8 @@ fn repro_commands_replay_to_identical_results() {
         (MutationClass::FrameCorrupt, 3),
         (MutationClass::DowngradeReplay, 1),
     ] {
-        let first = run_case(&s, &baseline, surface, index, 8, &Tracer::disabled());
-        let again = run_case(&s, &baseline, surface, index, 8, &Tracer::disabled());
+        let first = run_case(&s, &baseline, surface, index, &Tracer::disabled());
+        let again = run_case(&s, &baseline, surface, index, &Tracer::disabled());
         assert_eq!(first, again, "{surface:?}/{index} is not deterministic");
         let command = upkit::adversary::repro_command(&s, surface, index);
         assert!(command.contains("--repro ab"));
@@ -136,7 +133,6 @@ fn exploration_is_byte_identical_across_thread_counts() {
     let base = AdversaryConfig {
         scenario: scenario(),
         threads: 1,
-        max_boots: 8,
         case_limit: Some(6),
     };
 
@@ -196,14 +192,7 @@ fn mutated_commit_records_never_pass_the_record_check() {
     let targeted = (total - COMPONENT_TABLE_TARGETED)..total;
     let flips = [0, 57, total / 2];
     for index in targeted.chain(flips) {
-        let case = run_case(
-            &s,
-            &baseline,
-            MutationClass::ComponentTable,
-            index,
-            8,
-            &tracer,
-        );
+        let case = run_case(&s, &baseline, MutationClass::ComponentTable, index, &tracer);
         assert!(case.ok(), "record mutation {index}: {:?}", case.violation);
         assert!(!case.panicked, "record mutation {index} panicked");
         assert_eq!(
@@ -231,7 +220,7 @@ fn poisoned_cache_entries_are_rejected_by_every_downstream_device() {
 
     let tracer = Tracer::disabled();
     for index in [0, 1, total / 2, total - 2, total - 1] {
-        let case = run_case(&s, &baseline, MutationClass::CachePoison, index, 8, &tracer);
+        let case = run_case(&s, &baseline, MutationClass::CachePoison, index, &tracer);
         assert!(
             case.ok(),
             "poisoned block {index} was accepted: {:?}",

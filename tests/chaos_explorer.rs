@@ -122,7 +122,6 @@ fn explorer_finds_and_shrinks_the_bare_static_swap_hazard() {
         &config.scenario,
         shrunk.case.boundary,
         shrunk.case.fault,
-        config.max_boots,
         &Tracer::disabled(),
     );
     assert_eq!(replayed, shrunk.case);
@@ -202,7 +201,6 @@ fn multi_component_exploration_is_byte_identical_across_thread_counts() {
     let base = ChaosConfig {
         scenario: multi_scenario(3),
         threads: 1,
-        max_boots: 8,
         boundary_limit: Some(6),
     };
 
@@ -231,7 +229,6 @@ fn exploration_is_byte_identical_across_thread_counts() {
     let base = ChaosConfig {
         scenario: scenario(WorldMode::StaticSwap { recovery: true }),
         threads: 1,
-        max_boots: 8,
         boundary_limit: Some(5),
     };
 

@@ -576,27 +576,32 @@ proptest! {
 
 // --- Delta engine: suffix-array constructions and context reuse -----------------
 
+/// The suffix array by plain sorting: the oracle SA-IS is checked against.
+fn naive_suffix_array(data: &[u8]) -> Vec<u32> {
+    let mut sa: Vec<u32> = (0..data.len() as u32).collect();
+    sa.sort_by(|&a, &b| data[a as usize..].cmp(&data[b as usize..]));
+    sa
+}
+
 proptest! {
     #[test]
-    fn sais_equals_prefix_doubling_on_arbitrary_bytes(
+    fn sais_equals_naive_sort_on_arbitrary_bytes(
         data in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
         use upkit::delta::suffix::SuffixArray;
-        let sais = SuffixArray::build_sais(&data);
-        let doubling = SuffixArray::build_prefix_doubling(&data);
-        prop_assert_eq!(sais.offsets(), doubling.offsets());
+        let sais = SuffixArray::build(&data);
+        prop_assert_eq!(sais.offsets(), naive_suffix_array(&data).as_slice());
     }
 
     #[test]
-    fn sais_equals_prefix_doubling_on_repetitive_inputs(
+    fn sais_equals_naive_sort_on_repetitive_inputs(
         data in proptest::collection::vec(0u8..4, 0..1024),
     ) {
         // Tiny alphabets maximize LMS-substring collisions, forcing the
         // SA-IS recursion that random bytes almost never exercise.
         use upkit::delta::suffix::SuffixArray;
-        let sais = SuffixArray::build_sais(&data);
-        let doubling = SuffixArray::build_prefix_doubling(&data);
-        prop_assert_eq!(sais.offsets(), doubling.offsets());
+        let sais = SuffixArray::build(&data);
+        prop_assert_eq!(sais.offsets(), naive_suffix_array(&data).as_slice());
     }
 
     #[test]
@@ -604,12 +609,14 @@ proptest! {
         old in proptest::collection::vec(any::<u8>(), 0..2048),
         new in proptest::collection::vec(any::<u8>(), 0..2048),
     ) {
-        use upkit::delta::{DeltaContext, SuffixAlgorithm};
+        use upkit::delta::DeltaContext;
         let plain = diff(&old, &new);
         let context = DeltaContext::new(&old);
         prop_assert_eq!(&context.diff(&old, &new), &plain);
-        let doubling = DeltaContext::with_algorithm(&old, SuffixAlgorithm::PrefixDoubling);
-        prop_assert_eq!(&doubling.diff(&old, &new), &plain);
+        prop_assert_eq!(
+            context.suffix_array().offsets(),
+            naive_suffix_array(&old).as_slice()
+        );
         prop_assert_eq!(patch(&old, &plain).unwrap(), new);
     }
 }
