@@ -624,15 +624,14 @@ fn run_decoder_case(
                 .map(|out| out.len() as u64)
                 .map_err(|e| e == BlockDiffError::BudgetExceeded)
         }
-        // A truncated bsdiff stream decodes what it carried: this surface
-        // never ends the stream.
         MutationClass::StreamDelta => {
             let mut patcher = StreamPatcher::with_budget(baseline.old_firmware.as_slice(), budget);
-            stream_patched(&mutated, |chunk, out| match chunk {
-                Some(chunk) => patcher
-                    .push(chunk, out)
-                    .map_err(|e| e == PatchError::BudgetExceeded),
-                None => Ok(()),
+            stream_patched(&mutated, |chunk, out| {
+                match chunk {
+                    Some(chunk) => patcher.push(chunk, out),
+                    None => patcher.finish(),
+                }
+                .map_err(|e| e == PatchError::BudgetExceeded)
             })
         }
         MutationClass::FramedDelta => {

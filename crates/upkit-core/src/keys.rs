@@ -100,7 +100,7 @@ mod tests {
             KeyRef::Sec1(bytes) => {
                 assert_eq!(bytes, key.verifying_key().to_sec1_bytes());
             }
-            KeyRef::Slot(_) => panic!("expected inline key"),
+            other => panic!("expected inline key bytes, got {other:?}"),
         }
     }
 

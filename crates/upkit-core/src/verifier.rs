@@ -16,7 +16,7 @@
 
 use alloc::vec::Vec;
 
-use upkit_crypto::backend::{SecurityBackend, SecurityError};
+use upkit_crypto::backend::{KeyRef, SecurityBackend, SecurityError};
 use upkit_crypto::sha256::Sha256;
 use upkit_manifest::{Manifest, SignedManifest, Version};
 
@@ -114,7 +114,10 @@ impl From<SecurityError> for VerifyError {
 /// The verifier: field validation plus double-signature checking.
 pub struct Verifier<'a> {
     backend: &'a dyn SecurityBackend,
-    anchors: &'a TrustAnchors,
+    /// The key the vendor signature is checked against.
+    vendor: KeyRef<'a>,
+    /// The key the update-server signature is checked against.
+    server: KeyRef<'a>,
 }
 
 impl core::fmt::Debug for Verifier<'_> {
@@ -129,7 +132,23 @@ impl<'a> Verifier<'a> {
     /// Creates a verifier over the given backend and trust anchors.
     #[must_use]
     pub fn new(backend: &'a dyn SecurityBackend, anchors: &'a TrustAnchors) -> Self {
-        Self { backend, anchors }
+        Self::with_keys(backend, anchors.vendor.key_ref(), anchors.server.key_ref())
+    }
+
+    /// Creates a verifier over the given backend and the vendor and
+    /// update-server keys, such as two prepared keys
+    /// ([`KeyRef::Prepared`]) that many devices share.
+    #[must_use]
+    pub fn with_keys(
+        backend: &'a dyn SecurityBackend,
+        vendor: KeyRef<'a>,
+        server: KeyRef<'a>,
+    ) -> Self {
+        Self {
+            backend,
+            vendor,
+            server,
+        }
     }
 
     /// Full manifest verification: field checks first (cheap), signatures
@@ -187,11 +206,7 @@ impl<'a> Verifier<'a> {
     pub fn check_signatures(&self, signed: &SignedManifest) -> Result<(), VerifyError> {
         let vendor_digest = self.backend.digest(&signed.manifest.vendor_signed_bytes());
         self.backend
-            .verify(
-                self.anchors.vendor.key_ref(),
-                &vendor_digest,
-                &signed.vendor_signature,
-            )
+            .verify(self.vendor, &vendor_digest, &signed.vendor_signature)
             .map_err(|e| match e {
                 SecurityError::BadSignature => VerifyError::VendorSignature,
                 other => VerifyError::Backend(other),
@@ -199,11 +214,7 @@ impl<'a> Verifier<'a> {
 
         let server_digest = self.backend.digest(&signed.manifest.server_signed_bytes());
         self.backend
-            .verify(
-                self.anchors.server.key_ref(),
-                &server_digest,
-                &signed.server_signature,
-            )
+            .verify(self.server, &server_digest, &signed.server_signature)
             .map_err(|e| match e {
                 SecurityError::BadSignature => VerifyError::ServerSignature,
                 other => VerifyError::Backend(other),

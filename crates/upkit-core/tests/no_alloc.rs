@@ -132,41 +132,44 @@ fn block_verify_loop_is_allocation_free() {
 }
 
 /// ECDSA-P256 signature checks through the software backend — accepting
-/// and rejecting — perform zero heap allocations: the comb table for `G`
-/// is static data and the wNAF digits and odd multiples of `Q` live on the
-/// stack.
+/// and rejecting, against SEC1 key bytes and against a prepared key —
+/// perform zero heap allocations: the comb table for `G` is static data,
+/// a prepared key holds its own table inline, and the wNAF digits and odd
+/// multiples of `Q` live on the stack.
 #[test]
 fn ecdsa_verify_is_allocation_free() {
     let key = SigningKey::from_bytes(&[0x5C; 32]).unwrap();
     let public = key.verifying_key().to_sec1_bytes();
+    let prepared = key.verifying_key().prepare();
     let digests: Vec<[u8; 32]> = (0u8..4)
         .map(|i| upkit_crypto::sha256::sha256(&[i; 40]))
         .collect();
     let signatures: Vec<_> = digests.iter().map(|d| key.sign_prehashed(d)).collect();
     let backend = TinyCryptBackend;
-    let key_ref = KeyRef::Sec1(&public);
 
-    // Warm up once so any lazily-initialized state is paid for.
-    backend
-        .verify(key_ref, &digests[0], &signatures[0])
-        .unwrap();
+    for key_ref in [KeyRef::Sec1(&public), KeyRef::Prepared(&prepared)] {
+        // Warm up once so any lazily-initialized state is paid for.
+        backend
+            .verify(key_ref, &digests[0], &signatures[0])
+            .unwrap();
 
-    let before = allocations();
-    for _ in 0..4 {
-        for (i, (digest, signature)) in digests.iter().zip(&signatures).enumerate() {
-            assert_eq!(backend.verify(key_ref, digest, signature), Ok(()));
-            let other = &signatures[(i + 1) % signatures.len()];
-            assert_eq!(
-                backend.verify(key_ref, digest, other),
-                Err(SecurityError::BadSignature)
-            );
+        let before = allocations();
+        for _ in 0..4 {
+            for (i, (digest, signature)) in digests.iter().zip(&signatures).enumerate() {
+                assert_eq!(backend.verify(key_ref, digest, signature), Ok(()));
+                let other = &signatures[(i + 1) % signatures.len()];
+                assert_eq!(
+                    backend.verify(key_ref, digest, other),
+                    Err(SecurityError::BadSignature)
+                );
+            }
         }
+        assert_eq!(
+            allocations() - before,
+            0,
+            "signature checks against {key_ref:?} must not allocate"
+        );
     }
-    assert_eq!(
-        allocations() - before,
-        0,
-        "signature checks must not allocate"
-    );
 }
 
 /// Patch application into caller-provided buffers — bsdiff, block-diff,

@@ -13,17 +13,29 @@
 //! cycle counts calibrated to the libraries the paper measured — which the
 //! simulator and footprint model consume.
 
-use crate::ecdsa::{EcdsaError, Signature, VerifyingKey};
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+use crate::ecdsa::{EcdsaError, PreparedVerifyingKey, Signature, VerifyingKey};
 use crate::sha256::sha256;
 
 /// Identifies a public key for a verification request.
 ///
-/// Software backends only understand inline keys; the HSM backend can also
+/// Software backends understand inline keys: SEC1 bytes, parsed on every
+/// request, or a [`PreparedVerifyingKey`], whose comb table makes each
+/// check run 43 doublings instead of 257. Preparing costs about one
+/// verification, so it suits a key that checks many signatures, such as
+/// the two keys every device of a simulated fleet checks. The HSM backend
+/// verifies a prepared key against the key it wraps, and can also
 /// dereference one of its tamper-protected key slots.
 #[derive(Clone, Copy, Debug)]
 pub enum KeyRef<'a> {
     /// A SEC1 uncompressed public key supplied inline.
     Sec1(&'a [u8]),
+    /// A parsed key with its comb table, supplied inline.
+    Prepared(&'a PreparedVerifyingKey),
     /// A key stored in hardware slot `n` of an HSM.
     Slot(u8),
 }
@@ -119,6 +131,7 @@ fn verify_inline(
             vk.verify_prehashed(digest, signature)?;
             Ok(())
         }
+        KeyRef::Prepared(key) => Ok(key.verify_prehashed(digest, signature)?),
         KeyRef::Slot(_) => Err(SecurityError::UnsupportedKeyRef),
     }
 }
@@ -183,6 +196,9 @@ impl SecurityBackend for TinyDtlsBackend {
 mod tests {
     use super::*;
     use crate::ecdsa::SigningKey;
+    use alloc::boxed::Box;
+    use alloc::vec;
+    use alloc::vec::Vec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -197,10 +213,13 @@ mod tests {
         let digest = sha256(b"manifest bytes");
         let sig = key.sign_prehashed(&digest);
         let sec1 = key.verifying_key().to_sec1_bytes();
+        let prepared = key.verifying_key().prepare();
         for backend in backends() {
-            backend
-                .verify(KeyRef::Sec1(&sec1), &digest, &sig)
-                .unwrap_or_else(|e| panic!("{}: {e}", backend.profile().name));
+            for key_ref in [KeyRef::Sec1(&sec1), KeyRef::Prepared(&prepared)] {
+                backend
+                    .verify(key_ref, &digest, &sig)
+                    .unwrap_or_else(|e| panic!("{}, {key_ref:?}: {e}", backend.profile().name));
+            }
         }
     }
 
@@ -211,13 +230,17 @@ mod tests {
         let digest = sha256(b"manifest bytes");
         let sig = key.sign_prehashed(&digest);
         let sec1 = key.verifying_key().to_sec1_bytes();
+        let prepared = key.verifying_key().prepare();
         let mut bad = digest;
         bad[0] ^= 1;
         for backend in backends() {
-            assert_eq!(
-                backend.verify(KeyRef::Sec1(&sec1), &bad, &sig),
-                Err(SecurityError::BadSignature)
-            );
+            for key_ref in [KeyRef::Sec1(&sec1), KeyRef::Prepared(&prepared)] {
+                assert_eq!(
+                    backend.verify(key_ref, &bad, &sig),
+                    Err(SecurityError::BadSignature),
+                    "{key_ref:?}"
+                );
+            }
         }
     }
 

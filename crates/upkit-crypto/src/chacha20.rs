@@ -132,6 +132,7 @@ pub fn chacha20_xor(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], data: &[u8]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
 
     fn rfc_key() -> [u8; KEY_LEN] {
         let mut key = [0u8; KEY_LEN];

@@ -4,15 +4,26 @@
 //! *vendor server* signs the firmware digest and manifest core, and the
 //! *update server* signs the manifest extended with the device token. Both
 //! use ECDSA/secp256r1/SHA-256 as in the paper.
+//!
+//! A [`VerifyingKey`] that checks many signatures can be
+//! [prepared](VerifyingKey::prepare): the [`PreparedVerifyingKey`] carries
+//! the key's comb table, which costs about one verification to build and
+//! makes every later verification cost well under half of one.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::hmac::HmacSha256;
 use crate::p256::{
-    double_scalar_mul, field_prime, mul_base, order, AffinePoint, FieldElement, PointError, Scalar,
+    double_comb_mul, double_scalar_mul, field_prime, mul_base, order, AffinePoint, Comb,
+    FieldElement, JacobianPoint, PointError, Scalar,
 };
 use crate::sha256::sha256;
 use crate::u256::U256;
 
-#[cfg(feature = "std")]
+#[cfg(any(feature = "std", test))]
 use rand::Rng;
 
 /// Byte length of a serialized signature (`r ‖ s`, raw fixed-width).
@@ -129,30 +140,89 @@ impl VerifyingKey {
         digest: &[u8; 32],
         signature: &Signature,
     ) -> Result<(), EcdsaError> {
-        let z = bits2int(digest);
-        let s = Scalar::from_u256(&signature.s);
-        let s_inv = s.invert().ok_or(EcdsaError::InvalidSignature)?;
-        let u1 = Scalar::from_u256(&z).mul(&s_inv).to_u256();
-        let u2 = Scalar::from_u256(&signature.r).mul(&s_inv).to_u256();
-        let point = double_scalar_mul(&u1, &u2, &self.point);
-        // x(R) < p < 2n, so x(R) mod n == r exactly when x(R) is r or,
-        // if r + n < p, r + n. Comparing X with x·Z² skips the inversion.
-        let r = &signature.r;
-        let (r_plus_n, carry) = r.adc(&order());
-        let valid = point.has_affine_x(&FieldElement::from_u256(r))
-            || (carry == 0
-                && r_plus_n < field_prime()
-                && point.has_affine_x(&FieldElement::from_u256(&r_plus_n)));
-        if valid {
-            Ok(())
-        } else {
-            Err(EcdsaError::InvalidSignature)
-        }
+        verify_with(digest, signature, |u1, u2| {
+            double_scalar_mul(u1, u2, &self.point)
+        })
     }
 
     /// Hashes `message` with SHA-256 and verifies `signature` over it.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), EcdsaError> {
         self.verify_prehashed(&sha256(message), signature)
+    }
+
+    /// Builds this key's comb table (about the work of one verification),
+    /// for a key that will check many signatures.
+    #[must_use]
+    pub fn prepare(&self) -> PreparedVerifyingKey {
+        PreparedVerifyingKey {
+            key: *self,
+            comb: Comb::new(&self.point),
+        }
+    }
+}
+
+/// A [`VerifyingKey`] with its comb table: each verification runs one
+/// 43-doubling chain instead of 257 doublings, and returns what
+/// [`VerifyingKey::verify_prehashed`] returns. The 4 kB table is held
+/// inline.
+#[derive(Clone)]
+pub struct PreparedVerifyingKey {
+    key: VerifyingKey,
+    comb: Comb,
+}
+
+impl core::fmt::Debug for PreparedVerifyingKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PreparedVerifyingKey")
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PreparedVerifyingKey {
+    /// The key the table was built from.
+    #[must_use]
+    pub fn verifying_key(&self) -> &VerifyingKey {
+        &self.key
+    }
+
+    /// Verifies `signature` over the already-hashed 32-byte `digest`.
+    pub fn verify_prehashed(
+        &self,
+        digest: &[u8; 32],
+        signature: &Signature,
+    ) -> Result<(), EcdsaError> {
+        verify_with(digest, signature, |u1, u2| {
+            double_comb_mul(u1, u2, &self.comb)
+        })
+    }
+}
+
+/// The verification both key forms share: `u1 = z·s⁻¹` and `u2 = r·s⁻¹`,
+/// `R = multiply(u1, u2) = u1·G + u2·Q`, and the check `x(R) ≡ r (mod n)`.
+fn verify_with(
+    digest: &[u8; 32],
+    signature: &Signature,
+    multiply: impl FnOnce(&U256, &U256) -> JacobianPoint,
+) -> Result<(), EcdsaError> {
+    let z = bits2int(digest);
+    let s = Scalar::from_u256(&signature.s);
+    let s_inv = s.invert().ok_or(EcdsaError::InvalidSignature)?;
+    let u1 = Scalar::from_u256(&z).mul(&s_inv).to_u256();
+    let u2 = Scalar::from_u256(&signature.r).mul(&s_inv).to_u256();
+    let point = multiply(&u1, &u2);
+    // x(R) < p < 2n, so x(R) mod n == r exactly when x(R) is r or,
+    // if r + n < p, r + n. Comparing X with x·Z² skips the inversion.
+    let r = &signature.r;
+    let (r_plus_n, carry) = r.adc(&order());
+    let valid = point.has_affine_x(&FieldElement::from_u256(r))
+        || (carry == 0
+            && r_plus_n < field_prime()
+            && point.has_affine_x(&FieldElement::from_u256(&r_plus_n)));
+    if valid {
+        Ok(())
+    } else {
+        Err(EcdsaError::InvalidSignature)
     }
 }
 
@@ -191,7 +261,7 @@ impl SigningKey {
 
     /// Generates a fresh random signing key (host-side: key generation
     /// happens on the vendor/update servers, never on a device).
-    #[cfg(feature = "std")]
+    #[cfg(any(feature = "std", test))]
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         loop {
             let mut bytes = [0u8; PRIVATE_KEY_LEN];
@@ -319,6 +389,9 @@ impl Rfc6979 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
+    use alloc::string::String;
+    use alloc::vec::Vec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -526,11 +599,49 @@ mod tests {
             bytes[32..].copy_from_slice(&s.to_be_bytes());
             Signature::from_bytes(&bytes).unwrap()
         };
-        assert_eq!(key.verify_prehashed(&digest, &signature(r)), Ok(()));
-        assert_eq!(
-            key.verify_prehashed(&digest, &signature(U256::from_u64(delta ^ 1))),
-            Err(EcdsaError::InvalidSignature)
-        );
+        let prepared = key.prepare();
+        for (r, expected) in [
+            (r, Ok(())),
+            (U256::from_u64(delta ^ 1), Err(EcdsaError::InvalidSignature)),
+        ] {
+            assert_eq!(key.verify_prehashed(&digest, &signature(r)), expected);
+            assert_eq!(prepared.verify_prehashed(&digest, &signature(r)), expected);
+        }
+    }
+
+    #[test]
+    fn prepared_and_plain_keys_return_the_same_result() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let key = SigningKey::generate(&mut rng);
+        let other = SigningKey::generate(&mut rng);
+        let plain = key.verifying_key();
+        let prepared = plain.prepare();
+        assert_eq!(prepared.verifying_key(), &plain);
+        let bad = Err(EcdsaError::InvalidSignature);
+        for i in 0..8 {
+            let digest = sha256(&[i as u8; 40]);
+            let signature = key.sign_prehashed(&digest);
+            let mut flipped_digest = digest;
+            flipped_digest[i * 4] ^= 1 << i;
+            // One low-order bit of `r` (even i) or `s` (odd i): the
+            // signature still parses.
+            let mut bytes = signature.to_bytes();
+            bytes[31 + 32 * (i % 2) - i] ^= 1 << i;
+            let flipped_signature = Signature::from_bytes(&bytes).expect("still below n");
+            for (digest, signature, expected) in [
+                (digest, signature, Ok(())),
+                (flipped_digest, signature, bad),
+                (digest, flipped_signature, bad),
+                (digest, other.sign_prehashed(&digest), bad),
+            ] {
+                assert_eq!(plain.verify_prehashed(&digest, &signature), expected, "{i}");
+                assert_eq!(
+                    prepared.verify_prehashed(&digest, &signature),
+                    expected,
+                    "{i}"
+                );
+            }
+        }
     }
 
     #[test]

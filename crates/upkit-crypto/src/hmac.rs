@@ -1,6 +1,11 @@
 //! HMAC-SHA256 (RFC 2104), used by the RFC 6979 deterministic-nonce
 //! generator in [`crate::ecdsa`].
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Incremental HMAC-SHA256 MAC.
@@ -79,6 +84,9 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
+    use alloc::string::String;
+    use alloc::vec::Vec;
 
     fn hex(tag: &[u8]) -> String {
         tag.iter().map(|b| format!("{b:02x}")).collect()

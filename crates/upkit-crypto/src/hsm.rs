@@ -127,10 +127,12 @@ impl SecurityBackend for SimulatedHsm {
     ) -> Result<(), SecurityError> {
         let vk = match key {
             KeyRef::Slot(slot) => self.slot_key(slot)?,
-            // The ATECC508 also verifies against caller-supplied keys.
+            // The ATECC508 also verifies against caller-supplied keys; a
+            // prepared key's table is of no use to the hardware.
             KeyRef::Sec1(bytes) => {
                 VerifyingKey::from_sec1_bytes(bytes).map_err(|_| SecurityError::BadKey)?
             }
+            KeyRef::Prepared(key) => *key.verifying_key(),
         };
         self.state.lock().expect("HSM mutex poisoned").verify_count += 1;
         vk.verify_prehashed(digest, signature)?;
@@ -232,6 +234,23 @@ mod tests {
         let sig = key.sign_prehashed(&digest);
         let sec1 = key.verifying_key().to_sec1_bytes();
         hsm.verify(KeyRef::Sec1(&sec1), &digest, &sig).unwrap();
+    }
+
+    #[test]
+    fn prepared_keys_verify_in_hardware() {
+        let key = keypair(38);
+        let hsm = SimulatedHsm::new();
+        let digest = hsm.digest(b"prepared");
+        let sig = key.sign_prehashed(&digest);
+        let prepared = key.verifying_key().prepare();
+        hsm.verify(KeyRef::Prepared(&prepared), &digest, &sig)
+            .unwrap();
+        assert_eq!(hsm.verify_count(), 1);
+        assert_eq!(
+            hsm.verify(KeyRef::Prepared(&prepared), &hsm.digest(b"other"), &sig),
+            Err(SecurityError::BadSignature)
+        );
+        assert_eq!(hsm.verify_count(), 2);
     }
 
     #[test]

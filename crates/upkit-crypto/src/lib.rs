@@ -16,12 +16,17 @@
 //! * [`u256`] / [`mont`] — 256-bit integers and generic Montgomery field
 //!   arithmetic (the CIOS multiply, fixed-window exponentiation).
 //! * [`p256`] — the NIST P-256 group: Jacobian arithmetic, SEC1 encoding,
-//!   a fixed-base comb for `G` (a 4,032-byte compile-time table of 63
-//!   affine points) and width-5 NAF for the public key in verification,
-//!   with mixed Jacobian + affine additions.
-//! * [`ecdsa`] — ECDSA sign/verify with RFC 6979 deterministic nonces.
+//!   fixed-base comb tables of 63 affine points (4,032 bytes: a
+//!   compile-time one for `G`, and one built at run time for any other
+//!   point), width-5 NAF for a public key without a table, and mixed
+//!   Jacobian + affine additions.
+//! * [`ecdsa`] — ECDSA sign/verify with RFC 6979 deterministic nonces. A
+//!   verifying key can be *prepared* with its own comb table, which costs
+//!   about one verification and then makes each verification run 43
+//!   doublings instead of 257.
 //! * [`backend`] — the *security interface*: pluggable backends mirroring
-//!   the paper's crypto libraries.
+//!   the paper's crypto libraries. A key reaches a backend as SEC1 bytes,
+//!   a prepared key, or an HSM slot.
 //! * `hsm` (`std` only) — a simulated ATECC508 hardware security module.
 //! * [`chacha20`] — RFC 8439 stream cipher for the pipeline's decryption
 //!   stage (the paper's future-work confidentiality extension).
@@ -44,12 +49,16 @@
 //!
 //! ```
 //! use upkit_crypto::ecdsa::SigningKey;
-//! use rand::SeedableRng;
 //!
-//! let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-//! let vendor_key = SigningKey::generate(&mut rng);
+//! let vendor_key = SigningKey::from_bytes(&[0x2A; 32]).unwrap();
 //! let signature = vendor_key.sign(b"firmware v2.0");
-//! vendor_key.verifying_key().verify(b"firmware v2.0", &signature).unwrap();
+//! let public = vendor_key.verifying_key();
+//! public.verify(b"firmware v2.0", &signature).unwrap();
+//!
+//! // A key that checks many signatures pays for its comb table once.
+//! let prepared = public.prepare();
+//! let digest = upkit_crypto::sha256(b"firmware v2.0");
+//! prepared.verify_prehashed(&digest, &signature).unwrap();
 //! ```
 
 #![cfg_attr(not(feature = "std"), no_std)]
@@ -62,6 +71,8 @@
 )]
 
 extern crate alloc;
+#[cfg(test)]
+extern crate std;
 
 pub mod backend;
 pub mod chacha20;

@@ -7,6 +7,11 @@
 //! modulus limbs themselves (which the test suite cross-checks against the
 //! curve's published test vectors).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use core::marker::PhantomData;
 
 use crate::u256::{adc, mac, U256};

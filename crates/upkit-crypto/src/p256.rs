@@ -10,16 +10,25 @@
 //! Points live in Jacobian coordinates. Doubling uses the `a = −3`
 //! formulas and forms their multiples by 3, 4 and 8 with additions.
 //!
-//! * **`k·G`** (signing and key derivation) runs a fixed-base comb with 6
-//!   teeth at spacing 43: a compile-time table holds the 63 non-empty sums
-//!   of `2^(43·j)·G` for `j < 6`, as affine points in Montgomery form
-//!   (63 × 64 = 4,032 bytes of static data). One pass does 43 doublings
+//! * **[`Comb`]** is a fixed-base comb table with 6 teeth at spacing 43:
+//!   the 63 non-empty sums of `2^(43·j)·P` for `j < 6`, as affine points in
+//!   Montgomery form (63 × 64 = 4,032 bytes, held inline). `G`'s table is
+//!   static data. [`Comb::new`] builds any other point's: 5 × 43 doublings
+//!   for the teeth, 57 mixed additions for their sums, and a batch
+//!   normalisation after each (Montgomery's trick: one field inversion for
+//!   the whole batch). That is about the work of one plain verification.
+//! * **`k·G`** (signing and key derivation) runs `G`'s comb: 43 doublings
 //!   and at most 43 table additions.
-//! * **`a·G + b·Q`** ([`double_scalar_mul`], verification) shares one
+//! * **`a·G + b·Q`** against a plain key ([`double_scalar_mul`]) shares one
 //!   doubling chain between both scalars. `b` is recoded in width-5 NAF
 //!   over the 8 odd multiples `Q, 3Q, …, 15Q`, so about one doubling in six
 //!   is followed by an addition. The last 43 doublings also add the comb
-//!   columns of `a` from the same table.
+//!   columns of `a` from `G`'s table. That is 257 doublings in all.
+//! * **`a·G + b·Q`** against `Q`'s table ([`double_comb_mul`], a prepared
+//!   key) runs one 43-doubling chain, and each step adds `a`'s column of
+//!   `G`'s table and `b`'s column of `Q`'s. It costs well under half of
+//!   [`double_scalar_mul`], so a key checked more than about twice repays
+//!   its table.
 //! * Table points enter through a mixed Jacobian + affine addition
 //!   (madd-2007-bl: 11 field multiplies, against 16 for the general
 //!   addition).
@@ -399,14 +408,14 @@ impl JacobianPoint {
         }
     }
 
-    /// Adds the comb column of `k` at bit `i`: the table point whose teeth
-    /// are bits `i, i + 43, …, i + 215` of `k`.
-    fn add_comb_column(&self, k: &U256, i: usize) -> Self {
+    /// Adds the column of `k` at bit `i` from `comb`: the table point whose
+    /// teeth are bits `i, i + 43, …, i + 215` of `k`.
+    fn add_comb_column(&self, comb: &Comb, k: &U256, i: usize) -> Self {
         let column =
             (0..COMB_TEETH).fold(0, |m, j| m | usize::from(k.bit(i + COMB_SPACING * j)) << j);
         match column {
             0 => *self,
-            m => self.add_affine(&COMB[m - 1]),
+            m => self.add_affine(&comb.points[m - 1]),
         }
     }
 
@@ -458,13 +467,28 @@ impl JacobianPoint {
 pub(crate) fn mul_base(k: &U256) -> JacobianPoint {
     let mut acc = JacobianPoint::identity();
     for i in (0..COMB_SPACING).rev() {
-        acc = acc.double().add_comb_column(k, i);
+        acc = acc.double().add_comb_column(&G_COMB, k, i);
+    }
+    acc
+}
+
+/// Computes `a·G + b·Q` from `Q`'s comb table, for any 256-bit `a` and
+/// `b`: 43 doublings, each followed by at most one mixed addition from
+/// `G`'s table and one from `Q`'s.
+#[must_use]
+pub fn double_comb_mul(a: &U256, b: &U256, q: &Comb) -> JacobianPoint {
+    let mut acc = JacobianPoint::identity();
+    for i in (0..COMB_SPACING).rev() {
+        acc = acc
+            .double()
+            .add_comb_column(&G_COMB, a, i)
+            .add_comb_column(q, b, i);
     }
     acc
 }
 
 /// Computes `a·G + b·Q`, the linear combination at the heart of ECDSA
-/// verification.
+/// verification, for a `Q` without a table.
 ///
 /// One doubling chain serves both scalars: `b`'s width-5 NAF digits add
 /// odd multiples of `Q`, and the last 43 doublings also add `a`'s comb
@@ -488,7 +512,7 @@ pub fn double_scalar_mul(a: &U256, b: &U256, q: &AffinePoint) -> JacobianPoint {
             acc = acc.add(&multiple.neg());
         }
         if i < COMB_SPACING {
-            acc = acc.add_comb_column(a, i);
+            acc = acc.add_comb_column(&G_COMB, a, i);
         }
     }
     acc
@@ -524,7 +548,8 @@ fn wnaf5(k: &U256) -> [i8; 257] {
     naf
 }
 
-/// A finite point in affine coordinates, as stored in the comb table.
+/// A finite point in affine coordinates, as stored in a comb table.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct CombPoint {
     x: FieldElement,
     y: FieldElement,
@@ -538,17 +563,100 @@ const fn comb_point(x: [u64; 4], y: [u64; 4]) -> CombPoint {
     }
 }
 
-/// Teeth of the fixed-base comb for `G`.
+/// Teeth of a comb.
 const COMB_TEETH: usize = 6;
 /// Bit distance between adjacent teeth; `6 × 43 = 258` covers 256 bits.
 const COMB_SPACING: usize = 43;
+/// Points in a comb table: one per non-empty set of teeth.
+const COMB_POINTS: usize = (1 << COMB_TEETH) - 1;
 
-/// `COMB[m − 1] = Σ 2^(43·j)·G` over the set bits `j` of `m`, for
-/// `m = 1..=63`, in affine Montgomery form (generated offline and checked
-/// by `comb_table_matches_generator`). A `static`, so every use reads the
-/// one copy in read-only data.
+/// The fixed-base comb table of a point `P`: entry `m − 1` is
+/// `Σ 2^(43·j)·P` over the set bits `j` of `m`, for `m = 1..=63`, as affine
+/// points in Montgomery form. The 4,032 bytes are held inline, so a
+/// `no_std` build needs no allocator for one.
+#[derive(Clone, Debug)]
+pub struct Comb {
+    points: [CombPoint; COMB_POINTS],
+}
+
+impl Comb {
+    /// Builds the table of `p`: 5 × 43 doublings for the teeth
+    /// `2^(43·j)·p`, one batch normalisation, 57 mixed additions for the
+    /// sums of two or more teeth, then a second batch normalisation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is the identity, which has no affine table points.
+    #[must_use]
+    pub fn new(p: &AffinePoint) -> Self {
+        if *p == AffinePoint::Identity {
+            panic!("the identity has no comb table");
+        }
+        let mut teeth = [p.to_jacobian(); COMB_TEETH];
+        for j in 1..COMB_TEETH {
+            teeth[j] = (0..COMB_SPACING).fold(teeth[j - 1], |t, _| t.double());
+        }
+        let teeth = batch_to_affine(&teeth);
+        // Each sum adds its highest tooth to the sum of the others, which
+        // an earlier entry holds.
+        let mut sums = [JacobianPoint::identity(); COMB_POINTS];
+        for m in 1..=COMB_POINTS {
+            let top = m.ilog2() as usize;
+            let rest = match m & !(1 << top) {
+                0 => JacobianPoint::identity(),
+                rest => sums[rest - 1],
+            };
+            sums[m - 1] = rest.add_affine(&teeth[top]);
+        }
+        Self {
+            points: batch_to_affine(&sums),
+        }
+    }
+}
+
+/// Converts finite points to affine with one field inversion (Montgomery's
+/// trick): three multiplies per point invert every `Z` from the inverse of
+/// their product.
+///
+/// # Panics
+///
+/// Panics if a point is the identity. [`Comb::new`] passes only finite
+/// points: for a finite `P`, each tooth and each sum is `k·P` with
+/// `0 < k < 2^216 < n`.
+fn batch_to_affine<const N: usize>(points: &[JacobianPoint; N]) -> [CombPoint; N] {
+    // prefix[i] = Z_0 · Z_1 ⋯ Z_i.
+    let mut prefix = [FieldElement::one(); N];
+    let mut product = FieldElement::one();
+    for (prefix, point) in prefix.iter_mut().zip(points) {
+        product = product.mul(&point.z);
+        *prefix = product;
+    }
+    let mut inverse = product
+        .invert()
+        .expect("each point is k·P with 0 < k < n for a finite P, so no Z is zero");
+    let zero = FieldElement::zero();
+    let mut affine = [CombPoint { x: zero, y: zero }; N];
+    for i in (0..N).rev() {
+        // `inverse` is (Z_0 ⋯ Z_i)⁻¹ here.
+        let z_inv = match i {
+            0 => inverse,
+            _ => inverse.mul(&prefix[i - 1]),
+        };
+        inverse = inverse.mul(&points[i].z);
+        let z_inv2 = z_inv.square();
+        affine[i] = CombPoint {
+            x: points[i].x.mul(&z_inv2),
+            y: points[i].y.mul(&z_inv2.mul(&z_inv)),
+        };
+    }
+    affine
+}
+
+/// `G`'s comb table (generated offline and checked by
+/// `comb_table_matches_generator`). A `static`, so every use reads the one
+/// copy in read-only data.
 #[rustfmt::skip]
-static COMB: [CombPoint; (1 << COMB_TEETH) - 1] = [
+static G_COMB: Comb = Comb { points: [
     comb_point([0x79e730d418a9143c, 0x75ba95fc5fedb601, 0x79fb732b77622510, 0x18905f76a53755c6],
                [0xddf25357ce95560a, 0x8b4ab8e4ba19e45c, 0xd2e88688dd21f325, 0x8571ff1825885d85]),
     comb_point([0x8910507903605c39, 0xf0843d9ea142c96c, 0xf374493416923684, 0x732caa2ffa0a2893],
@@ -675,11 +783,12 @@ static COMB: [CombPoint; (1 << COMB_TEETH) - 1] = [
                [0xcb5b1845aaf797c0, 0xe5d6dd0eba6f557f, 0xa1496fe691dc2e7c, 0xad31edac8c179fc7]),
     comb_point([0xf9c5e9de44b06ed7, 0x6ce7c4f74a597159, 0xd02ec441833accb5, 0xf30205996296e8fc],
                [0x7df6c5c6c2afbe06, 0xff429dda9c849b09, 0x42170166f5dd78d6, 0x2403ea21830c388b]),
-];
+] };
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
     use proptest::prelude::*;
 
     fn hex_32(s: &str) -> [u8; 32] {
@@ -971,22 +1080,22 @@ mod tests {
         #[test]
         fn double_scalar_mul_matches_reference(a in scalar(), b in scalar(), k in discrete_log()) {
             let q = AffinePoint::generator().to_jacobian().mul_scalar(&k).to_affine();
-            prop_assert_eq!(
-                double_scalar_mul(&a, &b, &q).to_affine(),
-                double_scalar_mul_reference(&a, &b, &q).to_affine()
-            );
-            prop_assert_eq!(
-                double_scalar_mul(&a, &a, &q).to_affine(),
-                double_scalar_mul_reference(&a, &a, &q).to_affine()
-            );
+            let q_comb = Comb::new(&q);
+            for (a, b) in [(a, b), (a, a)] {
+                let expected = double_scalar_mul_reference(&a, &b, &q).to_affine();
+                prop_assert_eq!(double_scalar_mul(&a, &b, &q).to_affine(), expected);
+                prop_assert_eq!(double_comb_mul(&a, &b, &q_comb).to_affine(), expected);
+            }
             // b' = −a/k makes a·G + b'·Q the point at infinity.
             let k_inv = Scalar::from_u256(&k).invert().expect("k is non-zero");
             let cancel = Scalar::from_u256(&a).neg().mul(&k_inv).to_u256();
             prop_assert!(double_scalar_mul(&a, &cancel, &q).is_identity());
+            prop_assert!(double_comb_mul(&a, &cancel, &q_comb).is_identity());
             prop_assert!(double_scalar_mul_reference(&a, &cancel, &q).is_identity());
             let g = AffinePoint::generator();
             let minus_a = Scalar::from_u256(&a).neg().to_u256();
             prop_assert!(double_scalar_mul(&a, &minus_a, &g).is_identity());
+            prop_assert!(double_comb_mul(&a, &minus_a, &G_COMB).is_identity());
         }
 
         #[test]
@@ -1002,6 +1111,7 @@ mod tests {
         // its wNAF with the carry digit at position 256.
         let g = AffinePoint::generator();
         let q = gx_times(5);
+        let q_comb = Comb::new(&q);
         for k in [
             order(),
             n_minus(2),
@@ -1014,14 +1124,26 @@ mod tests {
                 "k = {k}"
             );
             for (a, b) in [(k, k), (U256::ONE, k), (k, U256::ZERO)] {
+                let expected = double_scalar_mul_reference(&a, &b, &q).to_affine();
                 assert_eq!(
                     double_scalar_mul(&a, &b, &q).to_affine(),
-                    double_scalar_mul_reference(&a, &b, &q).to_affine(),
+                    expected,
                     "a = {a}, b = {b}"
+                );
+                assert_eq!(
+                    double_comb_mul(&a, &b, &q_comb).to_affine(),
+                    expected,
+                    "comb: a = {a}, b = {b}"
                 );
             }
         }
         assert!(double_scalar_mul(&U256::ZERO, &U256::ONE, &AffinePoint::Identity).is_identity());
+    }
+
+    #[test]
+    #[should_panic(expected = "the identity has no comb table")]
+    fn the_identity_has_no_comb_table() {
+        let _ = Comb::new(&AffinePoint::Identity);
     }
 
     #[test]
@@ -1069,9 +1191,11 @@ mod tests {
         for j in 1..COMB_TEETH {
             teeth[j] = (0..COMB_SPACING).fold(teeth[j - 1], |p, _| p.double());
         }
-        assert_eq!(COMB.len(), 63);
-        assert_eq!(core::mem::size_of_val(&COMB), 4032);
-        for (index, entry) in COMB.iter().enumerate() {
+        assert_eq!(G_COMB.points.len(), 63);
+        assert_eq!(core::mem::size_of_val(&G_COMB), 4032);
+        let built = Comb::new(&AffinePoint::generator());
+        for (index, entry) in G_COMB.points.iter().enumerate() {
+            assert_eq!(built.points[index], *entry, "Comb::new(G)[{index}]");
             let m = index + 1;
             let sum = (0..COMB_TEETH)
                 .filter(|j| m >> j & 1 == 1)

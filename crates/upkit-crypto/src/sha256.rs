@@ -19,6 +19,11 @@
 //! module holds the crate's only `unsafe` code: the call behind the
 //! feature check and the unaligned loads of each 64-byte block.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 #[cfg(all(feature = "std", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod shani;
@@ -227,6 +232,9 @@ pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::string::String;
+    use alloc::vec::Vec;
+    use alloc::{format, vec};
     use proptest::collection::vec;
     use proptest::prelude::*;
 

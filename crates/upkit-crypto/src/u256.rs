@@ -245,6 +245,7 @@ impl core::fmt::Display for U256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::format;
 
     #[test]
     fn byte_round_trip() {

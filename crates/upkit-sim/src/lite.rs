@@ -8,6 +8,14 @@
 //! bspatch or framed patching, the exact-size check — writing into RAM
 //! instead of a slot, followed by the digest check. Only the per-device
 //! flash, the bootloader, and the agent's FSM trace are left out.
+//!
+//! Every device and shard of one engine checks signatures against the same
+//! two keys, so [`LiteEnv`] prepares them once
+//! ([`VerifyingKey::prepare`](upkit_crypto::ecdsa::VerifyingKey::prepare)):
+//! a check then runs one 43-doubling chain against each key's comb table
+//! instead of 257 doublings, with the same verdicts. The agent, the
+//! bootloader and `SimDevice` check each key only a few times per world
+//! and keep the plain SEC1 path.
 
 #![cfg_attr(
     not(test),
@@ -21,11 +29,10 @@ use rand::SeedableRng;
 use upkit_core::agent::{AgentError, AgentPhase, AgentState};
 use upkit_core::generation::{UpdateServer, VendorServer};
 use upkit_core::image::FIRMWARE_OFFSET;
-use upkit_core::keys::TrustAnchors;
 use upkit_core::pipeline::{Decoder, VecSink};
 use upkit_core::verifier::{Verifier, VerifyContext, VerifyError};
-use upkit_crypto::backend::TinyCryptBackend;
-use upkit_crypto::ecdsa::SigningKey;
+use upkit_crypto::backend::{KeyRef, TinyCryptBackend};
+use upkit_crypto::ecdsa::{PreparedVerifyingKey, SigningKey};
 use upkit_crypto::sha256::sha256;
 use upkit_manifest::{DeviceToken, Manifest, SignedManifest, Version, SIGNED_MANIFEST_LEN};
 use upkit_trace::Counters;
@@ -65,11 +72,14 @@ impl UpgradeWorld {
     }
 }
 
-/// What one engine's lite devices check updates against: the trust
-/// anchors, the differential base, and how manifests are bound.
+/// What one engine's lite devices check updates against: the two trusted
+/// keys, the differential base, and how manifests are bound.
 pub(crate) struct LiteEnv {
     backend: TinyCryptBackend,
-    anchors: TrustAnchors,
+    /// The vendor server's key, prepared once for the whole engine.
+    vendor_key: PreparedVerifyingKey,
+    /// The update server's key, prepared once for the whole engine.
+    server_key: PreparedVerifyingKey,
     /// The v1 image every device was provisioned with (the differential
     /// base).
     pub(crate) base_image: Vec<u8>,
@@ -85,14 +95,21 @@ impl LiteEnv {
     pub(crate) fn new(world: &UpgradeWorld, device_bound: bool) -> Self {
         Self {
             backend: TinyCryptBackend,
-            anchors: TrustAnchors::inline(
-                &world.vendor.verifying_key(),
-                &world.server.verifying_key(),
-            ),
+            vendor_key: world.vendor.verifying_key().prepare(),
+            server_key: world.server.verifying_key().prepare(),
             base_image: world.v1.clone(),
             max_size: slot_size_for(world.v1.len()) - FIRMWARE_OFFSET,
             device_bound,
         }
+    }
+
+    /// The agent's verifier over the two prepared keys.
+    fn verifier(&self) -> Verifier<'_> {
+        Verifier::with_keys(
+            &self.backend,
+            KeyRef::Prepared(&self.vendor_key),
+            KeyRef::Prepared(&self.server_key),
+        )
     }
 }
 
@@ -261,7 +278,7 @@ impl LiteDevice {
             allowed_link_offsets: vec![LINK_OFFSET],
             max_size: env.max_size,
         };
-        let verifier = Verifier::new(&env.backend, &env.anchors);
+        let verifier = env.verifier();
         verifier.check_fields(&signed.manifest, &ctx)?;
         match signatures {
             SignatureCheck::Skip => {}
@@ -314,7 +331,7 @@ impl LiteDevice {
             return Ok(AgentPhase::NeedMore);
         }
         decoder.finish(&mut sink)?;
-        Verifier::new(&env.backend, &env.anchors)
+        env.verifier()
             .verify_firmware_digest(manifest, &sha256(sink.image))?;
         self.installed = manifest.version;
         self.installs += 1;

@@ -53,6 +53,28 @@ fn strided_exploration_covers_every_surface_with_zero_violations() {
 }
 
 #[test]
+fn a_truncated_bsdiff_stream_is_a_typed_error() {
+    // The structural tail's first case cuts the corpus in half. The
+    // streaming patcher must be told the stream ended to see that it is
+    // short, as the device pipeline tells it.
+    let s = scenario();
+    let baseline = record_baseline(&s);
+    let truncate = baseline.stream_delta.len() as u64;
+    assert_eq!(truncate, 7_572);
+    assert_eq!(universe(MutationClass::StreamDelta, &baseline), 7_575);
+    let case = run_case(
+        &s,
+        &baseline,
+        MutationClass::StreamDelta,
+        truncate,
+        &Tracer::disabled(),
+    );
+    assert!(case.ok(), "{:?}", case.violation);
+    assert!(!case.panicked);
+    assert_eq!(case.outcome, "typed_error");
+}
+
+#[test]
 fn downgrade_replays_are_rejected_at_the_manifest() {
     // Both replay flavors — a stale-nonce package and a wrong-device
     // package, each once legitimately signed — must die at manifest
