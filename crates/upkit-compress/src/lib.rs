@@ -179,7 +179,19 @@ impl core::fmt::Display for LzssError {
 
 impl core::error::Error for LzssError {}
 
+/// Marker for an empty hash-chain link.
+const NO_POSITION: u32 = u32::MAX;
+
 /// Compresses `data` in one shot (server-side operation).
+///
+/// Greedy parsing over hash chains of 3-byte prefixes: at each position
+/// the encoder walks up to 64 earlier positions with the same hash inside
+/// the window and takes the first longest match. A candidate whose byte at
+/// the best length so far differs from this position's cannot beat the
+/// best, so the walk skips it without comparing prefixes, though it still
+/// counts as one of the 64. Prefixes compare eight bytes at a time. Chain
+/// links are `u32` positions, which fit because the header stores the
+/// length as a `u32`.
 #[must_use]
 pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + data.len() / 2 + 16);
@@ -198,8 +210,8 @@ pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
         let v = (u32::from(bytes[0]) << 16) | (u32::from(bytes[1]) << 8) | u32::from(bytes[2]);
         (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
     };
-    let mut head = vec![usize::MAX; HASH_SIZE];
-    let mut prev = vec![usize::MAX; data.len()];
+    let mut head = vec![NO_POSITION; HASH_SIZE];
+    let mut prev = vec![NO_POSITION; data.len()];
 
     // The flag byte is created lazily so an empty input emits no items.
     let mut flag_pos = 0usize;
@@ -228,21 +240,24 @@ pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
         if i + min_match <= data.len() {
             let mut candidate = head[hash(&data[i..])];
             let limit = i.saturating_sub(window);
+            let max_here = max_match.min(data.len() - i);
+            let here = &data[i..i + max_here];
             let mut tries = 64;
-            while candidate != usize::MAX && candidate >= limit && tries > 0 {
-                let max_here = max_match.min(data.len() - i);
-                let mut len = 0;
-                while len < max_here && data[candidate + len] == data[i + len] {
-                    len += 1;
-                }
-                if len > best_len {
-                    best_len = len;
-                    best_dist = i - candidate;
-                    if len == max_here {
-                        break;
+            while candidate != NO_POSITION && candidate as usize >= limit && tries > 0 {
+                let start = candidate as usize;
+                // `best_len < max_here` holds here: the walk stops on a
+                // match of `max_here`.
+                if data[start + best_len] == here[best_len] {
+                    let len = common_prefix(&data[start..start + max_here], here);
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = i - start;
+                        if len == max_here {
+                            break;
+                        }
                     }
                 }
-                candidate = prev[candidate];
+                candidate = prev[start];
                 tries -= 1;
             }
         }
@@ -265,7 +280,7 @@ pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
                 if i + min_match <= data.len() {
                     let h = hash(&data[i..]);
                     prev[i] = head[h];
-                    head[h] = i;
+                    head[h] = i as u32;
                 }
                 i += 1;
             }
@@ -274,12 +289,32 @@ pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
             if i + min_match <= data.len() {
                 let h = hash(&data[i..]);
                 prev[i] = head[h];
-                head[h] = i;
+                head[h] = i as u32;
             }
             i += 1;
         }
     }
     out
+}
+
+/// Length of the common prefix of `a` and `b`, which have equal lengths:
+/// compared eight bytes at a time (the lowest differing byte of two
+/// little-endian words is their XOR's trailing zero bits ÷ 8), then byte by
+/// byte.
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let mut len = 0;
+    for (x, y) in a.as_chunks::<8>().0.iter().zip(b.as_chunks::<8>().0) {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    len + a[len..]
+        .iter()
+        .zip(&b[len..])
+        .take_while(|(x, y)| x == y)
+        .count()
 }
 
 /// Decompresses a complete LZSS stream in one call.
@@ -652,12 +687,110 @@ fn copy_match(window: &mut [u8; MAX_WINDOW], pos: usize, dist: usize, out: &mut 
 }
 
 /// The byte-at-a-time decoder [`Decompressor`] replaced: one state-machine
-/// step, one `%` and one push per stream byte. Kept as the reference the
-/// run decoder is checked against.
+/// step, one `%` and one push per stream byte; and the encoder [`compress`]
+/// replaced, which compares every chain candidate byte by byte. Kept as
+/// the references the run decoder and the encoder are checked against.
 #[cfg(test)]
 mod oracle {
     use super::{LzssError, Params, HEADER_LEN, MAGIC, MAX_WINDOW};
+    use alloc::vec;
     use alloc::vec::Vec;
+
+    pub fn compress(data: &[u8], params: Params) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + data.len() / 2 + 16);
+        out.extend_from_slice(&MAGIC);
+        out.push(params.window_bits);
+        out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+
+        let window = params.window_size();
+        let min_match = params.min_match();
+        let max_match = params.max_match();
+
+        const HASH_BITS: usize = 15;
+        const HASH_SIZE: usize = 1 << HASH_BITS;
+        let hash = |bytes: &[u8]| -> usize {
+            let v = (u32::from(bytes[0]) << 16) | (u32::from(bytes[1]) << 8) | u32::from(bytes[2]);
+            (v.wrapping_mul(0x9e37_79b1) >> (32 - HASH_BITS)) as usize
+        };
+        let mut head = vec![usize::MAX; HASH_SIZE];
+        let mut prev = vec![usize::MAX; data.len()];
+
+        let mut flag_pos = 0usize;
+        let mut flag_bit = 8u8;
+        let push_item = |out: &mut Vec<u8>,
+                         flag_pos: &mut usize,
+                         flag_bit: &mut u8,
+                         literal: bool,
+                         bytes: &[u8]| {
+            if *flag_bit == 8 {
+                *flag_pos = out.len();
+                out.push(0);
+                *flag_bit = 0;
+            }
+            if literal {
+                out[*flag_pos] |= 1 << *flag_bit;
+            }
+            *flag_bit += 1;
+            out.extend_from_slice(bytes);
+        };
+
+        let mut i = 0;
+        while i < data.len() {
+            let mut best_len = 0usize;
+            let mut best_dist = 0usize;
+            if i + min_match <= data.len() {
+                let mut candidate = head[hash(&data[i..])];
+                let limit = i.saturating_sub(window);
+                let mut tries = 64;
+                while candidate != usize::MAX && candidate >= limit && tries > 0 {
+                    let max_here = max_match.min(data.len() - i);
+                    let mut len = 0;
+                    while len < max_here && data[candidate + len] == data[i + len] {
+                        len += 1;
+                    }
+                    if len > best_len {
+                        best_len = len;
+                        best_dist = i - candidate;
+                        if len == max_here {
+                            break;
+                        }
+                    }
+                    candidate = prev[candidate];
+                    tries -= 1;
+                }
+            }
+
+            if best_len >= min_match {
+                let token = ((best_dist - 1) as u16)
+                    | ((best_len - min_match) as u16) << params.window_bits;
+                push_item(
+                    &mut out,
+                    &mut flag_pos,
+                    &mut flag_bit,
+                    false,
+                    &token.to_le_bytes(),
+                );
+                let end = i + best_len;
+                while i < end {
+                    if i + min_match <= data.len() {
+                        let h = hash(&data[i..]);
+                        prev[i] = head[h];
+                        head[h] = i;
+                    }
+                    i += 1;
+                }
+            } else {
+                push_item(&mut out, &mut flag_pos, &mut flag_bit, true, &data[i..=i]);
+                if i + min_match <= data.len() {
+                    let h = hash(&data[i..]);
+                    prev[i] = head[h];
+                    head[h] = i;
+                }
+                i += 1;
+            }
+        }
+        out
+    }
 
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum DecodeState {
@@ -1303,6 +1436,53 @@ mod tests {
         })
     }
 
+    /// Shaped like a bsdiff patch of a firmware update: a header, then
+    /// entries of a control word, a diff block of zeros with small deltas
+    /// at a relocation stride, and a block of literal bytes.
+    fn bsdiff_like() -> impl Strategy<Value = Vec<u8>> {
+        let entry = (0u32..3000, 1u32..64, 0u32..300, any::<u32>());
+        proptest::collection::vec(entry, 0..8).prop_map(|entries| {
+            let new_len: u32 = entries.iter().map(|(diff, _, extra, _)| diff + extra).sum();
+            let mut patch = b"BSD1".to_vec();
+            patch.extend_from_slice(&new_len.to_le_bytes());
+            patch.extend_from_slice(&new_len.to_le_bytes());
+            for (diff, stride, extra, seed) in entries {
+                patch.extend_from_slice(&diff.to_le_bytes());
+                patch.extend_from_slice(&extra.to_le_bytes());
+                patch.extend_from_slice(&(seed % 4096).to_le_bytes());
+                let mut state = seed | 1;
+                let mut next = move || {
+                    state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                    (state >> 24) as u8
+                };
+                patch.extend((0..diff).map(|i| if i % stride == 0 { next() % 4 } else { 0 }));
+                patch.extend((0..extra).map(|_| next()));
+            }
+            patch
+        })
+    }
+
+    /// What the encoder is checked on: random bytes, two- and
+    /// four-symbol alphabets (hash chains far longer than the 64 a walk
+    /// tries), long zero runs, firmware-like data and bsdiff-shaped
+    /// patches.
+    fn encoder_inputs() -> impl Strategy<Value = Vec<u8>> {
+        let zero_runs =
+            proptest::collection::vec((0usize..3000, any::<u8>()), 0..12).prop_map(|runs| {
+                runs.into_iter()
+                    .flat_map(|(zeros, byte)| core::iter::repeat_n(0, zeros).chain([byte]))
+                    .collect()
+            });
+        prop_oneof![
+            proptest::collection::vec(any::<u8>(), 0..4096),
+            proptest::collection::vec(0u8..2, 0..4096),
+            proptest::collection::vec(0u8..4, 0..4096),
+            zero_runs,
+            firmware_like(),
+            bsdiff_like(),
+        ]
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -1343,6 +1523,22 @@ mod tests {
                     prop_assert_eq!(&pushed, &expected);
                 }
                 prop_assert_eq!(decoder.expected_len(), reference.expected_len());
+            }
+        }
+
+        /// The chain walk that skips losing candidates and compares eight
+        /// bytes at a time emits the byte-at-a-time encoder's stream at
+        /// every window size.
+        #[test]
+        fn encoder_equals_the_byte_at_a_time_oracle(data in encoder_inputs()) {
+            for window_bits in 8..=13 {
+                let params = Params::new(window_bits).unwrap();
+                prop_assert_eq!(
+                    compress(&data, params),
+                    oracle::compress(&data, params),
+                    "window_bits {}",
+                    window_bits
+                );
             }
         }
     }

@@ -352,7 +352,10 @@ pub fn diff(old: &[u8], new: &[u8]) -> Vec<u8> {
 
 #[cfg(feature = "std")]
 pub(crate) fn diff_with_suffix_array(sa: &SuffixArray, old: &[u8], new: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + new.len() / 4 + 64);
+    // The diff and extra blocks carry exactly `new.len()` bytes; the rest
+    // is one control entry per changed region (~220 for a 128 KiB OS-version
+    // change), so room for one per 384 new bytes sizes the buffer once.
+    let mut out = Vec::with_capacity(HEADER_LEN + new.len() + CONTROL_LEN * (4 + new.len() / 384));
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&(old.len() as u32).to_le_bytes());
     out.extend_from_slice(&(new.len() as u32).to_le_bytes());
@@ -1127,5 +1130,37 @@ mod tests {
             old.len()
         );
         assert_eq!(patch(&old, &delta).unwrap(), new);
+    }
+
+    #[test]
+    fn raw_patch_buffer_is_sized_once() {
+        // The diff and extra blocks carry exactly `new.len()` bytes, so
+        // the output is reserved at about its size up front instead of
+        // doubling its way there. Eight bytes inserted every 600 shift the
+        // rest of the image, so each run needs its own control entry.
+        let old = lcg_bytes(16, 128 * 1024);
+        let new: Vec<u8> = old
+            .chunks(600)
+            .enumerate()
+            .flat_map(|(i, run)| [run, &lcg_bytes(i as u32, 8)].concat())
+            .collect();
+        let delta = diff(&old, &new);
+        let framing = delta.len() - HEADER_LEN - new.len();
+        assert_eq!(
+            framing % CONTROL_LEN,
+            0,
+            "blocks carry exactly new.len() bytes"
+        );
+        assert!(
+            framing / CONTROL_LEN > 100,
+            "{} entries",
+            framing / CONTROL_LEN
+        );
+        assert!(
+            delta.capacity() - delta.len() < delta.len() / 16,
+            "capacity {} for a {}-byte patch",
+            delta.capacity(),
+            delta.len()
+        );
     }
 }

@@ -10,6 +10,11 @@
 //! prefix-doubling construction it replaced. The tests check it against
 //! a plain sort of the suffixes.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 /// Marker for an unfilled suffix-array slot during induction.
 const EMPTY: u32 = u32::MAX;
 

@@ -5,21 +5,59 @@
 //! with a suffix array over the old image. Construction uses the
 //! linear-time SA-IS algorithm ([`crate::sais`]), which the tests check
 //! against a plain sort of the suffixes.
+//!
+//! Beside the array, [`SuffixArray::build`] counts the suffixes in each
+//! two-byte bucket: `buckets[k]` is the number of suffixes that sort below
+//! every string starting with the two bytes `k`. A needle's own bucket
+//! then bounds the binary search of [`SuffixArray::longest_match`] to the
+//! suffixes that share its first two bytes instead of the whole array, and
+//! the search still ends where a search over the whole array ends. The
+//! table is 65,537 `u32`s (256 KiB) whatever the image size.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
+/// Number of two-byte buckets.
+const BUCKETS: usize = 1 << 16;
 
 /// A suffix array over a byte string.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SuffixArray {
     /// `sa[i]` = start offset of the i-th smallest suffix.
     sa: Vec<u32>,
+    /// `buckets[k]` = number of suffixes sorting below every string that
+    /// starts with the bytes `k >> 8, k & 0xFF`; `buckets[BUCKETS]` is the
+    /// number of suffixes.
+    buckets: Vec<u32>,
 }
 
 impl SuffixArray {
     /// Builds the suffix array of `data` with the linear-time SA-IS
-    /// construction.
+    /// construction, and its two-byte bucket index.
     #[must_use]
     pub fn build(data: &[u8]) -> Self {
+        // A suffix of two or more bytes counts at the bucket after its
+        // own, so after the inclusive prefix sum it is below every later
+        // bucket but not its own. The one-byte suffix `[b]` sorts ahead
+        // of every string starting with `b`, so it counts at the first of
+        // `b`'s buckets.
+        let mut buckets = vec![0u32; BUCKETS + 1];
+        for pair in data.windows(2) {
+            buckets[bucket(pair[0], pair[1]) + 1] += 1;
+        }
+        if let Some(&last) = data.last() {
+            buckets[bucket(last, 0)] += 1;
+        }
+        let mut below = 0;
+        for count in &mut buckets {
+            below += *count;
+            *count = below;
+        }
         Self {
             sa: crate::sais::suffix_array(data),
+            buckets,
         }
     }
 
@@ -45,6 +83,15 @@ impl SuffixArray {
     /// Finds the longest prefix of `needle` occurring anywhere in `old`
     /// (the string this array was built over). Returns `(length, offset)`;
     /// `(0, 0)` when nothing matches.
+    ///
+    /// A binary search finds where `needle` would sort, and the longer of
+    /// the two neighbouring suffixes' common prefixes wins (the lower one
+    /// on a tie). For a needle of two or more bytes the search starts
+    /// inside the needle's two-byte bucket: every suffix up to one below
+    /// the bucket's start sorts below the needle, and the next bucket's
+    /// start sorts at or above it. So the search ends at the same pair of
+    /// neighbours, and returns the same result, as a search over the
+    /// whole array.
     #[must_use]
     pub fn longest_match(&self, old: &[u8], needle: &[u8]) -> (usize, usize) {
         if self.sa.is_empty() || needle.is_empty() {
@@ -52,8 +99,16 @@ impl SuffixArray {
         }
 
         // Binary search for the suffix with the longest common prefix.
-        let mut lo = 0usize;
-        let mut hi = self.sa.len();
+        let (mut lo, mut hi) = match *needle {
+            [b0, b1, ..] => {
+                let k = bucket(b0, b1);
+                (
+                    self.buckets[k].max(1) as usize - 1,
+                    self.buckets[k + 1].max(1) as usize,
+                )
+            }
+            _ => (0, self.sa.len()),
+        };
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
             if old[self.sa[mid] as usize..] < *needle {
@@ -85,6 +140,11 @@ impl SuffixArray {
     }
 }
 
+/// The bucket of strings starting with the bytes `b0, b1`.
+fn bucket(b0: u8, b1: u8) -> usize {
+    usize::from(u16::from_be_bytes([b0, b1]))
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -95,6 +155,45 @@ pub(crate) mod tests {
         let mut sa: Vec<u32> = (0..data.len() as u32).collect();
         sa.sort_by(|&a, &b| data[a as usize..].cmp(&data[b as usize..]));
         sa
+    }
+
+    /// The binary search over the whole array that the bucketed search
+    /// replaced: the oracle [`SuffixArray::longest_match`] is checked
+    /// against.
+    fn full_range_longest_match(sa: &[u32], old: &[u8], needle: &[u8]) -> (usize, usize) {
+        if sa.is_empty() || needle.is_empty() {
+            return (0, 0);
+        }
+
+        let mut lo = 0usize;
+        let mut hi = sa.len();
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if old[sa[mid] as usize..] < *needle {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+
+        let lcp = |offset: usize| -> usize {
+            old[offset..]
+                .iter()
+                .zip(needle.iter())
+                .take_while(|(a, b)| a == b)
+                .count()
+        };
+        let cand_lo = (lcp(sa[lo] as usize), sa[lo] as usize);
+        let cand_hi = if hi < sa.len() {
+            (lcp(sa[hi] as usize), sa[hi] as usize)
+        } else {
+            (0, 0)
+        };
+        if cand_lo.0 >= cand_hi.0 {
+            cand_lo
+        } else {
+            cand_hi
+        }
     }
 
     #[test]
@@ -212,6 +311,64 @@ pub(crate) mod tests {
             }
             assert_eq!(len, best, "start {start}");
             assert_eq!(&old[pos..pos + len], &needle[..len]);
+        }
+    }
+
+    /// An old image and a needle source over one alphabet: two symbols,
+    /// four, or every byte; the old image is often 0, 1 or 2 bytes long.
+    fn images() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+        (
+            prop_oneof![Just(2u8), Just(4), Just(0)],
+            prop_oneof![0usize..=2, 0usize..2048],
+            proptest::collection::vec(any::<u8>(), 0..2048),
+            proptest::collection::vec(any::<u8>(), 0..512),
+        )
+            .prop_map(|(alphabet, old_len, old, new)| {
+                let reduce = |&b: &u8| if alphabet == 0 { b } else { b % alphabet };
+                (
+                    old.iter().take(old_len).map(reduce).collect(),
+                    new.iter().map(reduce).collect(),
+                )
+            })
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The bucketed search returns the full-range search's
+        /// `(length, offset)` for every suffix of the needle source,
+        /// every needle cut from the old image, every one-byte needle and
+        /// needles that start with the old image's last byte (whose
+        /// one-byte suffix sorts ahead of its own bucket).
+        #[test]
+        fn bucketed_search_equals_the_full_range_search(
+            images in images(),
+            cut in 2usize..48,
+        ) {
+            let (old, new) = images;
+            let sa = SuffixArray::build(&old);
+            let mut needles: Vec<Vec<u8>> = (0..new.len()).map(|s| new[s..].to_vec()).collect();
+            for start in 0..old.len() {
+                needles.push(old[start..(start + cut).min(old.len())].to_vec());
+                needles.push(vec![old[start]]);
+            }
+            if let Some(&last) = old.last() {
+                needles.push(vec![last]);
+                for start in 0..new.len().min(cut) {
+                    needles.push([&[last], &new[start..]].concat());
+                }
+                for start in 0..old.len() {
+                    needles.push([&[last], &old[start..(start + cut).min(old.len())]].concat());
+                }
+            }
+            for needle in &needles {
+                prop_assert_eq!(
+                    sa.longest_match(&old, needle),
+                    full_range_longest_match(&sa.sa, &old, needle),
+                    "needle {:?}",
+                    needle
+                );
+            }
         }
     }
 }

@@ -101,6 +101,82 @@ fn bsdiff_patch_golden_bytes() {
     );
 }
 
+/// The two transitions the benchmark and the rollouts diff: a 128 KiB
+/// base's two OS-version changes, one to the other, as the server's
+/// `generation` path diffs base k → latest; and a 20 kB base to its
+/// OS-version change, as every fleet campaign does.
+fn benchmark_sized_transitions() -> [(&'static str, Vec<u8>, Vec<u8>); 2] {
+    use upkit::sim::FirmwareGenerator;
+    let v1 = FirmwareGenerator::new(1).base(128 * 1024);
+    let rollout = FirmwareGenerator::new(1 ^ 0xF00D);
+    let small = rollout.base(20_000);
+    let small_change = rollout.os_version_change(&small);
+    [
+        (
+            "128 KiB",
+            FirmwareGenerator::new(2).os_version_change(&v1),
+            FirmwareGenerator::new(3).os_version_change(&v1),
+        ),
+        ("20 kB", small, small_change),
+    ]
+}
+
+#[test]
+fn bsdiff_and_lzss_content_goldens_at_benchmark_sizes() {
+    // Length and SHA-256 of the bsdiff patch and of its LZSS streams at
+    // windows 12 and 8 (the two the server tries). A faster diff or
+    // encoder must leave every byte as it is: a changed hash here means
+    // the output changed.
+    let expected = [
+        [
+            (
+                135_212,
+                "c13ec2f6acff1b0847a0a71282de0c2171bc6e3f3000e7de0bcb280bd024d273",
+            ),
+            (
+                47_033,
+                "063bb085a30edf7d685dfe56cfb9c1b660f948e01bc631bdfe8c408f7cb599af",
+            ),
+            (
+                37_056,
+                "56e9783a4212aa36fae8e4c6c2d4a73c3fd0e055ccfbe48d7f717700749ed93e",
+            ),
+        ],
+        [
+            (
+                21_572,
+                "cbb6d6037efc198409ca8ae893ab0a6a4be948b95125239e2cc9f82d226c32bc",
+            ),
+            (
+                9_046,
+                "2ba892fe608ac70aace5da8222d1713b3b1cbbb12bb04fa1ea6c1f9d282a3263",
+            ),
+            (
+                7_392,
+                "fe60f815e8c832e0c8c94d64f05f8cb96ef3e9b8c88e6ef9a14a4920c6865ab0",
+            ),
+        ],
+    ];
+    for ((name, old, new), [patch, lzss12, lzss8]) in
+        benchmark_sized_transitions().into_iter().zip(expected)
+    {
+        let check = |what: &str, bytes: &[u8], (len, hash): (usize, &str)| {
+            assert_eq!(
+                (bytes.len(), hex(&sha256(bytes)).as_str()),
+                (len, hash),
+                "{name} {what}"
+            );
+        };
+        let delta = upkit::delta::diff(&old, &new);
+        check("bsdiff patch", &delta, patch);
+        for (bits, golden) in [(12, lzss12), (8, lzss8)] {
+            let params = upkit::compress::Params::new(bits).unwrap();
+            let packed = upkit::compress::compress(&delta, params);
+            check(&format!("LZSS window {bits}"), &packed, golden);
+        }
+    }
+}
+
 #[test]
 fn sha256_binding_to_fips_vector() {
     // Anchor the digest algorithm itself (already covered in unit tests;
