@@ -12,6 +12,11 @@
 //! through the signed manifest digest (encrypt-then-sign at the image
 //! level).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use alloc::vec::Vec;
 
 /// Key length in bytes.
@@ -39,12 +44,14 @@ fn block(key: &[u8; KEY_LEN], nonce: &[u8; NONCE_LEN], counter: u32) -> [u8; BLO
     state[1] = 0x3320_646e;
     state[2] = 0x7962_2d32;
     state[3] = 0x6b20_6574;
-    for i in 0..8 {
-        state[4 + i] = u32::from_le_bytes(key[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    let (key_words, _) = key.as_chunks::<4>();
+    for (word, bytes) in state[4..12].iter_mut().zip(key_words) {
+        *word = u32::from_le_bytes(*bytes);
     }
     state[12] = counter;
-    for i in 0..3 {
-        state[13 + i] = u32::from_le_bytes(nonce[i * 4..i * 4 + 4].try_into().expect("4 bytes"));
+    let (nonce_words, _) = nonce.as_chunks::<4>();
+    for (word, bytes) in state[13..16].iter_mut().zip(nonce_words) {
+        *word = u32::from_le_bytes(*bytes);
     }
 
     let mut working = state;

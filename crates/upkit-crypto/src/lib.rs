@@ -14,7 +14,9 @@
 //!   CPU's SHA extensions (SHA-NI) when an `x86_64` `std` build detects
 //!   them at run time, and on the portable loop otherwise.
 //! * [`u256`] / [`mont`] — 256-bit integers and generic Montgomery field
-//!   arithmetic (the CIOS multiply, fixed-window exponentiation).
+//!   arithmetic: the CIOS multiply, and one constant-time Bernstein–Yang
+//!   safegcd inverse (590 divsteps on signed 62-bit limbs) for both P-256
+//!   fields.
 //! * [`p256`] — the NIST P-256 group: Jacobian arithmetic, SEC1 encoding,
 //!   fixed-base comb tables of 63 affine points (4,032 bytes: a
 //!   compile-time one for `G`, and one built at run time for any other
@@ -82,6 +84,7 @@ pub mod hmac;
 pub mod hsm;
 pub mod mont;
 pub mod p256;
+mod safegcd;
 pub mod sha256;
 pub mod u256;
 

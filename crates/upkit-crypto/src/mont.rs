@@ -1,11 +1,17 @@
 //! Generic 4-limb Montgomery arithmetic over a prime modulus.
 //!
 //! Both P-256 fields (the coordinate field `p` and the scalar field `n`) are
-//! instances of [`Fe`] parameterized by a [`FieldParams`] marker type. The
-//! Montgomery constants `R = 2^256 mod m` and `R² mod m` are derived at
-//! compile time from the modulus alone, so the only trusted inputs are the
-//! modulus limbs themselves (which the test suite cross-checks against the
-//! curve's published test vectors).
+//! instances of [`Fe`] parameterized by a [`FieldParams`] marker type.
+//! Multiplication is the CIOS Montgomery product. Inversion is a
+//! Bernstein–Yang safegcd inverse: 590 branch-free divsteps on signed
+//! 62-bit limbs, then one Montgomery multiply by `R³` to return to
+//! Montgomery form. [`Fe::pow`] remains for square roots.
+//!
+//! Every constant these need — `R = 2^256 mod m`, `R²` and `R³ mod m`,
+//! `−m⁻¹ mod 2^64`, `m⁻¹ mod 2^62`, and `m` in signed 62-bit limbs — is
+//! derived at compile time from the modulus alone, so the only trusted
+//! inputs are the modulus limbs themselves (which the test suite
+//! cross-checks against the curve's published test vectors).
 
 #![cfg_attr(
     not(test),
@@ -14,6 +20,7 @@
 
 use core::marker::PhantomData;
 
+use crate::safegcd;
 use crate::u256::{adc, mac, U256};
 
 /// Parameters of a prime field used in Montgomery form.
@@ -31,6 +38,13 @@ pub trait FieldParams: Copy + Eq + core::fmt::Debug + 'static {
     const R: U256 = compute_r(&Self::MODULUS);
     /// The Montgomery constant `R² mod MODULUS`, derived at compile time.
     const R2: U256 = compute_r2(&Self::MODULUS);
+    /// `R³ mod MODULUS`: one Montgomery multiply by it turns the inverse
+    /// of a Montgomery value, `a⁻¹R⁻¹`, into `a⁻¹R`.
+    const R3: U256 = double_mod_times(&Self::R2, &Self::MODULUS, 256);
+    /// The modulus in the inverse's signed 62-bit limbs.
+    const MODULUS_S62: [i64; 5] = safegcd::to_s62(&Self::MODULUS);
+    /// `MODULUS⁻¹ mod 2^62`, used by the inverse's exact division.
+    const MODULUS_INV62: u64 = neg_inv_u64(Self::MODULUS.0[0]).wrapping_neg() & (u64::MAX >> 2);
 }
 
 /// Computes `-m⁻¹ mod 2^64` for odd `m` by Newton iteration.
@@ -49,22 +63,21 @@ pub const fn neg_inv_u64(m: u64) -> u64 {
 /// Computes `2^256 mod m` by modular doubling, for `m > 2^255`.
 #[must_use]
 pub const fn compute_r(m: &U256) -> U256 {
-    // Start from 2^255 mod m = 2^255 - ... — simpler: 1 doubled 256 times.
-    let mut v = U256::ONE;
-    let mut i = 0;
-    while i < 256 {
-        v = double_mod(&v, m);
-        i += 1;
-    }
-    v
+    // 1 < m, so doubling it 256 times modulo m gives 2^256 mod m.
+    double_mod_times(&U256::ONE, m, 256)
 }
 
 /// Computes `2^512 mod m` (the Montgomery `R²`), for `m > 2^255`.
 #[must_use]
 pub const fn compute_r2(m: &U256) -> U256 {
-    let mut v = compute_r(m);
+    double_mod_times(&compute_r(m), m, 256)
+}
+
+/// Doubles `v < m` modulo `m`, `times` times: `v·2^times mod m`.
+const fn double_mod_times(v: &U256, m: &U256, times: usize) -> U256 {
+    let mut v = *v;
     let mut i = 0;
-    while i < 256 {
+    while i < times {
         v = double_mod(&v, m);
         i += 1;
     }
@@ -245,7 +258,8 @@ impl<P: FieldParams> Fe<P> {
         acc
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`self^(m-2)`).
+    /// Multiplicative inverse, by a Bernstein–Yang safegcd inverse of
+    /// 590 divsteps, whatever the value, plus one Montgomery multiply.
     ///
     /// Returns `None` for zero, which has no inverse.
     #[must_use]
@@ -253,8 +267,10 @@ impl<P: FieldParams> Fe<P> {
         if self.is_zero() {
             return None;
         }
-        let (exp, _) = P::MODULUS.sbb(&U256::from_u64(2));
-        Some(self.pow(&exp))
+        // The stored value is aR; its inverse is a⁻¹R⁻¹, and multiplying
+        // by R³ in Montgomery form gives a⁻¹R.
+        let inverse = safegcd::invert::<P>(&self.mont);
+        Some(Self::from_montgomery(mont_mul::<P>(&inverse, &P::R3)))
     }
 
     /// Square root for moduli where `m ≡ 3 (mod 4)` (true for the P-256
@@ -321,10 +337,11 @@ fn mont_mul<P: FieldParams>(a: &U256, b: &U256) -> U256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::p256::{FieldElement, P256FieldParams, P256ScalarParams, Scalar};
+    use proptest::prelude::*;
 
-    /// A small-ish test field: 2^255 - 19 is prime and > 2^255... it is not
-    /// (> 2^254). Use the P-256 coordinate prime's structure-free cousin:
-    /// m = 2^256 - 189 (a known prime) keeps the `m > 2^255` invariant.
+    /// A field without P-256's structure: `m = 2^256 − 189` is the largest
+    /// 256-bit prime, so it keeps the `m > 2^255` invariant.
     #[derive(Clone, Copy, PartialEq, Eq, Debug)]
     struct TestField;
 
@@ -344,11 +361,20 @@ mod tests {
 
     #[test]
     fn r_constants_match_definition() {
-        // R ≡ 2^256 (mod m): verify R + 189 overflows to exactly 2^256 ...
-        // simpler: R = 2^256 - m for m > 2^255.
+        // For m > 2^255, R = 2^256 mod m is 2^256 − m: 0 − m, wrapping.
         let (expected_r, borrow) = U256::ZERO.sbb(&TestField::MODULUS);
-        assert_eq!(borrow, 1); // 2^256 - m computed as wrap-around
+        assert_eq!(borrow, 1);
         assert_eq!(TestField::R, expected_r);
+        // R² and R³ are R·R and R·R·R, so their Montgomery products with 1
+        // strip one R each.
+        assert_eq!(
+            mont_mul::<TestField>(&TestField::R2, &U256::ONE),
+            TestField::R
+        );
+        assert_eq!(
+            mont_mul::<TestField>(&TestField::R3, &U256::ONE),
+            TestField::R2
+        );
     }
 
     #[test]
@@ -434,6 +460,85 @@ mod tests {
                 }
             }
             assert_eq!(a.pow(&e), expected, "e = {e}");
+        }
+    }
+
+    /// Checks `x.invert()` against the Fermat inverse `x^(m − 2)`, and
+    /// `x · x⁻¹ = 1`; zero has no inverse.
+    fn check_inverse<P: FieldParams>(x: Fe<P>) {
+        let Some(inverse) = x.invert() else {
+            assert!(x.is_zero(), "{x:?} has an inverse");
+            return;
+        };
+        let (m_minus_2, _) = P::MODULUS.sbb(&U256::from_u64(2));
+        assert_eq!(inverse, x.pow(&m_minus_2), "inverse of {x:?}");
+        assert_eq!(x.mul(&inverse), Fe::one(), "{x:?} times its inverse");
+    }
+
+    /// 1, 2, m − 1, m − 2, and every 2^k and 2^k − 1 for k < 256 (mod m),
+    /// both as field values and as raw Montgomery values, which reach the
+    /// divsteps unchanged.
+    fn check_structured_inverses<P: FieldParams>() {
+        let m = P::MODULUS;
+        let mut values = [
+            U256::ONE,
+            U256::from_u64(2),
+            m.sbb(&U256::ONE).0,
+            m.sbb(&U256::from_u64(2)).0,
+        ]
+        .to_vec();
+        for k in 0..256 {
+            let power = U256(core::array::from_fn(|i| {
+                if i == k / 64 {
+                    1 << (k % 64)
+                } else {
+                    0
+                }
+            }));
+            values.push(power);
+            values.push(power.sbb(&U256::ONE).0);
+        }
+        for v in values {
+            check_inverse(Fe::<P>::from_u256(&v));
+            check_inverse(Fe::<P>::from_montgomery(v.reduce_mod(&m)));
+        }
+    }
+
+    #[test]
+    fn invert_matches_fermat_on_structured_inputs() {
+        check_structured_inverses::<TestField>();
+        check_structured_inverses::<P256FieldParams>();
+        check_structured_inverses::<P256ScalarParams>();
+    }
+
+    /// Inputs that need more than 531 divsteps, found by search: with 9
+    /// batches instead of 10 their inverses come out wrong. Random inputs
+    /// almost never need that many, so these pin the 590-step schedule.
+    #[test]
+    fn invert_needs_all_ten_batches() {
+        // 0xdb28a1b7206b1af0dfe86260d6af83ff1d1ef02124e38c8ada1aa41dc4e5b1ed
+        check_inverse(Scalar::from_montgomery(U256::from_limbs([
+            0xda1a_a41d_c4e5_b1ed,
+            0x1d1e_f021_24e3_8c8a,
+            0xdfe8_6260_d6af_83ff,
+            0xdb28_a1b7_206b_1af0,
+        ])));
+        // 0xfd68cdf63f8cbaa55a40774faadfc6baebf7eafddde1009de7a0d2d7b0316d3e
+        check_inverse(FieldElement::from_montgomery(U256::from_limbs([
+            0xe7a0_d2d7_b031_6d3e,
+            0xebf7_eafd_dde1_009d,
+            0x5a40_774f_aadf_c6ba,
+            0xfd68_cdf6_3f8c_baa5,
+        ])));
+    }
+
+    proptest! {
+        #[test]
+        fn invert_matches_fermat(limbs in proptest::array::uniform4(any::<u64>())) {
+            let v = U256::from_limbs(limbs);
+            check_inverse(Scalar::from_u256(&v));
+            check_inverse(FieldElement::from_u256(&v));
+            check_inverse(F::from_u256(&v));
         }
     }
 

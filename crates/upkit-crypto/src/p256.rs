@@ -449,10 +449,10 @@ impl JacobianPoint {
     /// Converts back to affine coordinates.
     #[must_use]
     pub fn to_affine(&self) -> AffinePoint {
-        if self.is_identity() {
+        // `Z` has no inverse exactly when it is zero: the identity.
+        let Some(z_inv) = self.z.invert() else {
             return AffinePoint::Identity;
-        }
-        let z_inv = self.z.invert().expect("non-identity implies z != 0");
+        };
         let z_inv2 = z_inv.square();
         let z_inv3 = z_inv2.mul(&z_inv);
         AffinePoint::Point {

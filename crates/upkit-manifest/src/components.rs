@@ -38,7 +38,9 @@ use alloc::vec::Vec;
 use upkit_crypto::ecdsa::{Signature, SigningKey, VerifyingKey};
 use upkit_crypto::sha256::sha256;
 
-use crate::{Manifest, ManifestError, SignedManifest, Version, MANIFEST_LEN, SIGNED_MANIFEST_LEN};
+use crate::{
+    take, Manifest, ManifestError, SignedManifest, Version, MANIFEST_LEN, SIGNED_MANIFEST_LEN,
+};
 
 /// Serialized length of one [`ComponentEntry`].
 pub const COMPONENT_ENTRY_LEN: usize = 4 + 2 + 4 + 32 + 1;
@@ -81,18 +83,14 @@ impl ComponentEntry {
     }
 
     /// Parses the fixed 43-byte wire format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ManifestError> {
-        if bytes.len() < COMPONENT_ENTRY_LEN {
-            return Err(ManifestError::Truncated);
-        }
-        let mut digest = [0u8; 32];
-        digest.copy_from_slice(&bytes[10..42]);
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, ManifestError> {
+        let bytes = &mut bytes;
         Ok(Self {
-            component_id: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
-            version: Version(u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"))),
-            size: u32::from_le_bytes(bytes[6..10].try_into().expect("4 bytes")),
-            digest,
-            slot: bytes[42],
+            component_id: u32::from_le_bytes(take(bytes)?),
+            version: Version(u16::from_le_bytes(take(bytes)?)),
+            size: u32::from_le_bytes(take(bytes)?),
+            digest: take(bytes)?,
+            slot: u8::from_le_bytes(take(bytes)?),
         })
     }
 }
@@ -176,13 +174,13 @@ impl ComponentTable {
     /// bounds-checked *before* any allocation, so a count bomb cannot
     /// demand memory.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ManifestError> {
-        if bytes.len() < 6 {
+        let Some(&[m0, m1, m2, m3, c0, c1]) = bytes.first_chunk::<6>() else {
             return Err(ManifestError::Truncated);
-        }
-        if bytes[0..4] != COMPONENT_TABLE_MAGIC {
+        };
+        if [m0, m1, m2, m3] != COMPONENT_TABLE_MAGIC {
             return Err(ManifestError::BadComponentTable);
         }
-        let count = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes")) as usize;
+        let count = u16::from_le_bytes([c0, c1]) as usize;
         if count == 0 || count > MAX_COMPONENTS {
             return Err(ManifestError::ComponentCountOutOfRange);
         }

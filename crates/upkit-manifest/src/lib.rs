@@ -33,6 +33,10 @@
 //! the deterministic-CBOR subset in [`cbor`].
 
 #![cfg_attr(not(feature = "std"), no_std)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 #![warn(missing_docs)]
 #![warn(
     clippy::std_instead_of_core,
@@ -124,6 +128,17 @@ impl core::fmt::Display for ManifestError {
 
 impl core::error::Error for ManifestError {}
 
+/// Splits the next `N` bytes off the front of `bytes`: the one read of the
+/// fixed wire formats, which reports a short input as
+/// [`ManifestError::Truncated`].
+fn take<const N: usize>(bytes: &mut &[u8]) -> Result<[u8; N], ManifestError> {
+    let (head, rest) = bytes
+        .split_first_chunk::<N>()
+        .ok_or(ManifestError::Truncated)?;
+    *bytes = rest;
+    Ok(*head)
+}
+
 /// The device token: the request-specific structure a device hands to
 /// whoever fetches an update on its behalf (Sect. III-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -149,16 +164,12 @@ impl DeviceToken {
     }
 
     /// Parses the fixed 10-byte wire format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ManifestError> {
-        if bytes.len() < DEVICE_TOKEN_LEN {
-            return Err(ManifestError::Truncated);
-        }
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, ManifestError> {
+        let bytes = &mut bytes;
         Ok(Self {
-            device_id: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
-            nonce: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
-            current_version: Version(u16::from_le_bytes(
-                bytes[8..10].try_into().expect("2 bytes"),
-            )),
+            device_id: u32::from_le_bytes(take(bytes)?),
+            nonce: u32::from_le_bytes(take(bytes)?),
+            current_version: Version(u16::from_le_bytes(take(bytes)?)),
         })
     }
 
@@ -211,26 +222,18 @@ impl Manifest {
     }
 
     /// Parses the fixed wire format.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ManifestError> {
-        if bytes.len() < MANIFEST_LEN {
-            return Err(ManifestError::Truncated);
-        }
-        let mut digest = [0u8; 32];
-        digest.copy_from_slice(&bytes[20..52]);
+    pub fn from_bytes(mut bytes: &[u8]) -> Result<Self, ManifestError> {
+        let bytes = &mut bytes;
         Ok(Self {
-            device_id: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
-            nonce: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
-            old_version: Version(u16::from_le_bytes(
-                bytes[8..10].try_into().expect("2 bytes"),
-            )),
-            version: Version(u16::from_le_bytes(
-                bytes[10..12].try_into().expect("2 bytes"),
-            )),
-            size: u32::from_le_bytes(bytes[12..16].try_into().expect("4 bytes")),
-            payload_size: u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes")),
-            digest,
-            link_offset: u32::from_le_bytes(bytes[52..56].try_into().expect("4 bytes")),
-            app_id: u32::from_le_bytes(bytes[56..60].try_into().expect("4 bytes")),
+            device_id: u32::from_le_bytes(take(bytes)?),
+            nonce: u32::from_le_bytes(take(bytes)?),
+            old_version: Version(u16::from_le_bytes(take(bytes)?)),
+            version: Version(u16::from_le_bytes(take(bytes)?)),
+            size: u32::from_le_bytes(take(bytes)?),
+            payload_size: u32::from_le_bytes(take(bytes)?),
+            digest: take(bytes)?,
+            link_offset: u32::from_le_bytes(take(bytes)?),
+            app_id: u32::from_le_bytes(take(bytes)?),
         })
     }
 
