@@ -15,6 +15,16 @@
 //! normal firmware update, which is the mitigation path the paper
 //! describes for bootloader-verifier vulnerabilities.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
+
 use alloc::sync::Arc;
 use alloc::vec::Vec;
 
@@ -25,7 +35,7 @@ use upkit_trace::{Counters, Event};
 
 use crate::components::{
     check_record_signatures, journal_marker_set, read_journal_record, set_journal_marker,
-    slots_for_entry, ComponentImage, ComponentSlots, StageError, JOURNAL_COMPLETE_OFFSET,
+    slot_pairs, ComponentImage, ComponentSlots, StageError, JOURNAL_COMPLETE_OFFSET,
     JOURNAL_DONE_OFFSET, JOURNAL_RECORD_MAX,
 };
 use crate::image::{read_firmware_chunks, read_manifest};
@@ -455,10 +465,9 @@ impl Bootloader {
                 action: BootAction::BootedExisting,
                 rejected_slots: rejected,
             }),
-            (None, None) => Err(BootError::NoValidImage(rejected)),
-            // (None, Some(_)) always matches the first arm (its guard is
-            // vacuously true when no current image exists).
-            (None, Some(_)) => unreachable!("guard covers missing current image"),
+            // Nothing valid to boot. A staged image with no current one
+            // always takes the first arm, whose guard then holds.
+            (None, _) => Err(BootError::NoValidImage(rejected)),
         }
     }
 
@@ -485,22 +494,18 @@ impl Bootloader {
         };
 
         if let Some(record) = &record {
-            let table = record
-                .multi
-                .components
-                .as_ref()
-                .expect("journal records always carry a table");
             // Only a table whose every entry maps onto this device's slot
             // pairs can replay; anything else is ignored like a torn
             // record (the installer refuses to write such a record, so
             // this needs a trusted server mistake to ever trigger).
-            let mapped = table
-                .entries()
-                .iter()
-                .all(|e| slots_for_entry(components, e).is_some());
+            let pairs = record
+                .multi
+                .components
+                .as_ref()
+                .and_then(|table| slot_pairs(components, table));
             let complete = journal_marker_set(layout, journal, JOURNAL_COMPLETE_OFFSET)?;
-            if mapped && !complete {
-                return self.replay_journal(layout, components, journal, record);
+            if let (Some(pairs), false) = (pairs, complete) {
+                return self.replay_journal(layout, components, journal, record, &pairs);
             }
         }
 
@@ -574,24 +579,22 @@ impl Bootloader {
     /// `copy_slot` never modifies its source, so re-running any prefix of
     /// this sequence after an interruption — including a second cut mid
     /// replay — converges to the same complete new set.
+    ///
+    /// `pairs` holds each table entry's slot pair, in table order.
     fn replay_journal(
         &self,
         layout: &mut MemoryLayout,
         components: &[ComponentSlots],
         journal: SlotId,
         record: &upkit_manifest::SignedMultiManifest,
+        pairs: &[ComponentSlots],
     ) -> Result<BootOutcome, BootError> {
-        let table = record
-            .multi
-            .components
-            .as_ref()
-            .expect("caller checked the table");
-        for (i, entry) in table.entries().iter().enumerate() {
+        let entries = record.multi.components.iter().flat_map(|t| t.entries());
+        for (i, (entry, slots)) in entries.zip(pairs).enumerate() {
             let done_at = JOURNAL_DONE_OFFSET + i as u32;
             if journal_marker_set(layout, journal, done_at)? {
                 continue;
             }
-            let slots = slots_for_entry(components, entry).expect("caller checked the mapping");
             layout.copy_slot(slots.staging, slots.bootable)?;
             set_journal_marker(layout, journal, done_at)?;
             Counters::add(&layout.tracer().counters().components_installed, 1);
@@ -643,15 +646,12 @@ impl Bootloader {
                 upkit_manifest::ManifestError::BadComponentTable,
             ));
         };
-        if record.wire_len() > JOURNAL_RECORD_MAX
-            || table.len() != images.len()
-            || table
-                .entries()
-                .iter()
-                .any(|e| slots_for_entry(&components, e).is_none())
-        {
+        if record.wire_len() > JOURNAL_RECORD_MAX || table.len() != images.len() {
             return Err(StageError::SetMismatch);
         }
+        let Some(pairs) = slot_pairs(&components, table) else {
+            return Err(StageError::SetMismatch);
+        };
         check_record_signatures(self.backend.as_ref(), &self.anchors, record).map_err(|error| {
             StageError::ComponentHealth {
                 component_id: 0,
@@ -664,8 +664,7 @@ impl Bootloader {
         // journal and keeps the old set.
         layout.erase_slot(journal)?;
 
-        for (entry, image) in table.entries().iter().zip(images) {
-            let slots = slots_for_entry(&components, entry).expect("checked above");
+        for ((entry, image), slots) in table.entries().iter().zip(images).zip(pairs) {
             // The image must be the one the signed table promises.
             let m = &image.signed_manifest.manifest;
             if m.version != entry.version
@@ -1438,6 +1437,32 @@ mod tests {
         assert_eq!(
             component_versions(&boot, &mut layout, 2),
             vec![Some(Version(1)), Some(Version(1))]
+        );
+    }
+
+    #[test]
+    fn multi_boot_ignores_a_signed_record_that_does_not_match_slots() {
+        let fix = keys(206);
+        let mut layout = multi_layout(2);
+        install_old_set(&fix, &mut layout, 2);
+        let boot = multi_bootloader(&fix, 2);
+        // The installer refuses this table, so write the validly signed
+        // record straight into the journal: slot 6 does not exist here.
+        let (record, _) =
+            multi_record(&fix, 2, &[(0xA, 0, 2, b"base v2"), (0xB, 6, 2, b"app v2!")]);
+        layout
+            .write_slot(journal_slot(2), 0, &record.to_bytes())
+            .unwrap();
+        assert!(read_journal_record(&layout, journal_slot(2))
+            .unwrap()
+            .is_some());
+
+        let outcome = boot.boot(&mut layout).unwrap();
+        assert_eq!(outcome.action, BootAction::BootedExisting);
+        assert_eq!(outcome.version, Version(1));
+        assert_eq!(
+            layout.tracer().counters().snapshot().components_installed,
+            0
         );
     }
 }

@@ -49,7 +49,7 @@ use alloc::vec::Vec;
 use upkit_crypto::backend::{SecurityBackend, SecurityError};
 use upkit_flash::{LayoutError, MemoryLayout, SlotId};
 use upkit_manifest::{
-    ComponentEntry, ManifestError, SignedManifest, SignedMultiManifest, MAX_COMPONENTS,
+    ComponentTable, ManifestError, SignedManifest, SignedMultiManifest, MAX_COMPONENTS,
 };
 
 use crate::keys::TrustAnchors;
@@ -220,12 +220,18 @@ pub fn check_record_signatures(
         })
 }
 
-/// Resolves a table entry to this device's slot pair for that component's
-/// bootable slot.
+/// Resolves every entry of `table`, in table order, to this device's slot
+/// pair for the entry's bootable slot. `None` when some entry names a
+/// bootable slot this device does not have.
 #[must_use]
-pub fn slots_for_entry<'a>(
-    components: &'a [ComponentSlots],
-    entry: &ComponentEntry,
-) -> Option<&'a ComponentSlots> {
-    components.iter().find(|c| c.bootable.0 == entry.slot)
+pub fn slot_pairs(
+    components: &[ComponentSlots],
+    table: &ComponentTable,
+) -> Option<Vec<ComponentSlots>> {
+    let pair = |slot: u8| components.iter().find(|c| c.bootable.0 == slot).copied();
+    table
+        .entries()
+        .iter()
+        .map(|entry| pair(entry.slot))
+        .collect()
 }

@@ -385,19 +385,15 @@ pub(crate) fn run_sessions<S: StreamSource>(
     run
 }
 
-/// The one canonical broadcast stream of `world`'s v2, prepared for
-/// device id 0: devices check it as a broadcast manifest (device id 0, no
-/// nonce), so a whole campaign costs one ECDSA signature instead of one
-/// per device.
+/// The one canonical broadcast stream of `world`'s v2: the server's
+/// campaign response, the same one the fleet and campaign engines serve.
+/// Devices check it as a broadcast manifest (device id 0, no nonce), so a
+/// whole campaign costs one ECDSA signature instead of one per device.
 pub(crate) fn broadcast_stream(world: &UpgradeWorld, differential: bool) -> SessionStream {
-    let token = DeviceToken {
-        device_id: 0,
-        nonce: 1,
-        current_version: if differential { Version(1) } else { Version(0) },
-    };
+    let base = if differential { Version(1) } else { Version(0) };
     let prepared = world
         .server
-        .prepare_update(&token)
+        .prepare_campaign_update(base)
         .expect("v2 is published and newer");
     SessionStream::split(prepared.image.to_bytes())
 }

@@ -58,163 +58,238 @@ pub const SLOT_BUCKETS: usize = 4;
 // Events
 // ---------------------------------------------------------------------------
 
-/// One structured trace event. Variants cover every instrumented layer:
-/// transport sessions, the update agent, the streaming pipeline, the
-/// flash layout, the bootloader, and the fleet scheduler.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Event {
+/// A value an event field holds, as NDJSON renders it. Every value is an
+/// integer, a boolean, or a static string from a fixed vocabulary, so no
+/// escaping is ever required.
+trait FieldValue {
+    fn write_to(&self, out: &mut String);
+}
+
+macro_rules! display_field_values {
+    ($($ty:ty),+) => {
+        $(impl FieldValue for $ty {
+            fn write_to(&self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+        })+
+    };
+}
+
+display_field_values!(u64, u8, bool);
+
+impl FieldValue for &'static str {
+    fn write_to(&self, out: &mut String) {
+        let _ = write!(out, "\"{self}\"");
+    }
+}
+
+/// Declares [`Event`] from one table. Each variant is written once, as
+/// `Name = "kind" in "layer" { fields }`; the enum, [`Event::kind`],
+/// [`Event::layer`] and the NDJSON field writer are all generated from it,
+/// so a record's fields appear in declaration order.
+macro_rules! events {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident = $kind:literal in $layer:literal {
+            $($(#[$field_doc:meta])* $field:ident: $ty:ty,)+
+        }
+    )+) => {
+        /// One structured trace event. Variants cover every instrumented layer:
+        /// transport sessions, the update agent, the streaming pipeline, the
+        /// flash layout, the bootloader, and the fleet scheduler.
+        #[derive(Clone, Debug, PartialEq, Eq)]
+        #[non_exhaustive]
+        pub enum Event {
+            $($(#[$doc])* $name { $($(#[$field_doc])* $field: $ty,)+ },)+
+        }
+
+        impl Event {
+            /// Stable machine-readable name of the variant, used as the
+            /// `"event"` field in NDJSON output.
+            #[must_use]
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $(Event::$name { .. } => $kind,)+
+                }
+            }
+
+            /// Coarse layer the event belongs to (`"session"`, `"agent"`,
+            /// `"pipeline"`, `"flash"`, `"boot"`, `"scheduler"`, `"chaos"`,
+            /// `"adversary"`, `"generation"`, `"campaign"`, `"proxy"`).
+            #[must_use]
+            pub fn layer(&self) -> &'static str {
+                match self {
+                    $(Event::$name { .. } => $layer,)+
+                }
+            }
+
+            /// Appends `,"field":value` for every field, in declaration order.
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $(Event::$name { $($field),+ } => {
+                        $(
+                            out.push_str(concat!(",\"", stringify!($field), "\":"));
+                            $field.write_to(out);
+                        )+
+                    })+
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// Session: device token handed to the proxy (one round trip).
-    TokenExchange {
+    TokenExchange = "token_exchange" in "session" {
         /// Stream id of the session (device id in the fleet sims).
         stream: u64,
-    },
+    }
     /// Session: proxy resolved the token against the update server.
-    ProxyFetch {
+    ProxyFetch = "proxy_fetch" in "session" {
         /// Stream id of the session.
         stream: u64,
         /// Serialized manifest region length.
         manifest_bytes: u64,
         /// Payload region length.
         payload_bytes: u64,
-    },
+    }
     /// Session: one link-layer chunk arrived at the device.
-    ChunkDelivered {
+    ChunkDelivered = "chunk_delivered" in "session" {
         /// Stream id of the session.
         stream: u64,
         /// Chunk length in bytes.
         bytes: u64,
-    },
+    }
     /// Session: a chunk was lost and will be retransmitted.
-    ChunkLost {
+    ChunkLost = "chunk_lost" in "session" {
         /// Stream id of the session.
         stream: u64,
         /// Chunk length in bytes (charged to the air anyway).
         bytes: u64,
         /// Zero-based retransmission attempt index.
         attempt: u64,
-    },
+    }
     /// Session: device acknowledged the manifest (pull go-ahead).
-    GoAhead {
+    GoAhead = "go_ahead" in "session" {
         /// Stream id of the session.
         stream: u64,
-    },
+    }
     /// Session finished, successfully or not.
-    SessionDone {
+    SessionDone = "session_done" in "session" {
         /// Stream id of the session.
         stream: u64,
         /// Outcome label (`"complete"`, `"timed_out"`, ...).
         outcome: &'static str,
         /// Total bytes charged toward the device.
         bytes_to_device: u64,
-    },
+    }
     /// Agent: update state machine moved between states.
-    AgentTransition {
+    AgentTransition = "agent_transition" in "agent" {
         /// Device id the agent is configured with.
         device: u64,
         /// State the agent left.
         from: &'static str,
         /// State the agent entered.
         to: &'static str,
-    },
+    }
     /// Agent: an ECDSA signature verification ran.
-    SignatureChecked {
+    SignatureChecked = "signature_checked" in "agent" {
         /// Device id the agent is configured with.
         device: u64,
         /// Whether the signature verified.
         ok: bool,
-    },
+    }
     /// Pipeline: the streaming decrypt→decompress→patch chain finished.
-    PipelineFinished {
+    PipelineFinished = "pipeline_finished" in "pipeline" {
         /// Compressed/encrypted bytes pushed in.
         bytes_in: u64,
         /// Plaintext firmware bytes produced.
         bytes_out: u64,
-    },
+    }
     /// Flash: bytes read from a slot.
-    FlashRead {
+    FlashRead = "flash_read" in "flash" {
         /// Slot index.
         slot: u8,
         /// Bytes read.
         bytes: u64,
-    },
+    }
     /// Flash: bytes programmed into a slot.
-    FlashWrite {
+    FlashWrite = "flash_write" in "flash" {
         /// Slot index.
         slot: u8,
         /// Bytes written.
         bytes: u64,
-    },
+    }
     /// Flash: sectors erased in a slot.
-    FlashErase {
+    FlashErase = "flash_erase" in "flash" {
         /// Slot index.
         slot: u8,
         /// Sectors erased.
         sectors: u64,
-    },
+    }
     /// Flash: two slots exchanged contents (A/B swap).
-    SlotsSwapped {
+    SlotsSwapped = "slots_swapped" in "flash" {
         /// First slot index.
         a: u8,
         /// Second slot index.
         b: u8,
-    },
+    }
     /// Bootloader: a slot was selected and booted.
-    Boot {
+    Boot = "boot" in "boot" {
         /// Slot index booted from.
         slot: u8,
         /// Firmware version found in the slot header.
         version: u64,
-    },
+    }
     /// Scheduler: the virtual-clock event loop dispatched a device.
-    SchedulerDispatch {
+    SchedulerDispatch = "scheduler_dispatch" in "scheduler" {
         /// Device id dispatched.
         device: u64,
         /// Virtual time of the dispatched event.
         at_micros: u64,
-    },
+    }
     /// Scheduler: a device finished its campaign.
-    DeviceComplete {
+    DeviceComplete = "device_complete" in "scheduler" {
         /// Device id.
         device: u64,
         /// Outcome label (`"complete"`, `"gave_up"`, ...).
         outcome: &'static str,
-    },
+    }
     /// Fleet rollout: one polling round completed.
-    RolloutRound {
+    RolloutRound = "rollout_round" in "scheduler" {
         /// Round number (1-based).
         round: u64,
         /// Devices converged so far.
         completed: u64,
-    },
+    }
     /// Bootloader: a staged component was committed to its bootable slot
     /// during journal replay of a multi-component set.
-    ComponentCommit {
+    ComponentCommit = "component_commit" in "boot" {
         /// Component identifier from the manifest component table.
         component: u64,
         /// Bootable slot the component was committed to.
         slot: u8,
         /// Component version now active.
         version: u64,
-    },
+    }
     /// Bootloader: a bootable component failed verification and was
     /// restored from its staging copy.
-    ComponentRollback {
+    ComponentRollback = "component_rollback" in "boot" {
         /// Component identifier from the manifest component table.
         component: u64,
         /// Bootable slot that was restored.
         slot: u8,
-    },
+    }
     /// Chaos explorer: a fault was injected at a flash-op boundary.
-    FaultInjected {
+    FaultInjected = "fault_injected" in "chaos" {
         /// Zero-based mutating-op boundary index the fault fired at.
         boundary: u64,
         /// Fault class label (`"clean_cut"`, `"torn_write"`, ...).
         fault: &'static str,
-    },
+    }
     /// Chaos explorer: the post-fault reboot loop finished and the
     /// never-brick invariant was checked.
-    FaultChecked {
+    FaultChecked = "fault_checked" in "chaos" {
         /// Boundary index the fault fired at.
         boundary: u64,
         /// Fault class label.
@@ -225,18 +300,18 @@ pub enum Event {
         version: u64,
         /// Whether the invariant held.
         ok: bool,
-    },
+    }
     /// Adversarial explorer: one mutated input is about to run the
     /// acceptance path.
-    MutationInjected {
+    MutationInjected = "mutation_injected" in "adversary" {
         /// Case index within the surface's mutation universe.
         case: u64,
         /// Mutated surface label (`"lzss"`, `"frame_corrupt"`, ...).
         surface: &'static str,
-    },
+    }
     /// Adversarial explorer: the mutated case finished and the
     /// never-accept / never-panic / bounded-memory invariant was checked.
-    MutationChecked {
+    MutationChecked = "mutation_checked" in "adversary" {
         /// Case index within the surface's mutation universe.
         case: u64,
         /// Mutated surface label.
@@ -245,10 +320,10 @@ pub enum Event {
         panicked: bool,
         /// Whether the invariant held.
         ok: bool,
-    },
+    }
     /// Generation: the server ran a fresh diff for a version transition
     /// and stored it in the content-addressed patch cache.
-    PatchGenerated {
+    PatchGenerated = "patch_generated" in "generation" {
         /// First 8 bytes (big-endian) of the old image's SHA-256.
         old_digest: u64,
         /// First 8 bytes (big-endian) of the new image's SHA-256.
@@ -259,9 +334,9 @@ pub enum Event {
         format: &'static str,
         /// Finished payload length in bytes.
         bytes: u64,
-    },
+    }
     /// Campaign orchestrator: the staged rollout advanced to a new stage.
-    CampaignStage {
+    CampaignStage = "campaign_stage" in "campaign" {
         /// Zero-based stage index now in effect.
         stage: u64,
         /// Fraction of the target cohort admitted, in basis points
@@ -269,18 +344,18 @@ pub enum Event {
         fraction_bps: u64,
         /// Campaign round (1-based) at which the stage took effect.
         round: u64,
-    },
+    }
     /// Campaign orchestrator: the fleet-health policy halted the campaign.
-    CampaignHalted {
+    CampaignHalted = "campaign_halted" in "campaign" {
         /// Campaign round (1-based) at which serving stopped.
         round: u64,
         /// Which health counter regressed (`"boot_failures"`,
         /// `"forgeries"`, `"retry_storm"`).
         reason: &'static str,
-    },
+    }
     /// Generation: a patch request was answered from the
     /// content-addressed cache without re-diffing.
-    PatchCacheHit {
+    PatchCacheHit = "patch_cache_hit" in "generation" {
         /// First 8 bytes (big-endian) of the old image's SHA-256.
         old_digest: u64,
         /// First 8 bytes (big-endian) of the new image's SHA-256.
@@ -289,10 +364,10 @@ pub enum Event {
         platform: u64,
         /// Patch container label (`"raw"`, `"framed"`).
         format: &'static str,
-    },
+    }
     /// Proxy: a caching proxy assembled one downstream stream from its
     /// block cache plus whatever upstream fetches were still needed.
-    ProxyServe {
+    ProxyServe = "proxy_serve" in "proxy" {
         /// Proxy identifier (gateway index in the topology sims).
         proxy: u64,
         /// First 8 bytes (big-endian) of the stream's SHA-256.
@@ -308,260 +383,14 @@ pub enum Event {
         /// Virtual microseconds the downstream session waited for the
         /// stream to be ready.
         wait_micros: u64,
-    },
+    }
     /// Scheduler: a duty-cycled device's wake event fell in a sleep
     /// window and was deferred to the next awake edge.
-    DeviceSleep {
+    DeviceSleep = "device_sleep" in "scheduler" {
         /// Device id.
         device: u64,
         /// Virtual time the device resumes at.
         until_micros: u64,
-    },
-}
-
-impl Event {
-    /// Stable machine-readable name of the variant, used as the
-    /// `"event"` field in NDJSON output.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::TokenExchange { .. } => "token_exchange",
-            Event::ProxyFetch { .. } => "proxy_fetch",
-            Event::ChunkDelivered { .. } => "chunk_delivered",
-            Event::ChunkLost { .. } => "chunk_lost",
-            Event::GoAhead { .. } => "go_ahead",
-            Event::SessionDone { .. } => "session_done",
-            Event::AgentTransition { .. } => "agent_transition",
-            Event::SignatureChecked { .. } => "signature_checked",
-            Event::PipelineFinished { .. } => "pipeline_finished",
-            Event::FlashRead { .. } => "flash_read",
-            Event::FlashWrite { .. } => "flash_write",
-            Event::FlashErase { .. } => "flash_erase",
-            Event::SlotsSwapped { .. } => "slots_swapped",
-            Event::Boot { .. } => "boot",
-            Event::SchedulerDispatch { .. } => "scheduler_dispatch",
-            Event::DeviceComplete { .. } => "device_complete",
-            Event::RolloutRound { .. } => "rollout_round",
-            Event::ComponentCommit { .. } => "component_commit",
-            Event::ComponentRollback { .. } => "component_rollback",
-            Event::FaultInjected { .. } => "fault_injected",
-            Event::FaultChecked { .. } => "fault_checked",
-            Event::MutationInjected { .. } => "mutation_injected",
-            Event::MutationChecked { .. } => "mutation_checked",
-            Event::PatchGenerated { .. } => "patch_generated",
-            Event::PatchCacheHit { .. } => "patch_cache_hit",
-            Event::CampaignStage { .. } => "campaign_stage",
-            Event::CampaignHalted { .. } => "campaign_halted",
-            Event::ProxyServe { .. } => "proxy_serve",
-            Event::DeviceSleep { .. } => "device_sleep",
-        }
-    }
-
-    /// Coarse layer the event belongs to (`"session"`, `"agent"`,
-    /// `"pipeline"`, `"flash"`, `"boot"`, `"scheduler"`, `"chaos"`,
-    /// `"adversary"`, `"generation"`, `"campaign"`, `"proxy"`).
-    #[must_use]
-    pub fn layer(&self) -> &'static str {
-        match self {
-            Event::TokenExchange { .. }
-            | Event::ProxyFetch { .. }
-            | Event::ChunkDelivered { .. }
-            | Event::ChunkLost { .. }
-            | Event::GoAhead { .. }
-            | Event::SessionDone { .. } => "session",
-            Event::AgentTransition { .. } | Event::SignatureChecked { .. } => "agent",
-            Event::PipelineFinished { .. } => "pipeline",
-            Event::FlashRead { .. }
-            | Event::FlashWrite { .. }
-            | Event::FlashErase { .. }
-            | Event::SlotsSwapped { .. } => "flash",
-            Event::Boot { .. }
-            | Event::ComponentCommit { .. }
-            | Event::ComponentRollback { .. } => "boot",
-            Event::SchedulerDispatch { .. }
-            | Event::DeviceComplete { .. }
-            | Event::RolloutRound { .. }
-            | Event::DeviceSleep { .. } => "scheduler",
-            Event::ProxyServe { .. } => "proxy",
-            Event::FaultInjected { .. } | Event::FaultChecked { .. } => "chaos",
-            Event::MutationInjected { .. } | Event::MutationChecked { .. } => "adversary",
-            Event::PatchGenerated { .. } | Event::PatchCacheHit { .. } => "generation",
-            Event::CampaignStage { .. } | Event::CampaignHalted { .. } => "campaign",
-        }
-    }
-
-    fn write_fields(&self, out: &mut String) {
-        // All field values are integers, booleans, or static strings
-        // from a fixed vocabulary — no escaping is ever required.
-        match self {
-            Event::TokenExchange { stream } | Event::GoAhead { stream } => {
-                let _ = write!(out, r#","stream":{stream}"#);
-            }
-            Event::ProxyFetch {
-                stream,
-                manifest_bytes,
-                payload_bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","stream":{stream},"manifest_bytes":{manifest_bytes},"payload_bytes":{payload_bytes}"#
-                );
-            }
-            Event::ChunkDelivered { stream, bytes } => {
-                let _ = write!(out, r#","stream":{stream},"bytes":{bytes}"#);
-            }
-            Event::ChunkLost {
-                stream,
-                bytes,
-                attempt,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","stream":{stream},"bytes":{bytes},"attempt":{attempt}"#
-                );
-            }
-            Event::SessionDone {
-                stream,
-                outcome,
-                bytes_to_device,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","stream":{stream},"outcome":"{outcome}","bytes_to_device":{bytes_to_device}"#
-                );
-            }
-            Event::AgentTransition { device, from, to } => {
-                let _ = write!(out, r#","device":{device},"from":"{from}","to":"{to}""#);
-            }
-            Event::SignatureChecked { device, ok } => {
-                let _ = write!(out, r#","device":{device},"ok":{ok}"#);
-            }
-            Event::PipelineFinished {
-                bytes_in,
-                bytes_out,
-            } => {
-                let _ = write!(out, r#","bytes_in":{bytes_in},"bytes_out":{bytes_out}"#);
-            }
-            Event::FlashRead { slot, bytes } | Event::FlashWrite { slot, bytes } => {
-                let _ = write!(out, r#","slot":{slot},"bytes":{bytes}"#);
-            }
-            Event::FlashErase { slot, sectors } => {
-                let _ = write!(out, r#","slot":{slot},"sectors":{sectors}"#);
-            }
-            Event::SlotsSwapped { a, b } => {
-                let _ = write!(out, r#","a":{a},"b":{b}"#);
-            }
-            Event::Boot { slot, version } => {
-                let _ = write!(out, r#","slot":{slot},"version":{version}"#);
-            }
-            Event::SchedulerDispatch { device, at_micros } => {
-                let _ = write!(out, r#","device":{device},"at_micros":{at_micros}"#);
-            }
-            Event::DeviceComplete { device, outcome } => {
-                let _ = write!(out, r#","device":{device},"outcome":"{outcome}""#);
-            }
-            Event::RolloutRound { round, completed } => {
-                let _ = write!(out, r#","round":{round},"completed":{completed}"#);
-            }
-            Event::ComponentCommit {
-                component,
-                slot,
-                version,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","component":{component},"slot":{slot},"version":{version}"#
-                );
-            }
-            Event::ComponentRollback { component, slot } => {
-                let _ = write!(out, r#","component":{component},"slot":{slot}"#);
-            }
-            Event::FaultInjected { boundary, fault } => {
-                let _ = write!(out, r#","boundary":{boundary},"fault":"{fault}""#);
-            }
-            Event::FaultChecked {
-                boundary,
-                fault,
-                boots,
-                version,
-                ok,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","boundary":{boundary},"fault":"{fault}","boots":{boots},"version":{version},"ok":{ok}"#
-                );
-            }
-            Event::MutationInjected { case, surface } => {
-                let _ = write!(out, r#","case":{case},"surface":"{surface}""#);
-            }
-            Event::MutationChecked {
-                case,
-                surface,
-                panicked,
-                ok,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","case":{case},"surface":"{surface}","panicked":{panicked},"ok":{ok}"#
-                );
-            }
-            Event::PatchGenerated {
-                old_digest,
-                new_digest,
-                platform,
-                format,
-                bytes,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","old_digest":{old_digest},"new_digest":{new_digest},"platform":{platform},"format":"{format}","bytes":{bytes}"#
-                );
-            }
-            Event::PatchCacheHit {
-                old_digest,
-                new_digest,
-                platform,
-                format,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","old_digest":{old_digest},"new_digest":{new_digest},"platform":{platform},"format":"{format}""#
-                );
-            }
-            Event::CampaignStage {
-                stage,
-                fraction_bps,
-                round,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","stage":{stage},"fraction_bps":{fraction_bps},"round":{round}"#
-                );
-            }
-            Event::CampaignHalted { round, reason } => {
-                let _ = write!(out, r#","round":{round},"reason":"{reason}""#);
-            }
-            Event::ProxyServe {
-                proxy,
-                digest,
-                hits,
-                misses,
-                joins,
-                upstream_bytes,
-                wait_micros,
-            } => {
-                let _ = write!(
-                    out,
-                    r#","proxy":{proxy},"digest":{digest},"hits":{hits},"misses":{misses},"joins":{joins},"upstream_bytes":{upstream_bytes},"wait_micros":{wait_micros}"#
-                );
-            }
-            Event::DeviceSleep {
-                device,
-                until_micros,
-            } => {
-                let _ = write!(out, r#","device":{device},"until_micros":{until_micros}"#);
-            }
-        }
     }
 }
 
@@ -1085,19 +914,238 @@ mod tests {
 
     #[test]
     fn ndjson_rendering_is_stable() {
-        let record = TraceRecord {
-            ts_micros: 42,
-            seq: 3,
-            event: Event::ChunkLost {
-                stream: 9,
-                bytes: 128,
-                attempt: 1,
-            },
-        };
-        assert_eq!(
-            record.to_ndjson(),
-            r#"{"ts":42,"seq":3,"layer":"session","event":"chunk_lost","stream":9,"bytes":128,"attempt":1}"#
-        );
+        // One instance of every variant, each field a distinct value, so
+        // the layer, kind, field names, field order and value formats of
+        // all 29 lines are pinned byte for byte.
+        let table = [
+            (
+                Event::TokenExchange { stream: 7 },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"token_exchange","stream":7}"#,
+            ),
+            (
+                Event::ProxyFetch {
+                    stream: 7,
+                    manifest_bytes: 210,
+                    payload_bytes: 6_000,
+                },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"proxy_fetch","stream":7,"manifest_bytes":210,"payload_bytes":6000}"#,
+            ),
+            (
+                Event::ChunkDelivered {
+                    stream: 7,
+                    bytes: 64,
+                },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"chunk_delivered","stream":7,"bytes":64}"#,
+            ),
+            (
+                Event::ChunkLost {
+                    stream: 9,
+                    bytes: 128,
+                    attempt: 1,
+                },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"chunk_lost","stream":9,"bytes":128,"attempt":1}"#,
+            ),
+            (
+                Event::GoAhead { stream: 11 },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"go_ahead","stream":11}"#,
+            ),
+            (
+                Event::SessionDone {
+                    stream: 7,
+                    outcome: "complete",
+                    bytes_to_device: 6_210,
+                },
+                r#"{"ts":42,"seq":3,"layer":"session","event":"session_done","stream":7,"outcome":"complete","bytes_to_device":6210}"#,
+            ),
+            (
+                Event::AgentTransition {
+                    device: 5,
+                    from: "idle",
+                    to: "receiving",
+                },
+                r#"{"ts":42,"seq":3,"layer":"agent","event":"agent_transition","device":5,"from":"idle","to":"receiving"}"#,
+            ),
+            (
+                Event::SignatureChecked {
+                    device: 5,
+                    ok: false,
+                },
+                r#"{"ts":42,"seq":3,"layer":"agent","event":"signature_checked","device":5,"ok":false}"#,
+            ),
+            (
+                Event::PipelineFinished {
+                    bytes_in: 900,
+                    bytes_out: 4_096,
+                },
+                r#"{"ts":42,"seq":3,"layer":"pipeline","event":"pipeline_finished","bytes_in":900,"bytes_out":4096}"#,
+            ),
+            (
+                Event::FlashRead {
+                    slot: 1,
+                    bytes: 256,
+                },
+                r#"{"ts":42,"seq":3,"layer":"flash","event":"flash_read","slot":1,"bytes":256}"#,
+            ),
+            (
+                Event::FlashWrite {
+                    slot: 2,
+                    bytes: 512,
+                },
+                r#"{"ts":42,"seq":3,"layer":"flash","event":"flash_write","slot":2,"bytes":512}"#,
+            ),
+            (
+                Event::FlashErase {
+                    slot: 3,
+                    sectors: 4,
+                },
+                r#"{"ts":42,"seq":3,"layer":"flash","event":"flash_erase","slot":3,"sectors":4}"#,
+            ),
+            (
+                Event::SlotsSwapped { a: 0, b: 255 },
+                r#"{"ts":42,"seq":3,"layer":"flash","event":"slots_swapped","a":0,"b":255}"#,
+            ),
+            (
+                Event::Boot {
+                    slot: 1,
+                    version: 2,
+                },
+                r#"{"ts":42,"seq":3,"layer":"boot","event":"boot","slot":1,"version":2}"#,
+            ),
+            (
+                Event::SchedulerDispatch {
+                    device: 12,
+                    at_micros: 1_508_458,
+                },
+                r#"{"ts":42,"seq":3,"layer":"scheduler","event":"scheduler_dispatch","device":12,"at_micros":1508458}"#,
+            ),
+            (
+                Event::DeviceComplete {
+                    device: 12,
+                    outcome: "gave_up",
+                },
+                r#"{"ts":42,"seq":3,"layer":"scheduler","event":"device_complete","device":12,"outcome":"gave_up"}"#,
+            ),
+            (
+                Event::RolloutRound {
+                    round: 3,
+                    completed: 17,
+                },
+                r#"{"ts":42,"seq":3,"layer":"scheduler","event":"rollout_round","round":3,"completed":17}"#,
+            ),
+            (
+                Event::ComponentCommit {
+                    component: 0xA1,
+                    slot: 4,
+                    version: 7,
+                },
+                r#"{"ts":42,"seq":3,"layer":"boot","event":"component_commit","component":161,"slot":4,"version":7}"#,
+            ),
+            (
+                Event::ComponentRollback {
+                    component: 0xA2,
+                    slot: 6,
+                },
+                r#"{"ts":42,"seq":3,"layer":"boot","event":"component_rollback","component":162,"slot":6}"#,
+            ),
+            (
+                Event::FaultInjected {
+                    boundary: 19,
+                    fault: "clean_cut",
+                },
+                r#"{"ts":42,"seq":3,"layer":"chaos","event":"fault_injected","boundary":19,"fault":"clean_cut"}"#,
+            ),
+            (
+                Event::FaultChecked {
+                    boundary: 19,
+                    fault: "torn_write",
+                    boots: 3,
+                    version: 0,
+                    ok: true,
+                },
+                r#"{"ts":42,"seq":3,"layer":"chaos","event":"fault_checked","boundary":19,"fault":"torn_write","boots":3,"version":0,"ok":true}"#,
+            ),
+            (
+                Event::MutationInjected {
+                    case: 88,
+                    surface: "lzss",
+                },
+                r#"{"ts":42,"seq":3,"layer":"adversary","event":"mutation_injected","case":88,"surface":"lzss"}"#,
+            ),
+            (
+                Event::MutationChecked {
+                    case: 88,
+                    surface: "frame_corrupt",
+                    panicked: false,
+                    ok: true,
+                },
+                r#"{"ts":42,"seq":3,"layer":"adversary","event":"mutation_checked","case":88,"surface":"frame_corrupt","panicked":false,"ok":true}"#,
+            ),
+            (
+                Event::PatchGenerated {
+                    old_digest: u64::MAX,
+                    new_digest: 1 << 63,
+                    platform: 10,
+                    format: "framed",
+                    bytes: 21_572,
+                },
+                r#"{"ts":42,"seq":3,"layer":"generation","event":"patch_generated","old_digest":18446744073709551615,"new_digest":9223372036854775808,"platform":10,"format":"framed","bytes":21572}"#,
+            ),
+            (
+                Event::PatchCacheHit {
+                    old_digest: 1,
+                    new_digest: 2,
+                    platform: 10,
+                    format: "raw",
+                },
+                r#"{"ts":42,"seq":3,"layer":"generation","event":"patch_cache_hit","old_digest":1,"new_digest":2,"platform":10,"format":"raw"}"#,
+            ),
+            (
+                Event::CampaignStage {
+                    stage: 1,
+                    fraction_bps: 2_500,
+                    round: 4,
+                },
+                r#"{"ts":42,"seq":3,"layer":"campaign","event":"campaign_stage","stage":1,"fraction_bps":2500,"round":4}"#,
+            ),
+            (
+                Event::CampaignHalted {
+                    round: 6,
+                    reason: "boot_failures",
+                },
+                r#"{"ts":42,"seq":3,"layer":"campaign","event":"campaign_halted","round":6,"reason":"boot_failures"}"#,
+            ),
+            (
+                Event::ProxyServe {
+                    proxy: 2,
+                    digest: 0xDEAD_BEEF,
+                    hits: 30,
+                    misses: 12,
+                    joins: 5,
+                    upstream_bytes: 6_144,
+                    wait_micros: 91_000,
+                },
+                r#"{"ts":42,"seq":3,"layer":"proxy","event":"proxy_serve","proxy":2,"digest":3735928559,"hits":30,"misses":12,"joins":5,"upstream_bytes":6144,"wait_micros":91000}"#,
+            ),
+            (
+                Event::DeviceSleep {
+                    device: 33,
+                    until_micros: 2_000_000,
+                },
+                r#"{"ts":42,"seq":3,"layer":"scheduler","event":"device_sleep","device":33,"until_micros":2000000}"#,
+            ),
+        ];
+        let mut kinds: Vec<&str> = table.iter().map(|(event, _)| event.kind()).collect();
+        kinds.sort_unstable();
+        kinds.dedup();
+        assert_eq!(kinds.len(), 29, "one row per variant");
+        for (event, line) in table {
+            let record = TraceRecord {
+                ts_micros: 42,
+                seq: 3,
+                event,
+            };
+            assert_eq!(record.to_ndjson(), line);
+        }
     }
 
     #[test]

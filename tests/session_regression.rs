@@ -10,6 +10,19 @@
 use upkit::net::{LinkProfile, LossyLink, TransferAccounting};
 use upkit::sim::{run_scenario, Approach, ScenarioConfig, SlotMode};
 
+/// SHA-256 (hex) of a captured trace's NDJSON lines joined by `\n`.
+fn ndjson_sha256(sink: &upkit::trace::MemorySink) -> String {
+    let lines: Vec<String> = sink
+        .snapshot()
+        .iter()
+        .map(upkit::trace::TraceRecord::to_ndjson)
+        .collect();
+    upkit::crypto::sha256::sha256(lines.join("\n").as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect()
+}
+
 #[test]
 fn fig8a_push_numbers_are_unchanged() {
     let push = run_scenario(&ScenarioConfig::fig8a(Approach::Push));
@@ -292,6 +305,7 @@ mod event_rollout_pins {
         report: EventFleetReport,
         frames: (u64, u64, u64),
         records: usize,
+        trace_sha256: String,
     }
 
     fn run(config: &EventFleetConfig) -> EventRun {
@@ -303,6 +317,7 @@ mod event_rollout_pins {
             report,
             frames: (counters.frames_sent, counters.frames_lost, counters.retries),
             records: sink.len(),
+            trace_sha256: super::ndjson_sha256(&sink),
         }
     }
 
@@ -343,6 +358,10 @@ mod event_rollout_pins {
             "seeded loss stream accounting moved"
         );
         assert_eq!(run.records, 668, "trace record count moved");
+        assert_eq!(
+            run.trace_sha256, "044c0b57e017d7c871ca0f328b7f792500ab71fc1e07f294e13aa75a5369fcd1",
+            "trace bytes moved"
+        );
     }
 
     #[test]
@@ -381,6 +400,10 @@ mod event_rollout_pins {
             "seeded loss stream accounting moved"
         );
         assert_eq!(run.records, 3_670, "trace record count moved");
+        assert_eq!(
+            run.trace_sha256, "ac66c1d5e790742eeab3f6f4231a9e18c4815fd69f50da19b1e79c3777da608c",
+            "trace bytes moved"
+        );
     }
 }
 
@@ -394,6 +417,7 @@ mod fleet_rollout_pins {
         report: FleetReport,
         link_bytes_to_device: u64,
         records: usize,
+        trace_sha256: String,
     }
 
     fn run(differential: bool) -> FleetRun {
@@ -416,6 +440,7 @@ mod fleet_rollout_pins {
             report,
             link_bytes_to_device: counters.link_bytes_to_device,
             records: sink.len(),
+            trace_sha256: super::ndjson_sha256(&sink),
         }
     }
 
@@ -448,6 +473,10 @@ mod fleet_rollout_pins {
         assert_eq!(run.report.total_wire_bytes, 124_650);
         assert_eq!(run.link_bytes_to_device, 124_650);
         assert_eq!(run.records, 42, "trace record count moved");
+        assert_eq!(
+            run.trace_sha256, "944d162df1654a65913f8cbe2ef6ccc264efbced60d795beb403344b6c9df3ae",
+            "trace bytes moved"
+        );
     }
 
     #[test]
@@ -463,6 +492,10 @@ mod fleet_rollout_pins {
         assert_eq!(run.report.total_wire_bytes, 291_720);
         assert_eq!(run.link_bytes_to_device, 291_720);
         assert_eq!(run.records, 42, "trace record count moved");
+        assert_eq!(
+            run.trace_sha256, "944d162df1654a65913f8cbe2ef6ccc264efbced60d795beb403344b6c9df3ae",
+            "trace bytes moved"
+        );
     }
 }
 
