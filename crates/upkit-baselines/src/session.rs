@@ -2,8 +2,7 @@
 //!
 //! [`UnverifiedEndpoints`] implements [`upkit_net::SessionEndpoints`], so
 //! the mcumgr- and LwM2M-like [`UnverifiedAgent`] runs on the *same*
-//! resumable [`PushSession`](upkit_net::PushSession) /
-//! [`PullSession`](upkit_net::PullSession) state machines as UpKit —
+//! resumable push and pull [`Session`](upkit_net::Session) as UpKit —
 //! identical link charging, loss sampling, and retry policy. What differs
 //! is only what the paper's comparison is about: the agent verifies
 //! nothing, so sessions that UpKit would reject at the manifest complete
@@ -122,8 +121,8 @@ mod tests {
     use upkit_crypto::sha256::sha256;
     use upkit_flash::standard;
     use upkit_net::{
-        LinkProfile, LossyLink, PullSession, PushSession, RetryPolicy, SessionEventKind,
-        SessionOutcome, SessionReport, Step, TransferAccounting, Transport,
+        LinkProfile, LossyLink, RetryPolicy, Session, SessionEventKind, SessionOutcome,
+        SessionReport, Step, TransferAccounting,
     };
 
     #[test]
@@ -135,8 +134,7 @@ mod tests {
         bytes[len - 10] ^= 0xFF; // corrupt: the agent will not notice
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ble_gatt();
-        let mut session =
-            PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints =
             UnverifiedEndpoints::new(&mut agent, &mut layout, Some(bytes), 1, 1, true);
         let report = session.run_to_completion(&mut endpoints);
@@ -151,7 +149,7 @@ mod tests {
         let bytes = image(171, vec![0x33; 6_000], 1);
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ble_gatt();
-        let mut session = PushSession::new(
+        let mut session = Session::push(
             LossyLink::bernoulli(link, 0.15, 0xBA5E),
             RetryPolicy::for_link(&link),
             7,
@@ -178,15 +176,13 @@ mod tests {
         let mut layout = layout();
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ble_gatt();
-        let mut session =
-            PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints = UnverifiedEndpoints::new(&mut agent, &mut layout, None, 1, 1, true);
         let report = session.run_to_completion(&mut endpoints);
         assert_eq!(report.outcome, SessionOutcome::NoUpdateAvailable);
 
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
-        let mut session =
-            PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints =
             UnverifiedEndpoints::new(&mut agent, &mut layout, Some(Vec::new()), 1, 1, true);
         let report = session.run_to_completion(&mut endpoints);
@@ -200,8 +196,7 @@ mod tests {
         let bytes = image(172, fw.clone(), 1);
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ieee802154_6lowpan();
-        let mut session =
-            PullSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::pull(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints =
             UnverifiedEndpoints::new(&mut agent, &mut layout, Some(bytes), 1, 1, true);
         let report = session.run_to_completion(&mut endpoints);
@@ -219,8 +214,7 @@ mod tests {
         let bytes = image(173, vec![0xBB; 1_000], 1);
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, true);
         let link = LinkProfile::ieee802154_6lowpan();
-        let mut session =
-            PullSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::pull(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints =
             UnverifiedEndpoints::new(&mut agent, &mut layout, Some(bytes), 1, 1, false);
         let report = session.run_to_completion(&mut endpoints);
@@ -238,8 +232,7 @@ mod tests {
         let bytes = image(174, vec![0xCC; 1_000], 1);
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ieee802154_6lowpan();
-        let mut session =
-            PullSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+        let mut session = Session::pull(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         let mut endpoints =
             UnverifiedEndpoints::new(&mut agent, &mut layout, Some(bytes), 1, 1, false);
         let report = session.run_to_completion(&mut endpoints);
@@ -276,7 +269,7 @@ mod tests {
         let mut layout = layout();
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, false);
         let link = LinkProfile::ble_gatt();
-        let mut session = PushSession::new(
+        let mut session = Session::push(
             LossyLink::bernoulli(link, 0.10, 0x5E55),
             RetryPolicy::for_link(&link),
             0,
@@ -307,7 +300,7 @@ mod tests {
         let mut layout = layout();
         let mut agent = UnverifiedAgent::new(standard::SLOT_B, true);
         let link = LinkProfile::ieee802154_6lowpan();
-        let mut session = PullSession::new(
+        let mut session = Session::pull(
             LossyLink::bernoulli(link, 0.10, 0x5E56),
             RetryPolicy::for_link(&link),
             0,

@@ -175,7 +175,8 @@ type PatchKey = ([u8; 32], [u8; 32], u32, PatchFormat);
 /// First eight bytes of a SHA-256 digest as a big-endian integer — the
 /// stable short form trace events use to identify an image.
 fn digest_prefix(digest: &[u8; 32]) -> u64 {
-    u64::from_be_bytes(digest[..8].try_into().expect("digest has 32 bytes"))
+    let [b0, b1, b2, b3, b4, b5, b6, b7, ..] = *digest;
+    u64::from_be_bytes([b0, b1, b2, b3, b4, b5, b6, b7])
 }
 
 /// The update server: publishes releases and answers device tokens with

@@ -1,49 +1,49 @@
-//! Simulated transports for the UpKit reproduction.
+//! Simulated propagation for the UpKit reproduction.
 //!
 //! UpKit is agnostic to how update images reach the device: the paper
 //! demonstrates a **push** configuration (a smartphone forwarding images
 //! over BLE GATT) and a **pull** configuration (the device fetching blocks
-//! over CoAP/6LoWPAN through a border router). This crate provides both as
-//! byte-accurate simulations:
+//! over CoAP/6LoWPAN through a border router). Both are one Fig. 2 message
+//! sequence through a passive proxy, and this crate simulates it once,
+//! byte for byte:
 //!
 //! * [`profiles`] — link timing models ([`LinkProfile`]) and radio
 //!   accounting ([`TransferAccounting`]).
-//! * [`proxy`] — the passive forwarders ([`Smartphone`], [`BorderRouter`])
-//!   and the active caching gateway ([`CachingProxy`]): a bounded LRU
-//!   block cache with single-flighted upstream fetches, so one upstream
-//!   transfer serves any number of downstream devices. Per the paper's
-//!   threat model proxies forward bytes but hold no keys.
+//! * [`proxy`] — the passive [`Forwarder`] (the push smartphone and the
+//!   pull border router alike) and the active caching gateway
+//!   ([`CachingProxy`]): a bounded LRU block cache with single-flighted
+//!   upstream fetches, so one upstream transfer serves any number of
+//!   downstream devices. Per the paper's threat model proxies forward
+//!   bytes but hold no keys.
 //! * [`tamper`] — the attacks a compromised proxy can mount: whole-message
 //!   corrupt/truncate/replay ([`Tamper`]) and in-flight single-frame
 //!   corrupt/reorder/duplicate/inject/drop plus cross-version stream
 //!   replay ([`FrameAdversary`]).
-//! * [`session`] — the event-driven core: resumable [`PushSession`] /
-//!   [`PullSession`] state machines advancing one link event at a time via
-//!   [`Transport::step`], with per-block timeout, bounded retries, and
-//!   exponential backoff ([`RetryPolicy`]).
-//! * [`drivers`] — [`run_push_session`] and [`run_pull_session`], thin
-//!   step-until-done wrappers executing the complete Fig. 2 message
-//!   sequence against a real update agent and reporting byte/time
-//!   accounting.
+//! * [`session`] — the event-driven core: one resumable [`Session`],
+//!   built for push or pull, advancing one link event at a time with
+//!   per-block timeout, bounded retries, and exponential backoff
+//!   ([`RetryPolicy`]), against a real update agent ([`AgentEndpoints`])
+//!   or any other [`SessionEndpoints`].
 //! * [`lossy`] — seeded Bernoulli frame loss and retransmission cost
 //!   models for harsh-environment links.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
-pub mod drivers;
 pub mod lossy;
 pub mod profiles;
 pub mod proxy;
 pub mod session;
 pub mod tamper;
 
-pub use drivers::{run_pull_session, run_push_session};
 pub use lossy::LossyLink;
 pub use profiles::{LinkProfile, TransferAccounting};
-pub use proxy::{BorderRouter, CachedOrigin, CachingProxy, ProxyStats, Smartphone};
+pub use proxy::{CachedOrigin, CachingProxy, Forwarder, ProxyStats};
 pub use session::{
-    PullEndpoints, PullSession, PushEndpoints, PushSession, RetryPolicy, SessionEndpoints,
-    SessionEvent, SessionEventKind, SessionOutcome, SessionReport, SessionStream, Step,
-    StreamResolution, Transport,
+    AgentEndpoints, RetryPolicy, Session, SessionEndpoints, SessionEvent, SessionEventKind,
+    SessionOutcome, SessionReport, SessionStream, Step, StreamResolution,
 };
 pub use tamper::{FrameAdversary, FrameTamper, Tamper};

@@ -1,39 +1,38 @@
-//! Event-driven, resumable transport sessions.
+//! Event-driven, resumable propagation sessions.
 //!
-//! The monolithic drivers of [`crate::drivers`] ran an entire Fig. 2
-//! message sequence to completion inside one function call — fine for
-//! single-device figures, structurally incapable of interleaving thousands
-//! of concurrently-updating devices. This module decomposes propagation
-//! into three pieces:
+//! Push and pull are two configurations of one Fig. 2 message sequence
+//! through a passive proxy. This module holds that sequence once, in
+//! three pieces:
 //!
-//! * [`SessionEndpoints`] — what a session talks *to*: the device agent
-//!   plus whatever proxy path serves the update stream. One trait covers
-//!   the push proxy ([`PushEndpoints`]), the pull path
-//!   ([`PullEndpoints`]), the baseline agents, and the simulator's
-//!   lightweight fleet devices.
-//! * [`Transport`] — the session driver: [`PushSession`] / [`PullSession`]
-//!   state machines advancing one link event at a time via
-//!   [`Transport::step`]. Each step returns the event kind and its
+//! * [`SessionEndpoints`] — what a session talks *to*: the device side
+//!   plus whatever proxy path serves the update stream.
+//!   [`AgentEndpoints`] is a real [`UpdateAgent`] behind any proxy path,
+//!   given as a closure from the device token to a [`StreamResolution`]
+//!   (a [`Forwarder`](crate::proxy::Forwarder) or a
+//!   [`CachingProxy`](crate::proxy::CachingProxy)); the baseline agents
+//!   and the simulator's lightweight fleet devices implement the trait
+//!   too.
+//! * [`Session`] — the one session driver, built by [`Session::push`] or
+//!   [`Session::pull`] and advancing one link event at a time via
+//!   [`Session::step`]. Each step returns the event kind and its
 //!   virtual-time cost, so a scheduler can interleave any number of
-//!   sessions on a shared virtual clock.
+//!   sessions on a shared virtual clock. Push and pull differ only in
+//!   what the session charges.
 //! * [`RetryPolicy`] — per-block timeout, bounded retries, exponential
 //!   backoff. Loss is sampled per transmission attempt from the session's
 //!   [`LossyLink`] stream; a block that exhausts its retry budget ends the
 //!   session with [`SessionOutcome::TimedOut`].
 //!
-//! A session stepped to completion over a reliable link produces *exactly*
-//! the `SessionReport` the legacy drivers produced — charge for charge —
-//! which the equivalence and regression tests assert.
+//! `tests/session_regression.rs` pins the reports and traces of stepped
+//! sessions charge for charge.
 
 use upkit_core::agent::{AgentError, AgentPhase, AgentState, UpdateAgent, UpdatePlan};
-use upkit_core::generation::UpdateServer;
 use upkit_flash::MemoryLayout;
 use upkit_manifest::{DeviceToken, DEVICE_TOKEN_LEN, SIGNED_MANIFEST_LEN};
 use upkit_trace::{Counters, Event, Tracer};
 
 use crate::lossy::LossyLink;
 use crate::profiles::{LinkProfile, TransferAccounting};
-use crate::proxy::{BorderRouter, Smartphone};
 
 /// Terminal state of a propagation session.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -85,7 +84,7 @@ pub struct SessionReport {
     pub accounting: TransferAccounting,
 }
 
-/// What one [`Transport::step`] did on the link.
+/// What one [`Session::step`] did on the link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SessionEventKind {
     /// Token request round trip plus the token upload.
@@ -121,7 +120,7 @@ pub struct SessionEvent {
     pub cost_micros: u64,
 }
 
-/// Result of one [`Transport::step`].
+/// Result of one [`Session::step`].
 #[derive(Clone, Debug)]
 pub enum Step {
     /// The session advanced by one event and has more work to do.
@@ -212,9 +211,9 @@ pub enum StreamResolution {
 }
 
 /// The two parties a session mediates between: the device-side agent and
-/// the server-side stream source. Implementations exist for UpKit's push
-/// and pull paths, the mcumgr/LwM2M baselines, and the event simulator's
-/// lightweight devices.
+/// the server-side stream source. Implementations exist for UpKit's agent
+/// ([`AgentEndpoints`]), the mcumgr/LwM2M baselines, and the event
+/// simulator's lightweight devices.
 pub trait SessionEndpoints {
     /// Asks the device agent for a fresh device token (steps 4–5).
     fn request_token(&mut self) -> Result<DeviceToken, AgentError>;
@@ -223,29 +222,6 @@ pub trait SessionEndpoints {
     fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution;
     /// Delivers one link chunk to the device agent.
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError>;
-}
-
-/// A resumable propagation session advancing one link event per call.
-pub trait Transport {
-    /// Advances the session by one event.
-    fn step(&mut self, endpoints: &mut dyn SessionEndpoints) -> Step;
-    /// Whether the session reached a terminal state.
-    fn is_done(&self) -> bool;
-    /// Radio accounting so far.
-    fn accounting(&self) -> &TransferAccounting;
-    /// Virtual time consumed so far, in microseconds.
-    fn virtual_elapsed_micros(&self) -> u64 {
-        self.accounting().elapsed_micros
-    }
-    /// Steps until done and returns the final report — the legacy drivers'
-    /// behaviour as a thin wrapper.
-    fn run_to_completion(&mut self, endpoints: &mut dyn SessionEndpoints) -> SessionReport {
-        loop {
-            if let Step::Done(report) = self.step(endpoints) {
-                return report;
-            }
-        }
-    }
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -279,12 +255,16 @@ enum Stage {
     Finished,
 }
 
-/// The state machine shared by push and pull sessions. The two flavors
-/// differ only in their charging scheme: push charges the token round trip
-/// up front and one go-ahead round trip between manifest and payload; pull
-/// charges a confirmed round trip per block and no go-ahead.
+/// A resumable propagation session: Fig. 2's message sequence as a state
+/// machine advancing one link event per [`step`](Self::step).
+///
+/// The push flow (a smartphone over BLE) and the pull flow (CoAP
+/// blockwise through a border router) differ only in what they charge:
+/// push charges the token round trip up front and one go-ahead round trip
+/// between manifest and payload; pull charges a confirmed round trip per
+/// block and no go-ahead.
 #[derive(Debug)]
-struct SessionCore {
+pub struct Session {
     flavor: Flavor,
     link: LossyLink,
     retry: RetryPolicy,
@@ -301,7 +281,21 @@ struct SessionCore {
     tracer: Tracer,
 }
 
-impl SessionCore {
+impl Session {
+    /// A push session over `link`, sampling losses from the session's
+    /// `stream_id` stream and retrying per `retry`.
+    #[must_use]
+    pub fn push(link: LossyLink, retry: RetryPolicy, stream_id: u64) -> Self {
+        Self::new(Flavor::Push, link, retry, stream_id)
+    }
+
+    /// A pull session over `link`, sampling losses from the session's
+    /// `stream_id` stream and retrying per `retry`.
+    #[must_use]
+    pub fn pull(link: LossyLink, retry: RetryPolicy, stream_id: u64) -> Self {
+        Self::new(Flavor::Pull, link, retry, stream_id)
+    }
+
     fn new(flavor: Flavor, link: LossyLink, retry: RetryPolicy, stream_id: u64) -> Self {
         Self {
             flavor,
@@ -318,6 +312,38 @@ impl SessionCore {
             acc: TransferAccounting::default(),
             outcome: None,
             tracer: Tracer::disabled(),
+        }
+    }
+
+    /// Routes this session's counters and events through `tracer`.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = tracer;
+    }
+
+    /// Whether the session reached a terminal state.
+    #[must_use]
+    pub fn is_done(&self) -> bool {
+        matches!(self.stage, Stage::Finished)
+    }
+
+    /// Radio accounting so far.
+    #[must_use]
+    pub fn accounting(&self) -> &TransferAccounting {
+        &self.acc
+    }
+
+    /// Virtual time consumed so far, in microseconds.
+    #[must_use]
+    pub fn virtual_elapsed_micros(&self) -> u64 {
+        self.acc.elapsed_micros
+    }
+
+    /// Steps until done and returns the final report.
+    pub fn run_to_completion(&mut self, endpoints: &mut dyn SessionEndpoints) -> SessionReport {
+        loop {
+            if let Step::Done(report) = self.step(endpoints) {
+                return report;
+            }
         }
     }
 
@@ -351,7 +377,8 @@ impl SessionCore {
         })
     }
 
-    fn step(&mut self, io: &mut dyn SessionEndpoints) -> Step {
+    /// Advances the session by one link event.
+    pub fn step(&mut self, io: &mut dyn SessionEndpoints) -> Step {
         let before = self.acc.elapsed_micros;
         // Stamp events at the virtual time the step begins. The clock is
         // a fetch-max, so interleaved sessions sharing one tracer keep
@@ -566,108 +593,40 @@ impl SessionCore {
     }
 }
 
-/// The push flow (Fig. 2's smartphone flow) as a resumable session.
-#[derive(Debug)]
-pub struct PushSession {
-    core: SessionCore,
-}
-
-impl PushSession {
-    /// A push session over `link`, sampling losses from the session's
-    /// `stream_id` stream and retrying per `retry`.
-    #[must_use]
-    pub fn new(link: LossyLink, retry: RetryPolicy, stream_id: u64) -> Self {
-        Self {
-            core: SessionCore::new(Flavor::Push, link, retry, stream_id),
-        }
-    }
-
-    /// Routes this session's counters and events through `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = tracer;
-    }
-}
-
-impl Transport for PushSession {
-    fn step(&mut self, endpoints: &mut dyn SessionEndpoints) -> Step {
-        self.core.step(endpoints)
-    }
-    fn is_done(&self) -> bool {
-        matches!(self.core.stage, Stage::Finished)
-    }
-    fn accounting(&self) -> &TransferAccounting {
-        &self.core.acc
-    }
-}
-
-/// The pull flow (CoAP blockwise through a border router) as a resumable
-/// session.
-#[derive(Debug)]
-pub struct PullSession {
-    core: SessionCore,
-}
-
-impl PullSession {
-    /// A pull session over `link`, sampling losses from the session's
-    /// `stream_id` stream and retrying per `retry`.
-    #[must_use]
-    pub fn new(link: LossyLink, retry: RetryPolicy, stream_id: u64) -> Self {
-        Self {
-            core: SessionCore::new(Flavor::Pull, link, retry, stream_id),
-        }
-    }
-
-    /// Routes this session's counters and events through `tracer`.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.core.tracer = tracer;
-    }
-}
-
-impl Transport for PullSession {
-    fn step(&mut self, endpoints: &mut dyn SessionEndpoints) -> Step {
-        self.core.step(endpoints)
-    }
-    fn is_done(&self) -> bool {
-        matches!(self.core.stage, Stage::Finished)
-    }
-    fn accounting(&self) -> &TransferAccounting {
-        &self.core.acc
-    }
-}
-
-/// [`SessionEndpoints`] for the push flow: a real [`UpdateAgent`] behind a
-/// [`Smartphone`] proxy.
-pub struct PushEndpoints<'a> {
-    server: &'a UpdateServer,
-    phone: &'a mut Smartphone,
+/// [`SessionEndpoints`] for a real [`UpdateAgent`]: the agent issues its
+/// token for a plan taken once and stores every delivered chunk, while
+/// `resolve` is the proxy path that answers the token — such as
+/// `|t| phone.serve(&server, t)` for a [`Forwarder`](crate::proxy::Forwarder)
+/// or `|_| gateway.resolve(&origin, now)` for a
+/// [`CachingProxy`](crate::proxy::CachingProxy).
+pub struct AgentEndpoints<'a, F> {
     agent: &'a mut UpdateAgent,
     layout: &'a mut MemoryLayout,
     plan: Option<UpdatePlan>,
     nonce: u32,
+    resolve: F,
 }
 
-impl<'a> PushEndpoints<'a> {
-    /// Wires the push-path parties together for one session.
+impl<'a, F: FnMut(&DeviceToken) -> StreamResolution> AgentEndpoints<'a, F> {
+    /// Wires `agent` to the proxy path `resolve` for one session.
     pub fn new(
-        server: &'a UpdateServer,
-        phone: &'a mut Smartphone,
         agent: &'a mut UpdateAgent,
         layout: &'a mut MemoryLayout,
         plan: UpdatePlan,
         nonce: u32,
+        resolve: F,
     ) -> Self {
         Self {
-            server,
-            phone,
             agent,
             layout,
             plan: Some(plan),
             nonce,
+            resolve,
         }
     }
 }
 
-impl SessionEndpoints for PushEndpoints<'_> {
+impl<F: FnMut(&DeviceToken) -> StreamResolution> SessionEndpoints for AgentEndpoints<'_, F> {
     fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
         let plan = self
             .plan
@@ -678,72 +637,7 @@ impl SessionEndpoints for PushEndpoints<'_> {
     }
 
     fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution {
-        if !self.phone.fetch_update(self.server, token) {
-            return StreamResolution::NoUpdate;
-        }
-        let Some(manifest) = self.phone.outgoing_manifest() else {
-            return StreamResolution::ProxyEmpty;
-        };
-        let Some(payload) = self.phone.outgoing_payload() else {
-            return StreamResolution::ProxyEmpty;
-        };
-        StreamResolution::Stream(SessionStream { manifest, payload })
-    }
-
-    fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
-        self.agent.push_data(self.layout, chunk)
-    }
-}
-
-/// [`SessionEndpoints`] for the pull flow: a real [`UpdateAgent`] fetching
-/// through a [`BorderRouter`].
-pub struct PullEndpoints<'a> {
-    server: &'a UpdateServer,
-    router: &'a BorderRouter,
-    agent: &'a mut UpdateAgent,
-    layout: &'a mut MemoryLayout,
-    plan: Option<UpdatePlan>,
-    nonce: u32,
-}
-
-impl<'a> PullEndpoints<'a> {
-    /// Wires the pull-path parties together for one session.
-    pub fn new(
-        server: &'a UpdateServer,
-        router: &'a BorderRouter,
-        agent: &'a mut UpdateAgent,
-        layout: &'a mut MemoryLayout,
-        plan: UpdatePlan,
-        nonce: u32,
-    ) -> Self {
-        Self {
-            server,
-            router,
-            agent,
-            layout,
-            plan: Some(plan),
-            nonce,
-        }
-    }
-}
-
-impl SessionEndpoints for PullEndpoints<'_> {
-    fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
-        let plan = self
-            .plan
-            .take()
-            .ok_or(AgentError::WrongState(AgentState::Waiting))?;
-        self.agent
-            .request_device_token(self.layout, plan, self.nonce)
-    }
-
-    fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution {
-        let Some(prepared) = self.server.prepare_update(token) else {
-            return StreamResolution::NoUpdate;
-        };
-        // The border router forwards the (logical) byte stream end to end.
-        let stream = self.router.forward(&prepared.image.to_bytes());
-        StreamResolution::Stream(SessionStream::split(stream))
+        (self.resolve)(token)
     }
 
     fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
@@ -822,7 +716,7 @@ mod tests {
         let manifest = vec![1u8; 196];
         let payload = vec![2u8; 1000];
         let mut io = StubEndpoints::serving(manifest, payload);
-        let mut session = PullSession::new(
+        let mut session = Session::pull(
             LossyLink::reliable(link()),
             RetryPolicy::for_link(&link()),
             0,
@@ -858,8 +752,7 @@ mod tests {
     fn push_session_charges_goahead_between_regions() {
         let mut io = StubEndpoints::serving(vec![1u8; 196], vec![2u8; 500]);
         let ble = LinkProfile::ble_gatt();
-        let mut session =
-            PushSession::new(LossyLink::reliable(ble), RetryPolicy::for_link(&ble), 0);
+        let mut session = Session::push(LossyLink::reliable(ble), RetryPolicy::for_link(&ble), 0);
         let mut kinds = Vec::new();
         let report = loop {
             match session.step(&mut io) {
@@ -884,7 +777,7 @@ mod tests {
             backoff_factor: 2,
         };
         let mut io = StubEndpoints::serving(vec![1u8; 196], vec![2u8; 500]);
-        let mut session = PullSession::new(LossyLink::bernoulli(link(), 1.0, 7), retry, 0);
+        let mut session = Session::pull(LossyLink::bernoulli(link(), 1.0, 7), retry, 0);
         let mut timeouts = Vec::new();
         let report = loop {
             match session.step(&mut io) {
@@ -924,7 +817,7 @@ mod tests {
         // charged as a full attempted transmission plus a timeout.
         let lossy = LossyLink::bernoulli(link(), 0.3, 99);
         let mut io = StubEndpoints::serving(vec![1u8; 196], vec![2u8; 2_000]);
-        let mut session = PullSession::new(lossy, RetryPolicy::for_link(&link()), 5);
+        let mut session = Session::pull(lossy, RetryPolicy::for_link(&link()), 5);
         let mut lost = 0u64;
         let mut delivered = 0u64;
         let report = loop {
@@ -945,7 +838,7 @@ mod tests {
         assert_eq!(report.accounting.chunks, 1 + delivered + 1 + lost);
         // A reliable run of the same stream is strictly cheaper.
         let mut reliable_io = StubEndpoints::serving(vec![1u8; 196], vec![2u8; 2_000]);
-        let mut reliable = PullSession::new(
+        let mut reliable = Session::pull(
             LossyLink::reliable(link()),
             RetryPolicy::for_link(&link()),
             5,
@@ -967,7 +860,7 @@ mod tests {
             wait_micros: 123_456,
         });
         let new_session = || {
-            PullSession::new(
+            Session::pull(
                 LossyLink::reliable(link()),
                 RetryPolicy::for_link(&link()),
                 0,
@@ -993,8 +886,7 @@ mod tests {
     fn proxy_empty_resolution_ends_the_session() {
         let mut io = StubEndpoints::with_resolution(StreamResolution::ProxyEmpty);
         let ble = LinkProfile::ble_gatt();
-        let mut session =
-            PushSession::new(LossyLink::reliable(ble), RetryPolicy::for_link(&ble), 0);
+        let mut session = Session::push(LossyLink::reliable(ble), RetryPolicy::for_link(&ble), 0);
         let report = session.run_to_completion(&mut io);
         assert_eq!(report.outcome, SessionOutcome::ProxyEmpty);
         // The token exchange already happened.
@@ -1004,7 +896,7 @@ mod tests {
     #[test]
     fn stepping_a_finished_session_repeats_the_report() {
         let mut io = StubEndpoints::with_resolution(StreamResolution::NoUpdate);
-        let mut session = PullSession::new(
+        let mut session = Session::pull(
             LossyLink::reliable(link()),
             RetryPolicy::for_link(&link()),
             0,
@@ -1025,5 +917,251 @@ mod tests {
             backoff_factor: 10,
         };
         assert_eq!(retry.timeout_after(100), u64::MAX);
+    }
+    /// A device agent running v1 behind a [`Forwarder`] for the update
+    /// server's releases, as the push and pull flows of Fig. 2 see it.
+    mod agent {
+        use super::*;
+        use crate::proxy::Forwarder;
+        use crate::tamper::Tamper;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+        use upkit_core::agent::AgentConfig;
+        use upkit_core::generation::{UpdateServer, VendorServer};
+        use upkit_core::image::FIRMWARE_OFFSET;
+        use upkit_core::keys::TrustAnchors;
+        use upkit_core::verifier::VerifyError;
+        use upkit_crypto::backend::TinyCryptBackend;
+        use upkit_crypto::ecdsa::SigningKey;
+        use upkit_flash::{configuration_a, standard, FlashGeometry, SimFlash};
+        use upkit_manifest::{Version, SIGNED_MANIFEST_LEN};
+
+        const SLOT_SIZE: u32 = 4096 * 32;
+
+        struct World {
+            server: UpdateServer,
+            agent: UpdateAgent,
+            layout: MemoryLayout,
+        }
+
+        /// A device with `installed` in slot A (when not empty) and a
+        /// server publishing `releases` as `(version, firmware)` pairs.
+        fn world(seed: u64, installed: &[u8], releases: &[(u16, &[u8])]) -> World {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let vendor = VendorServer::new(SigningKey::generate(&mut rng));
+            let mut server = UpdateServer::new(SigningKey::generate(&mut rng));
+            for &(version, fw) in releases {
+                server.publish(vendor.release(fw.to_vec(), Version(version), 0x100, 0xA));
+            }
+            let anchors = TrustAnchors::inline(&vendor.verifying_key(), &server.verifying_key());
+            let mut layout = configuration_a(
+                Box::new(SimFlash::new(FlashGeometry::untimed(4096 * 256, 4096))),
+                SLOT_SIZE,
+            )
+            .unwrap();
+            if !installed.is_empty() {
+                layout.erase_slot(standard::SLOT_A).unwrap();
+                layout
+                    .write_slot(standard::SLOT_A, FIRMWARE_OFFSET, installed)
+                    .unwrap();
+            }
+            let agent = UpdateAgent::new(
+                Arc::new(TinyCryptBackend),
+                anchors,
+                AgentConfig {
+                    device_id: 0xD,
+                    app_id: 0xA,
+                    supports_differential: true,
+                    content_key: None,
+                },
+            );
+            World {
+                server,
+                agent,
+                layout,
+            }
+        }
+
+        /// A v1 device and a server publishing only v2 = `fw`.
+        fn v2_world(seed: u64, fw: Vec<u8>) -> World {
+            world(seed, &[], &[(2, &fw)])
+        }
+
+        fn plan(installed: &[u8]) -> UpdatePlan {
+            UpdatePlan {
+                target_slot: standard::SLOT_B,
+                current_slot: standard::SLOT_A,
+                installed_version: Version(1),
+                installed_size: installed.len() as u32,
+                allowed_link_offsets: vec![0x100],
+                max_firmware_size: SLOT_SIZE - FIRMWARE_OFFSET,
+            }
+        }
+
+        /// A push or pull session, per `session`, over a reliable `link`.
+        fn reliable(
+            session: fn(LossyLink, RetryPolicy, u64) -> Session,
+            link: LinkProfile,
+        ) -> Session {
+            session(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0)
+        }
+
+        /// Runs one reliable session of `w`'s agent through `forwarder`.
+        fn run(
+            w: &mut World,
+            mut session: Session,
+            forwarder: &Forwarder,
+            plan: UpdatePlan,
+            nonce: u32,
+        ) -> SessionReport {
+            let server = &w.server;
+            session.run_to_completion(&mut AgentEndpoints::new(
+                &mut w.agent,
+                &mut w.layout,
+                plan,
+                nonce,
+                |t| forwarder.serve(server, t),
+            ))
+        }
+
+        fn push(w: &mut World, forwarder: &Forwarder, nonce: u32) -> SessionReport {
+            let session = reliable(Session::push, LinkProfile::ble_gatt());
+            run(w, session, forwarder, plan(&[]), nonce)
+        }
+
+        #[test]
+        fn push_session_completes_and_accounts() {
+            let mut w = v2_world(150, vec![0x77; 50_000]);
+            let report = push(&mut w, &Forwarder::default(), 42);
+            assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+            assert!(report.accounting.bytes_to_device > 50_000);
+            assert!(report.accounting.elapsed_micros > 0);
+        }
+
+        #[test]
+        fn pull_session_completes_with_round_trips_per_block() {
+            let mut w = v2_world(151, vec![0x66; 20_000]);
+            let session = reliable(Session::pull, LinkProfile::ieee802154_6lowpan());
+            let report = run(&mut w, session, &Forwarder::default(), plan(&[]), 43);
+            assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+            // Every block is confirmed: round trips ≈ chunks.
+            assert!(report.accounting.round_trips >= report.accounting.chunks / 2);
+        }
+
+        #[test]
+        fn tampered_manifest_is_rejected_before_payload_bytes_flow() {
+            let mut w = v2_world(152, vec![0x55; 40_000]);
+            // Flip a bit inside the manifest region.
+            let report = push(
+                &mut w,
+                &Forwarder::compromised(Tamper::FlipBit { offset: 30 }),
+                44,
+            );
+            match report.outcome {
+                SessionOutcome::RejectedAtManifest(_) => {}
+                other => panic!("expected manifest rejection, got {other:?}"),
+            }
+            // Early rejection: only manifest-sized data ever hit the radio.
+            assert!(
+                report.accounting.bytes_to_device <= SIGNED_MANIFEST_LEN as u64,
+                "{} bytes flowed",
+                report.accounting.bytes_to_device
+            );
+        }
+
+        #[test]
+        fn tampered_firmware_is_rejected_before_reboot() {
+            let mut w = v2_world(153, vec![0x44; 30_000]);
+            let forwarder = Forwarder::compromised(Tamper::FlipBit {
+                offset: SIGNED_MANIFEST_LEN + 15_000,
+            });
+            match push(&mut w, &forwarder, 45).outcome {
+                SessionOutcome::RejectedAtFirmware(AgentError::Verify(
+                    VerifyError::DigestMismatch,
+                )) => {}
+                other => panic!("expected firmware digest rejection, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn truncating_proxy_leaves_session_incomplete() {
+            let mut w = v2_world(154, vec![0x33; 10_000]);
+            let forwarder = Forwarder::compromised(Tamper::Truncate {
+                keep: SIGNED_MANIFEST_LEN + 2_000,
+            });
+            let report = push(&mut w, &forwarder, 46);
+            assert!(matches!(report.outcome, SessionOutcome::Incomplete));
+        }
+
+        #[test]
+        fn replayed_image_from_previous_request_is_rejected() {
+            // Run one honest session and capture the stream it was served;
+            // replay it to a new request with a fresh nonce. The
+            // update-server signature binds the old nonce, so the agent
+            // must reject it at the manifest.
+            let mut w = v2_world(155, vec![0x22; 5_000]);
+            let mut captured = Vec::new();
+            let honest = Forwarder::default();
+            let server = &w.server;
+            let report = reliable(Session::push, LinkProfile::ble_gatt()).run_to_completion(
+                &mut AgentEndpoints::new(&mut w.agent, &mut w.layout, plan(&[]), 100, |t| {
+                    let served = honest.serve(server, t);
+                    if let StreamResolution::Stream(stream) = &served {
+                        captured = [stream.manifest.as_slice(), &stream.payload].concat();
+                    }
+                    served
+                }),
+            );
+            assert!(report.outcome.is_complete());
+
+            // Fresh device state for a second update attempt, with a
+            // different nonce than the captured image's 100.
+            let mut w2 = v2_world(155, vec![0x22; 5_000]);
+            let report = push(
+                &mut w2,
+                &Forwarder::compromised(Tamper::Replay(captured)),
+                101,
+            );
+            match report.outcome {
+                SessionOutcome::RejectedAtManifest(AgentError::Verify(VerifyError::WrongNonce)) => {
+                }
+                other => panic!("expected nonce rejection, got {other:?}"),
+            }
+        }
+
+        #[test]
+        fn no_update_available_short_circuits() {
+            let mut w = v2_world(156, vec![0x11; 1_000]);
+            let mut current = plan(&[]);
+            current.installed_version = Version(2); // already newest
+            let session = reliable(Session::push, LinkProfile::ble_gatt());
+            let report = run(&mut w, session, &Forwarder::default(), current, 47);
+            assert!(matches!(report.outcome, SessionOutcome::NoUpdateAvailable));
+            assert_eq!(report.accounting.bytes_to_device, 0);
+        }
+
+        #[test]
+        fn differential_pull_transfers_fraction_of_image() {
+            // Publish v1 and a similar v2; the device at v1 pulls a delta.
+            let v1: Vec<u8> = (0..60_000u32).map(|i| (i % 251) as u8).collect();
+            let mut v2 = v1.clone();
+            v2[1000..1050].fill(0xEE);
+            let mut w = world(157, &v1, &[(1, &v1), (2, &v2)]);
+            let session = reliable(Session::pull, LinkProfile::ieee802154_6lowpan());
+            let report = run(&mut w, session, &Forwarder::default(), plan(&v1), 48);
+            assert!(report.outcome.is_complete(), "{:?}", report.outcome);
+            assert!(
+                report.accounting.bytes_to_device < v2.len() as u64 / 4,
+                "delta transfer should be small: {}",
+                report.accounting.bytes_to_device
+            );
+            // The reconstructed firmware is v2.
+            let mut stored = vec![0u8; v2.len()];
+            w.layout
+                .read_slot(standard::SLOT_B, FIRMWARE_OFFSET, &mut stored)
+                .unwrap();
+            assert_eq!(stored, v2);
+        }
     }
 }

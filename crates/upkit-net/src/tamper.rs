@@ -6,11 +6,13 @@
 //! update. These injectors implement exactly those capabilities so the test
 //! suite and the security experiments can exercise them.
 //!
-//! Two granularities are provided: [`Tamper`] mutates a whole captured
-//! message before it is (re)played, and [`FrameAdversary`] sits *inside* a
-//! live stepped session as a [`SessionEndpoints`] wrapper, mutating one
-//! link frame in flight — corrupt, reorder, duplicate, inject, drop — or
-//! substituting the entire resolved stream (a cross-version replay).
+//! Two granularities are provided: [`Tamper`] mutates the whole image
+//! stream a compromised [`Forwarder`](crate::proxy::Forwarder) or
+//! [`CachingProxy`](crate::proxy::CachingProxy) serves, and
+//! [`FrameAdversary`] sits *inside* a live stepped session as a
+//! [`SessionEndpoints`] wrapper, mutating one link frame in flight —
+//! corrupt, reorder, duplicate, inject, drop — or substituting the entire
+//! resolved stream (a cross-version replay).
 
 use upkit_core::agent::{AgentError, AgentPhase};
 use upkit_manifest::DeviceToken;
@@ -18,10 +20,11 @@ use upkit_manifest::DeviceToken;
 use crate::session::{SessionEndpoints, SessionStream, StreamResolution};
 
 /// A transformation a compromised proxy can apply to the bytes it forwards.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Tamper {
     /// Forward faithfully (an honest proxy).
+    #[default]
     None,
     /// Flip one bit at `offset` (transmission corruption or malice).
     FlipBit {
@@ -112,9 +115,10 @@ pub enum FrameTamper {
 /// [`FrameTamper`] describes.
 ///
 /// Because it implements [`SessionEndpoints`], it drives the *real*
-/// agent/pipeline acceptance path through `PushSession`/`PullSession`
-/// unchanged — the session machinery cannot tell an honest proxy from
-/// this one, which is exactly the paper's threat model.
+/// agent/pipeline acceptance path through a push or pull
+/// [`Session`](crate::session::Session) unchanged — the session machinery
+/// cannot tell an honest proxy from this one, which is exactly the
+/// paper's threat model.
 #[derive(Debug)]
 pub struct FrameAdversary<E> {
     inner: E,

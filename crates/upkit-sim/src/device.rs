@@ -23,8 +23,8 @@ use upkit_crypto::sha256::sha256;
 use upkit_flash::{standard, FlashGeometry, MemoryLayout, SimFlash, SlotId};
 use upkit_manifest::{Manifest, SignedManifest, Version};
 use upkit_net::{
-    BorderRouter, LinkProfile, LossyLink, PullEndpoints, PullSession, RetryPolicy, SessionOutcome,
-    TransferAccounting, Transport,
+    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionOutcome,
+    TransferAccounting,
 };
 
 use crate::scenario::{slot_layout, SlotMode};
@@ -303,23 +303,19 @@ impl SimDevice {
         self.nonce_counter = next_nonce(self.nonce_counter);
         let plan = self.plan();
         let link = LinkProfile::ieee802154_6lowpan();
-        let report = {
-            let router = BorderRouter::new();
-            let mut session = PullSession::new(
-                LossyLink::reliable(link),
-                RetryPolicy::for_link(&link),
-                u64::from(self.device_id),
-            );
-            let mut endpoints = PullEndpoints::new(
-                server,
-                &router,
-                &mut self.agent,
-                &mut self.layout,
-                plan,
-                self.nonce_counter,
-            );
-            session.run_to_completion(&mut endpoints)
-        };
+        let router = Forwarder::default();
+        let report = Session::pull(
+            LossyLink::reliable(link),
+            RetryPolicy::for_link(&link),
+            u64::from(self.device_id),
+        )
+        .run_to_completion(&mut AgentEndpoints::new(
+            &mut self.agent,
+            &mut self.layout,
+            plan,
+            self.nonce_counter,
+            |t| router.serve(server, t),
+        ));
         match report.outcome {
             SessionOutcome::NoUpdateAvailable => {
                 self.agent.reset(&mut self.layout)?;

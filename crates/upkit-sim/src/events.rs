@@ -4,7 +4,7 @@
 //! The round-based fleet loop ([`crate::fleet`]) advances every device one
 //! whole update per round — adoption is measured in "rounds", not time,
 //! and no two transfers ever overlap. This module replaces that model for
-//! timing studies: every device runs a resumable [`PullSession`], and a
+//! timing studies: every device runs a resumable pull [`Session`], and a
 //! binary-heap virtual clock pops whichever session's next link event is
 //! earliest, steps it once, and re-inserts it at `now + cost`. Thousands
 //! of sessions are genuinely concurrent on the virtual timeline, with
@@ -36,8 +36,8 @@ use upkit_core::generation::UpdateServer;
 use upkit_manifest::{DeviceToken, Version};
 use upkit_net::lossy::splitmix64;
 use upkit_net::{
-    LinkProfile, LossyLink, PullSession, RetryPolicy, SessionEndpoints, SessionOutcome,
-    SessionStream, Step, StreamResolution, Transport,
+    LinkProfile, LossyLink, RetryPolicy, Session, SessionEndpoints, SessionOutcome, SessionStream,
+    Step, StreamResolution,
 };
 use upkit_trace::{Counters, Event, Tracer};
 
@@ -223,7 +223,7 @@ pub(crate) struct SessionRun {
 /// One device's scheduler-side bookkeeping.
 #[derive(Default)]
 struct Slot {
-    session: Option<PullSession>,
+    session: Option<Session>,
     started_at: u64,
     /// Sleep time accumulated inside the current session (its end shifts
     /// by this; radio accounting does not).
@@ -323,7 +323,7 @@ pub(crate) fn run_sessions<S: StreamSource>(
                 // unique per (device, attempt) so no session's pattern
                 // depends on any other's, or on when it runs.
                 let stream_id = (index as u64) << 16 | u64::from(slot.poll_attempts);
-                let mut session = PullSession::new(schedule.link, schedule.retry, stream_id);
+                let mut session = Session::pull(schedule.link, schedule.retry, stream_id);
                 session.set_tracer(tracer.clone());
                 slot.started_at = now;
                 slot.sleep_micros = 0;

@@ -29,8 +29,8 @@ use upkit_flash::{
 };
 use upkit_manifest::Version;
 use upkit_net::{
-    BorderRouter, LossyLink, PullEndpoints, PullSession, PushEndpoints, PushSession, RetryPolicy,
-    SessionOutcome, Smartphone, Tamper, TransferAccounting, Transport,
+    AgentEndpoints, Forwarder, LossyLink, RetryPolicy, Session, SessionOutcome, Tamper,
+    TransferAccounting,
 };
 
 use rand::rngs::StdRng;
@@ -316,42 +316,20 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     let plan = device.plan();
     let nonce = (cfg.seed as u32).wrapping_mul(2_654_435_761) | 1;
     device.layout.reset_stats();
-    let report = match cfg.approach {
-        Approach::Push => {
-            let link = cfg.platform.push_link;
-            let mut phone = match &cfg.tamper {
-                Some(t) => Smartphone::compromised(t.clone()),
-                None => Smartphone::new(),
-            };
-            let mut session =
-                PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
-            session.run_to_completion(&mut PushEndpoints::new(
-                &server,
-                &mut phone,
-                &mut device.agent,
-                &mut device.layout,
-                plan,
-                nonce,
-            ))
-        }
-        Approach::Pull => {
-            let link = cfg.platform.pull_link;
-            let router = match &cfg.tamper {
-                Some(t) => BorderRouter::compromised(t.clone()),
-                None => BorderRouter::new(),
-            };
-            let mut session =
-                PullSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
-            session.run_to_completion(&mut PullEndpoints::new(
-                &server,
-                &router,
-                &mut device.agent,
-                &mut device.layout,
-                plan,
-                nonce,
-            ))
-        }
+    let (open, link): (fn(_, _, _) -> Session, _) = match cfg.approach {
+        Approach::Push => (Session::push, cfg.platform.push_link),
+        Approach::Pull => (Session::pull, cfg.platform.pull_link),
     };
+    let proxy = cfg
+        .tamper
+        .clone()
+        .map_or_else(Forwarder::default, Forwarder::compromised);
+    let report =
+        open(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0).run_to_completion(
+            &mut AgentEndpoints::new(&mut device.agent, &mut device.layout, plan, nonce, |t| {
+                proxy.serve(&server, t)
+            }),
+        );
     let propagation_flash = flash_micros(&mut device.layout);
     let propagation_micros = report.accounting.elapsed_micros + propagation_flash;
 

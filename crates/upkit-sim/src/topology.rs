@@ -1,8 +1,8 @@
 //! Multi-hop dissemination: caching gateway proxies, lossy mesh
 //! topologies, duty-cycled devices, and concurrent campaigns.
 //!
-//! The event rollout ([`crate::events`]) runs every device's
-//! [`PullSession`](upkit_net::PullSession) straight against the update
+//! The event rollout ([`crate::events`]) runs every device's pull
+//! [`Session`](upkit_net::Session) straight against the update
 //! server: one upstream transfer per device. Real deployments put a
 //! gateway between the constrained mesh and the Internet, and the whole
 //! point of a gateway is that it only has to fetch each update **once**.

@@ -31,8 +31,7 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    BorderRouter, LinkProfile, LossyLink, PullEndpoints, PullSession, RetryPolicy, SessionReport,
-    Step, Transport,
+    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport, Step,
 };
 use upkit::sim::FirmwareGenerator;
 use upkit::trace::{Event, MemorySink, Tracer};
@@ -120,13 +119,12 @@ fn main() {
     let device_ids: Vec<u32> = fleet.iter().map(|d| d.device_id).collect();
 
     let link = LinkProfile::ieee802154_6lowpan();
-    let routers: Vec<BorderRouter> = fleet.iter().map(|_| BorderRouter::new()).collect();
+    let (router, server) = (Forwarder::default(), &server);
 
     // One resumable session per device, all stepped by this one thread.
-    let mut lanes: Vec<(PullSession, PullEndpoints<'_>, u64)> = fleet
+    let mut lanes: Vec<_> = fleet
         .iter_mut()
-        .zip(&routers)
-        .map(|(dev, router)| {
+        .map(|dev| {
             let plan = UpdatePlan {
                 target_slot: standard::SLOT_B,
                 current_slot: standard::SLOT_A,
@@ -135,20 +133,17 @@ fn main() {
                 allowed_link_offsets: vec![0],
                 max_firmware_size: SLOT_SIZE - FIRMWARE_OFFSET,
             };
-            let mut session = PullSession::new(
+            let mut session = Session::pull(
                 LossyLink::reliable(link),
                 RetryPolicy::for_link(&link),
                 u64::from(dev.device_id),
             );
             session.set_tracer(tracer.clone());
-            let endpoints = PullEndpoints::new(
-                &server,
-                router,
-                &mut dev.agent,
-                &mut dev.layout,
-                plan,
-                dev.device_id ^ 0x5555,
-            );
+            let nonce = dev.device_id ^ 0x5555;
+            let endpoints =
+                AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan, nonce, |t| {
+                    router.serve(server, t)
+                });
             (session, endpoints, 0u64)
         })
         .collect();

@@ -21,8 +21,8 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    run_push_session, LinkProfile, LossyLink, PushEndpoints, PushSession, RetryPolicy,
-    SessionEventKind, SessionOutcome, Smartphone, Step, Tamper, Transport,
+    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionEventKind,
+    SessionOutcome, SessionReport, Step, StreamResolution, Tamper,
 };
 
 const SLOT_SIZE: u32 = 4096 * 24;
@@ -63,6 +63,22 @@ fn plan() -> UpdatePlan {
     }
 }
 
+/// One reliable push session of a fresh device through `phone`.
+fn push(
+    server: &UpdateServer,
+    anchors: TrustAnchors,
+    phone: &Forwarder,
+    nonce: u32,
+) -> SessionReport {
+    let mut dev = device(anchors);
+    let link = LinkProfile::ble_gatt();
+    Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0).run_to_completion(
+        &mut AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan(), nonce, |t| {
+            phone.serve(server, t)
+        }),
+    )
+}
+
 fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let vendor = VendorServer::new(SigningKey::generate(&mut rng));
@@ -72,17 +88,18 @@ fn main() {
     let link = LinkProfile::ble_gatt();
 
     // --- Honest smartphone, one link event at a time ------------------------
+    // The phone's stream is kept: the replaying phone below plays it back.
     let mut dev = device(anchors);
-    let mut phone = Smartphone::new();
-    let mut session = PushSession::new(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
-    let mut endpoints = PushEndpoints::new(
-        &server,
-        &mut phone,
-        &mut dev.agent,
-        &mut dev.layout,
-        plan(),
-        100,
-    );
+    let phone = Forwarder::default();
+    let mut captured = Vec::new();
+    let mut session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
+    let mut endpoints = AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan(), 100, |t| {
+        let served = phone.serve(&server, t);
+        if let StreamResolution::Stream(stream) = &served {
+            captured = [stream.manifest.as_slice(), &stream.payload].concat();
+        }
+        served
+    });
     let mut chunks = 0u64;
     let report = loop {
         match session.step(&mut endpoints) {
@@ -123,17 +140,8 @@ fn main() {
     assert!(report.outcome.is_complete());
 
     // --- Compromised smartphone: corrupts the image in transit -------------
-    let mut dev = device(anchors);
-    let mut evil_phone = Smartphone::compromised(Tamper::FlipBit { offset: 25 });
-    let report = run_push_session(
-        &server,
-        &mut evil_phone,
-        &mut dev.agent,
-        &mut dev.layout,
-        plan(),
-        101,
-        &link,
-    );
+    let evil_phone = Forwarder::compromised(Tamper::FlipBit { offset: 25 });
+    let report = push(&server, anchors, &evil_phone, 101);
     println!(
         "tampering phone: {:?} after only {} bytes — the firmware never left the phone",
         describe(&report.outcome),
@@ -144,32 +152,9 @@ fn main() {
         SessionOutcome::RejectedAtManifest(_)
     ));
 
-    // --- Replaying smartphone: old image for a new request ------------------
-    let mut dev = device(anchors);
-    let mut honest = Smartphone::new();
-    let first = run_push_session(
-        &server,
-        &mut honest,
-        &mut dev.agent,
-        &mut dev.layout,
-        plan(),
-        102,
-        &link,
-    );
-    assert!(first.outcome.is_complete());
-    let captured = honest.stored().expect("fetched").image.to_bytes();
-
-    let mut dev = device(anchors);
-    let mut replayer = Smartphone::compromised(Tamper::Replay(captured));
-    let report = run_push_session(
-        &server,
-        &mut replayer,
-        &mut dev.agent,
-        &mut dev.layout,
-        plan(),
-        103,
-        &link,
-    );
+    // --- Replaying smartphone: the honest session's image for a new request --
+    let replayer = Forwarder::compromised(Tamper::Replay(captured));
+    let report = push(&server, anchors, &replayer, 103);
     println!(
         "replaying phone: {:?} — the update server's signature binds the nonce",
         describe(&report.outcome)

@@ -249,7 +249,7 @@ fn no_update_available_costs_almost_nothing() {
     let result = run_scenario(&cfg);
     assert!(result.outcome.is_complete());
     // Now a fresh scenario where the installed version equals the newest:
-    // modeled by the drivers' NoUpdateAvailable path, covered in upkit-net
+    // modeled by the session's NoUpdateAvailable path, covered in upkit-net
     // unit tests; here we assert the complete path set the right version.
     assert_eq!(result.running_version, Some(Version(2)));
 }

@@ -15,7 +15,7 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    LinkProfile, LossyLink, PushEndpoints, PushSession, RetryPolicy, Smartphone, Transport,
+    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport,
 };
 use upkit::sim::FirmwareGenerator;
 
@@ -100,6 +100,19 @@ fn world(seed: u64, fw_size: usize) -> World {
     }
 }
 
+/// Runs `session` to completion for `w`'s agent through an honest phone.
+fn push(w: &mut World, mut session: Session) -> SessionReport {
+    let phone = Forwarder::default();
+    let server = &w.server;
+    session.run_to_completion(&mut AgentEndpoints::new(
+        &mut w.agent,
+        &mut w.layout,
+        w.plan.clone(),
+        9,
+        |t| phone.serve(server, t),
+    ))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -114,22 +127,12 @@ proptest! {
         let rate = f64::from(rate_permille) / 1000.0;
         let link = LinkProfile::ble_gatt();
         let run = |_: ()| {
-            let mut w = world(seed, 4_000);
-            let mut phone = Smartphone::new();
-            let mut session = PushSession::new(
+            let session = Session::push(
                 LossyLink::bernoulli(link, rate, loss_seed),
                 RetryPolicy::for_link(&link),
                 loss_seed,
             );
-            let mut endpoints = PushEndpoints::new(
-                &w.server,
-                &mut phone,
-                &mut w.agent,
-                &mut w.layout,
-                w.plan.clone(),
-                9,
-            );
-            session.run_to_completion(&mut endpoints)
+            push(&mut world(seed, 4_000), session)
         };
         prop_assert_eq!(run(()), run(()));
     }
@@ -143,18 +146,7 @@ proptest! {
         // reliable link regardless of its seed.
         let link = LinkProfile::ieee802154_6lowpan();
         let run = |lossy: LossyLink| {
-            let mut w = world(seed, 3_000);
-            let mut phone = Smartphone::new();
-            let mut session = PushSession::new(lossy, RetryPolicy::for_link(&link), 1);
-            let mut endpoints = PushEndpoints::new(
-                &w.server,
-                &mut phone,
-                &mut w.agent,
-                &mut w.layout,
-                w.plan.clone(),
-                9,
-            );
-            session.run_to_completion(&mut endpoints)
+            push(&mut world(seed, 3_000), Session::push(lossy, RetryPolicy::for_link(&link), 1))
         };
         prop_assert_eq!(
             run(LossyLink::bernoulli(link, 0.0, loss_seed)),
