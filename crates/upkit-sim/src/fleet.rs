@@ -509,18 +509,26 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
     // share no mutable state, so any claim order produces the same
     // per-shard histories, returned in shard-index order.
     let histories = parallel_map(&plan, config.threads, |_, (range, rng)| {
+        let ctx = ShardCtx::new(tracer);
         let devices: Vec<FleetDevice> = range
             .clone()
             .map(|i| {
                 let device_id = 0x1000 + i as u32;
                 match config.device_model {
-                    DeviceModel::Faithful => FleetDevice::Faithful(Box::new(SimDevice::provision(
-                        device_id,
-                        &world.v1,
-                        &world.vendor,
-                        &world.server,
-                        fleet.differential,
-                    ))),
+                    DeviceModel::Faithful => {
+                        let mut device = SimDevice::provision(
+                            device_id,
+                            &world.v1,
+                            &world.vendor,
+                            &world.server,
+                            fleet.differential,
+                        );
+                        // The device's agent, pipeline, flash and boot
+                        // events join the shard's trace; its sessions do
+                        // not, since `run_round` charges the link bytes.
+                        device.layout.set_tracer(Tracer::clone(&ctx.tracer));
+                        FleetDevice::Faithful(Box::new(device))
+                    }
                     DeviceModel::Lite => {
                         FleetDevice::Lite(LiteDevice::new(device_id, fleet.differential))
                     }
@@ -531,7 +539,7 @@ pub fn run_rollout_sharded_traced(config: &ShardedFleetConfig, tracer: &Tracer) 
             rng: rng.clone(),
             per_round: per_round(devices.len(), fleet.poll_fraction),
             devices,
-            ctx: ShardCtx::new(tracer),
+            ctx,
         }
         .run_to_convergence(&env)
     });
@@ -761,40 +769,51 @@ mod tests {
         // Shard buffers are merged in (round, shard-index) order after
         // the parallel join, so the merged record sequence — timestamps,
         // seq numbers, and event payloads — must be byte-identical
-        // whatever the thread count, and so must the counter totals.
-        let base = ShardedFleetConfig {
-            fleet: FleetConfig {
-                devices: 24,
-                poll_fraction: 0.5,
-                firmware_size: 4_000,
-                differential: true,
-                seed: 706,
-            },
-            shards: 4,
-            threads: 1,
-            device_model: DeviceModel::Lite,
-            verify_signatures: true,
-            manifest_mode: ManifestMode::PerDevice,
-        };
-        let mut reference: Option<(Vec<upkit_trace::TraceRecord>, _)> = None;
-        for threads in [1usize, 2, 8] {
-            let sink = Arc::new(MemorySink::new());
-            let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
-            let report =
-                run_rollout_sharded_traced(&ShardedFleetConfig { threads, ..base }, &tracer);
-            assert_eq!(report.rounds.last().unwrap().updated, 24);
-            let records = sink.drain();
-            assert!(!records.is_empty(), "trace must capture the campaign");
-            let counters = tracer.counters().snapshot();
-            assert_eq!(counters.link_bytes_to_device, report.total_wire_bytes);
-            match &reference {
-                None => reference = Some((records, counters)),
-                Some((ref_records, ref_counters)) => {
-                    assert_eq!(ref_records, &records, "{threads} threads changed the trace");
-                    assert_eq!(
-                        ref_counters, &counters,
-                        "{threads} threads changed the counters"
-                    );
+        // whatever the thread count, and so must the counter totals. A
+        // faithful device's agent, flash and boot events ride in its
+        // shard's buffer too.
+        for device_model in [DeviceModel::Lite, DeviceModel::Faithful] {
+            let base = ShardedFleetConfig {
+                fleet: FleetConfig {
+                    devices: 24,
+                    poll_fraction: 0.5,
+                    firmware_size: 4_000,
+                    differential: true,
+                    seed: 706,
+                },
+                shards: 4,
+                threads: 1,
+                device_model,
+                verify_signatures: true,
+                manifest_mode: ManifestMode::PerDevice,
+            };
+            let mut reference: Option<(Vec<upkit_trace::TraceRecord>, _)> = None;
+            for threads in [1usize, 2, 8] {
+                let sink = Arc::new(MemorySink::new());
+                let tracer = Tracer::with_sink(Box::new(Arc::clone(&sink)));
+                let report =
+                    run_rollout_sharded_traced(&ShardedFleetConfig { threads, ..base }, &tracer);
+                assert_eq!(report.rounds.last().unwrap().updated, 24);
+                let records = sink.drain();
+                assert!(!records.is_empty(), "trace must capture the campaign");
+                let counters = tracer.counters().snapshot();
+                assert_eq!(counters.link_bytes_to_device, report.total_wire_bytes);
+                assert!(
+                    counters.sig_verifications > 0,
+                    "{device_model:?} checks nothing"
+                );
+                match &reference {
+                    None => reference = Some((records, counters)),
+                    Some((ref_records, ref_counters)) => {
+                        assert_eq!(
+                            ref_records, &records,
+                            "{device_model:?}: {threads} threads changed the trace"
+                        );
+                        assert_eq!(
+                            ref_counters, &counters,
+                            "{device_model:?}: {threads} threads changed the counters"
+                        );
+                    }
                 }
             }
         }
