@@ -40,7 +40,7 @@ impl LinkProfile {
     }
 
     /// IEEE 802.15.4 + 6LoWPAN + CoAP blockwise: 64-byte confirmed blocks,
-    /// each one a request/response round trip (charged by the pull driver).
+    /// each one a request/response round trip (charged by a pull session).
     ///
     /// Calibrated so a 100 kB pull propagation lands near the paper's
     /// 41.7 s (Fig. 8a) — slightly *faster* than BLE push despite the
