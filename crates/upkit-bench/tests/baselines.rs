@@ -1,9 +1,11 @@
 //! The committed smoke baselines hold only what the code computes.
 //!
-//! CI compares every smoke output with its baseline byte for byte. A leaf
-//! that reads a clock or the host (a wall time, a speedup, a rate, the
-//! core count or a thread count derived from it) would make those gates
-//! flaky, so none may come back. Host time is perfbench's to measure.
+//! CI compares every smoke output with its baseline byte for byte: each
+//! bin's JSON with `baselines/BENCH_<x>_smoke.json` and its stdout with
+//! `baselines/stdout/<bin>.txt`. A leaf or a line that reads a clock or
+//! the host (a wall time, a speedup, a rate, the core count or a thread
+//! count derived from it) would make those gates flaky, so none may come
+//! back. Host time is perfbench's to measure.
 
 use std::path::Path;
 
@@ -48,6 +50,10 @@ fn committed_baselines_hold_no_host_facts() {
     let mut found = Vec::new();
     for entry in std::fs::read_dir(&dir).expect("baselines directory") {
         let entry = entry.expect("baselines entry");
+        if entry.path().is_dir() {
+            // `stdout/`, checked by `committed_stdout_pins_hold_no_host_facts`.
+            continue;
+        }
         let name = entry.file_name().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(entry.path()).expect("readable baseline");
         let json = Json::parse(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -58,5 +64,28 @@ fn committed_baselines_hold_no_host_facts() {
     assert!(
         found.is_empty(),
         "committed baselines name clock readings or host facts: {found:?}"
+    );
+}
+
+#[test]
+fn committed_stdout_pins_hold_no_host_facts() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines/stdout");
+    let mut pins = 0;
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(&dir).expect("stdout pin directory") {
+        let entry = entry.expect("stdout pin entry");
+        let name = entry.file_name().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(entry.path()).expect("readable stdout pin");
+        for (number, line) in text.lines().enumerate() {
+            if HOST_KEYS.iter().any(|host| line.contains(host)) {
+                found.push(format!("{name}:{}", number + 1));
+            }
+        }
+        pins += 1;
+    }
+    assert_eq!(pins, 6, "one stdout pin per CI smoke run");
+    assert!(
+        found.is_empty(),
+        "committed stdout pins name clock readings or host facts: {found:?}"
     );
 }
