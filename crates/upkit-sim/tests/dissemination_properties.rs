@@ -8,6 +8,8 @@
 //! * With a cache large enough to hold the catalog, a gateway fetches
 //!   each distinct block upstream at most once, no matter how many
 //!   devices it serves.
+//! * The report's cache and upstream totals equal the counters the
+//!   caching proxies charged to the run's tracer.
 //! * A device that sleeps at every possible event boundary mid-session
 //!   still converges, with the same wire traffic and exactly one
 //!   install.
@@ -107,6 +109,38 @@ proptest! {
         prop_assert_eq!(wide_report.upstream_fetches, narrow_report.upstream_fetches);
         prop_assert_eq!(wide_report.upstream_bytes, narrow_report.upstream_bytes);
         prop_assert_eq!(wide_report.cache_misses, wide_report.upstream_fetches);
+    }
+
+    /// The report's cache and upstream totals are the gateways' own
+    /// ledger: each equals the counter the caching proxies charged to the
+    /// run's tracer.
+    #[test]
+    fn report_totals_are_the_proxy_counters(
+        gateways in 1u32..3,
+        devices_per_gateway in 1u32..7,
+        loss_bps in 0u32..1200,
+        campaigns in 1u32..3,
+        cache_blocks in 0usize..16,
+        seed in any::<u32>(),
+    ) {
+        let config = TopologyConfig {
+            gateways,
+            devices_per_gateway,
+            loss_rate: f64::from(loss_bps) / 10_000.0,
+            campaigns,
+            cache_blocks,
+            seed: u64::from(seed),
+            ..base_config()
+        };
+        let tracer = Tracer::disabled();
+        let report = run_dissemination_traced(&config, &tracer);
+        let counters = tracer.counters().snapshot();
+        prop_assert_eq!(report.cache_hits, counters.proxy_cache_hits);
+        prop_assert_eq!(report.cache_misses, counters.proxy_cache_misses);
+        prop_assert_eq!(report.evictions, counters.proxy_evictions);
+        prop_assert_eq!(report.upstream_fetches, counters.upstream_fetches);
+        prop_assert_eq!(report.upstream_bytes, counters.upstream_bytes);
+        prop_assert_eq!(report.single_flight_joins, counters.single_flight_joins);
     }
 }
 
