@@ -61,8 +61,8 @@ use upkit_manifest::{
     SIGNED_MANIFEST_LEN,
 };
 use upkit_net::{
-    AgentEndpoints, CachedOrigin, CachingProxy, FrameAdversary, FrameTamper, LinkProfile,
-    LossyLink, RetryPolicy, Session, SessionOutcome, SessionStream,
+    forward, AgentEndpoints, CachedOrigin, CachingProxy, FrameAdversary, FrameTamper, LinkProfile,
+    LossyLink, RetryPolicy, Session, SessionOutcome, SessionStream, StreamResolution,
 };
 pub use upkit_sim::explore::repro_command;
 use upkit_sim::explore::{never_brick, Case, CaseClass, Exploration, Shrunk};
@@ -114,9 +114,9 @@ pub enum MutationClass {
     /// wrong-device package the server once legitimately signed.
     DowngradeReplay,
     /// One block of a warm gateway block cache corrupted in place, then
-    /// served to every downstream device — the attack a forwarding-path
-    /// [`Tamper`](upkit_net::Tamper) cannot model, because the upstream
-    /// fetch itself was honest.
+    /// served to every downstream device — the attack no [`FrameTamper`]
+    /// on one session can model, because the upstream fetch itself was
+    /// honest.
     CachePoison,
 }
 
@@ -307,10 +307,10 @@ fn prepared_stream(
     server: &upkit_core::generation::UpdateServer,
     token: &DeviceToken,
 ) -> SessionStream {
-    let prepared = server
-        .prepare_update(token)
-        .expect("v2 is published, so the server always has an update");
-    SessionStream::split(prepared.image.to_bytes())
+    match forward(server, token) {
+        StreamResolution::Stream(stream) => stream,
+        other => panic!("v2 is published, so the server always has an update, got {other:?}"),
+    }
 }
 
 /// Runs the scenario once, honestly (through a [`FrameAdversary`] with

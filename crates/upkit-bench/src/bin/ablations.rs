@@ -27,7 +27,7 @@ fn early_rejection() {
 
     // UpKit: tampered manifest rejected before any firmware transfer.
     let mut cfg = ScenarioConfig::fig8a(Approach::Push);
-    cfg.tamper = Some(upkit_net::Tamper::FlipBit { offset: 40 });
+    cfg.tamper = upkit_net::FrameTamper::FlipBit { offset: 40 };
     let upkit_tampered = run_scenario(&cfg);
 
     // mcuboot-style: the device downloads everything, stores it, reboots,

@@ -30,7 +30,7 @@ use upkit_core::generation::{UpdateServer, VendorServer};
 use upkit_crypto::ecdsa::SigningKey;
 use upkit_manifest::Version;
 use upkit_net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionEventKind,
+    forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionEventKind,
     SessionOutcome, Step, TransferAccounting,
 };
 use upkit_sim::device::{APP_ID, LINK_OFFSET};
@@ -84,7 +84,6 @@ fn stepped_pull(firmware_size: usize, loss_rate: f64, seed: u64, tracer: &Tracer
     let plan = device.plan();
     device.layout.set_tracer(tracer.clone());
     let link = LinkProfile::ieee802154_6lowpan();
-    let router = Forwarder::default();
     let mut session = Session::pull(
         LossyLink::bernoulli(link, loss_rate, seed),
         RetryPolicy::for_link(&link),
@@ -92,7 +91,7 @@ fn stepped_pull(firmware_size: usize, loss_rate: f64, seed: u64, tracer: &Tracer
     );
     session.set_tracer(tracer.clone());
     let mut endpoints = AgentEndpoints::new(&mut device.agent, &mut device.layout, plan, 1, |t| {
-        router.serve(&server, t)
+        forward(&server, t)
     });
 
     let mut events = 0u64;

@@ -9,16 +9,16 @@
 //!
 //! * [`profiles`] — link timing models ([`LinkProfile`]) and radio
 //!   accounting ([`TransferAccounting`]).
-//! * [`proxy`] — the passive [`Forwarder`] (the push smartphone and the
-//!   pull border router alike) and the active caching gateway
-//!   ([`CachingProxy`]): a bounded LRU block cache with single-flighted
-//!   upstream fetches, so one upstream transfer serves any number of
-//!   downstream devices. Per the paper's threat model proxies forward
-//!   bytes but hold no keys.
-//! * [`tamper`] — the attacks a compromised proxy can mount: whole-message
-//!   corrupt/truncate/replay ([`Tamper`]) and in-flight single-frame
-//!   corrupt/reorder/duplicate/inject/drop plus cross-version stream
-//!   replay ([`FrameAdversary`]).
+//! * [`proxy`] — the passive proxy, one function ([`forward`]: the push
+//!   smartphone and the pull border router alike), and the active caching
+//!   gateway ([`CachingProxy`]): a bounded LRU block cache with
+//!   single-flighted upstream fetches, so one upstream transfer serves any
+//!   number of downstream devices, counting its work only on its tracer.
+//!   Per the paper's threat model proxies forward bytes but hold no keys.
+//! * [`tamper`] — the one compromised proxy, [`FrameAdversary`], wrapped
+//!   around any endpoints: it flips a bit of, truncates or replaces the
+//!   resolved stream, or corrupts, reorders, duplicates, injects or drops
+//!   one frame in flight ([`FrameTamper`]).
 //! * [`session`] — the event-driven core: one resumable [`Session`],
 //!   built for push or pull, advancing one link event at a time with
 //!   per-block timeout, bounded retries, and exponential backoff
@@ -41,9 +41,9 @@ pub mod tamper;
 
 pub use lossy::LossyLink;
 pub use profiles::{LinkProfile, TransferAccounting};
-pub use proxy::{CachedOrigin, CachingProxy, Forwarder, ProxyStats};
+pub use proxy::{forward, CachedOrigin, CachingProxy};
 pub use session::{
     AgentEndpoints, RetryPolicy, Session, SessionEndpoints, SessionEvent, SessionEventKind,
     SessionOutcome, SessionReport, SessionStream, Step, StreamResolution,
 };
-pub use tamper::{FrameAdversary, FrameTamper, Tamper};
+pub use tamper::{FrameAdversary, FrameTamper};

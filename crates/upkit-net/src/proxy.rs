@@ -1,21 +1,25 @@
 //! Update proxies: the passive forwarder and the active caching gateway.
 //!
 //! In UpKit's architecture the push smartphone and the pull border router
-//! are the same passive [`Forwarder`]: each only forwards bytes between
-//! update server and device. A compromised proxy can therefore mount
-//! denial-of-service or corruption attacks (modeled by [`Tamper`]) but
-//! cannot defeat integrity, authenticity, or freshness — the property the
-//! integration tests demonstrate.
+//! are the same passive proxy, [`forward`]: each only forwards bytes
+//! between update server and device. A compromised proxy can therefore
+//! mount denial-of-service or corruption attacks but cannot defeat
+//! integrity, authenticity, or freshness — the property the integration
+//! tests demonstrate. Every such attack is a
+//! [`FrameAdversary`](crate::tamper::FrameAdversary) wrapped around the
+//! session endpoints that call a proxy; no proxy holds a tamper of its
+//! own.
 //!
 //! [`CachingProxy`] promotes the gateway into an *active* in-network
 //! cache: a bounded, LRU-evicted block store keyed by
 //! `(stream digest, block index)`. A cache hit serves a downstream device
 //! without touching the upstream link; a miss single-flights the upstream
-//! fetch so concurrent downstream sessions share one transfer. The threat
-//! model is unchanged — a tampered or poisoned cache corrupts bytes, and
-//! [`Tamper`] applies to cache-served responses exactly as it does to
-//! forwarded ones, so end-to-end verification on the device remains the
-//! only integrity boundary.
+//! fetch so concurrent downstream sessions share one transfer. Its cache
+//! and upstream counters live only on its [`Tracer`]. The threat model is
+//! unchanged — a tampered or poisoned cache corrupts bytes, a
+//! [`FrameAdversary`](crate::tamper::FrameAdversary) covers cache-served
+//! responses exactly as it does forwarded ones, and end-to-end
+//! verification on the device remains the only integrity boundary.
 
 use std::collections::HashMap;
 
@@ -26,36 +30,17 @@ use upkit_trace::{Counters, Event, Tracer};
 
 use crate::profiles::LinkProfile;
 use crate::session::{SessionStream, StreamResolution};
-use crate::tamper::Tamper;
 
-/// The passive proxy of Fig. 2: the smartphone of the push flow or the
-/// border router of the pull flow. It forwards the device token to the
-/// update server and the prepared image back toward the device, and holds
-/// no keys.
-#[derive(Debug, Default)]
-pub struct Forwarder {
-    tamper: Tamper,
-}
-
-impl Forwarder {
-    /// A compromised proxy applying `tamper` to everything it forwards.
-    #[must_use]
-    pub fn compromised(tamper: Tamper) -> Self {
-        Self { tamper }
-    }
-
-    /// Steps 6–7 of Fig. 2: asks `server` for the update `token` calls
-    /// for and forwards the prepared image, after any tampering (whose
-    /// offsets address the whole image stream), cut into its manifest and
-    /// payload regions.
-    #[must_use]
-    pub fn serve(&self, server: &UpdateServer, token: &DeviceToken) -> StreamResolution {
-        match server.prepare_update(token) {
-            Some(prepared) => StreamResolution::Stream(SessionStream::split(
-                self.tamper.apply(&prepared.image.to_bytes()),
-            )),
-            None => StreamResolution::NoUpdate,
-        }
+/// Steps 6–7 of Fig. 2 through the passive proxy — the smartphone of the
+/// push flow or the border router of the pull flow: asks `server` for the
+/// update `token` calls for and forwards the prepared image, serialized
+/// once and cut into its manifest and payload regions. The proxy holds no
+/// keys.
+#[must_use]
+pub fn forward(server: &UpdateServer, token: &DeviceToken) -> StreamResolution {
+    match server.prepare_update(token) {
+        Some(prepared) => StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes())),
+        None => StreamResolution::NoUpdate,
     }
 }
 
@@ -128,28 +113,6 @@ impl CachedOrigin {
     }
 }
 
-/// Cumulative cache/upstream accounting of one [`CachingProxy`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProxyStats {
-    /// Downstream serves the proxy assembled.
-    pub serves: u64,
-    /// Blocks served straight from the cache.
-    pub cache_hits: u64,
-    /// Blocks fetched upstream before serving.
-    pub cache_misses: u64,
-    /// Blocks evicted under LRU capacity pressure.
-    pub evictions: u64,
-    /// Upstream block fetches issued (equals `cache_misses`).
-    pub upstream_fetches: u64,
-    /// Bytes moved over the upstream link.
-    pub upstream_bytes: u64,
-    /// Virtual microseconds the upstream link was busy fetching.
-    pub upstream_micros: u64,
-    /// Blocks that joined an upstream fetch already in flight instead of
-    /// issuing their own.
-    pub single_flight_joins: u64,
-}
-
 #[derive(Debug)]
 struct CacheEntry {
     bytes: Vec<u8>,
@@ -177,16 +140,14 @@ pub struct CachingProxy {
     block_size: usize,
     capacity_blocks: usize,
     upstream: LinkProfile,
-    tamper: Tamper,
     entries: HashMap<(u64, u32), CacheEntry>,
     tick: u64,
     busy_until: u64,
-    stats: ProxyStats,
     tracer: Tracer,
 }
 
 impl CachingProxy {
-    /// An honest caching gateway `id`, holding at most `capacity_blocks`
+    /// A caching gateway `id`, holding at most `capacity_blocks`
     /// blocks of `block_size` bytes and fetching misses over `upstream`.
     /// `capacity_blocks = 0` disables caching entirely: every serve
     /// refetches every block (the per-device unicast baseline, with the
@@ -198,40 +159,18 @@ impl CachingProxy {
             block_size: block_size.max(1),
             capacity_blocks,
             upstream,
-            tamper: Tamper::None,
             entries: HashMap::new(),
             tick: 0,
             busy_until: 0,
-            stats: ProxyStats::default(),
             tracer: Tracer::disabled(),
         }
     }
 
-    /// A compromised gateway applying `tamper` to every served stream —
-    /// cache hits included, not just freshly forwarded bytes.
-    #[must_use]
-    pub fn compromised(
-        id: u64,
-        block_size: usize,
-        capacity_blocks: usize,
-        upstream: LinkProfile,
-        tamper: Tamper,
-    ) -> Self {
-        Self {
-            tamper,
-            ..Self::new(id, block_size, capacity_blocks, upstream)
-        }
-    }
-
-    /// Routes this proxy's counters and events through `tracer`.
+    /// Routes this proxy's counters and events through `tracer`: cache
+    /// hits and misses, evictions, single-flight joins and upstream
+    /// fetches, bytes and busy time are charged there and nowhere else.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-    }
-
-    /// Cache/upstream accounting so far.
-    #[must_use]
-    pub fn stats(&self) -> ProxyStats {
-        self.stats
     }
 
     /// Blocks currently cached.
@@ -246,9 +185,9 @@ impl CachingProxy {
         self.block_size
     }
 
-    /// Directly corrupts a cached block in place (a poisoned cache entry,
-    /// the active-attacker analogue of [`Tamper`] on the forwarding
-    /// path). Returns `false` when the block is not cached.
+    /// Directly corrupts a cached block in place (a poisoned cache entry:
+    /// the upstream fetch was honest, only the cached copy lies). Returns
+    /// `false` when the block is not cached.
     pub fn poison_block(
         &mut self,
         digest: u64,
@@ -308,13 +247,6 @@ impl CachingProxy {
             }
         }
 
-        self.stats.serves += 1;
-        self.stats.cache_hits += hits;
-        self.stats.cache_misses += misses;
-        self.stats.upstream_fetches += misses;
-        self.stats.upstream_bytes += fetched_bytes;
-        self.stats.upstream_micros += fetch_micros;
-        self.stats.single_flight_joins += joins;
         let counters = self.tracer.counters();
         Counters::add(&counters.proxy_cache_hits, hits);
         Counters::add(&counters.proxy_cache_misses, misses);
@@ -334,15 +266,13 @@ impl CachingProxy {
             wait_micros,
         });
 
-        // Tamper covers everything the proxy serves — bytes pulled out of
-        // the cache just as much as bytes freshly fetched upstream.
-        let served = self.tamper.apply(&assembled);
-        let manifest_len = origin.manifest_len.min(served.len());
-        let payload = served[manifest_len..].to_vec();
-        let mut manifest = served;
-        manifest.truncate(manifest_len);
+        // A poisoned block may have changed length, so the cut is clamped.
+        let payload = assembled.split_off(origin.manifest_len.min(assembled.len()));
         StreamResolution::Deferred {
-            stream: SessionStream { manifest, payload },
+            stream: SessionStream {
+                manifest: assembled,
+                payload,
+            },
             wait_micros,
         }
     }
@@ -368,7 +298,6 @@ impl CachingProxy {
                 break;
             };
             self.entries.remove(&victim);
-            self.stats.evictions += 1;
             Counters::add(&self.tracer.counters().proxy_evictions, 1);
         }
     }
@@ -377,11 +306,15 @@ impl CachingProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::SessionEndpoints;
+    use crate::tamper::{FrameAdversary, FrameTamper};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use upkit_core::agent::{AgentError, AgentPhase};
     use upkit_core::generation::VendorServer;
     use upkit_crypto::ecdsa::SigningKey;
     use upkit_manifest::{Version, SIGNED_MANIFEST_LEN};
+    use upkit_trace::CountersSnapshot;
 
     fn server_with_release(seed: u64, fw: Vec<u8>) -> (VendorServer, UpdateServer) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -406,10 +339,35 @@ mod tests {
         }
     }
 
+    /// A proxy path as session endpoints whose device side is never
+    /// reached, so a [`FrameAdversary`] can wrap it.
+    struct ProxyPath<F>(F);
+
+    impl<F: FnMut(&DeviceToken) -> StreamResolution> SessionEndpoints for ProxyPath<F> {
+        fn request_token(&mut self) -> Result<DeviceToken, AgentError> {
+            Ok(token())
+        }
+        fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution {
+            (self.0)(token)
+        }
+        fn deliver(&mut self, _: &[u8]) -> Result<AgentPhase, AgentError> {
+            Ok(AgentPhase::NeedMore)
+        }
+    }
+
+    /// What a compromised proxy applying `tamper` in front of the proxy
+    /// path `resolve` serves for [`token`].
+    fn compromised(
+        tamper: FrameTamper,
+        resolve: impl FnMut(&DeviceToken) -> StreamResolution,
+    ) -> StreamResolution {
+        FrameAdversary::new(ProxyPath(resolve), tamper).resolve_stream(&token())
+    }
+
     #[test]
     fn honest_forwarder_serves_the_image_faithfully() {
         let (_, server) = server_with_release(140, vec![0x11; 500]);
-        let served = stream(Forwarder::default().serve(&server, &token()));
+        let served = stream(forward(&server, &token()));
         let original = server.prepare_update(&token()).unwrap().image.to_bytes();
         assert_eq!(served.manifest, original[..SIGNED_MANIFEST_LEN]);
         assert_eq!(served.payload, original[SIGNED_MANIFEST_LEN..]);
@@ -423,7 +381,7 @@ mod tests {
             ..token()
         };
         assert!(matches!(
-            Forwarder::default().serve(&server, &current),
+            forward(&server, &current),
             StreamResolution::NoUpdate
         ));
     }
@@ -431,9 +389,9 @@ mod tests {
     #[test]
     fn compromised_forwarder_corrupts_the_stream() {
         let (_, server) = server_with_release(142, vec![0x33; 500]);
-        let honest = stream(Forwarder::default().serve(&server, &token()));
-        let flipped = Forwarder::compromised(Tamper::FlipBit { offset: 10 });
-        let served = stream(flipped.serve(&server, &token()));
+        let honest = stream(forward(&server, &token()));
+        let flipped = FrameTamper::FlipBit { offset: 10 };
+        let served = stream(compromised(flipped, |t| forward(&server, t)));
         assert_ne!(served.manifest, honest.manifest);
         assert_eq!(served.payload, honest.payload);
     }
@@ -441,10 +399,10 @@ mod tests {
     #[test]
     fn truncating_forwarder_cuts_the_payload() {
         let (_, server) = server_with_release(143, vec![0x44; 500]);
-        let truncating = Forwarder::compromised(Tamper::Truncate {
+        let truncating = FrameTamper::Truncate {
             keep: SIGNED_MANIFEST_LEN + 100,
-        });
-        let served = stream(truncating.serve(&server, &token()));
+        };
+        let served = stream(compromised(truncating, |t| forward(&server, t)));
         assert_eq!(served.manifest.len(), SIGNED_MANIFEST_LEN);
         assert_eq!(served.payload.len(), 100);
     }
@@ -466,6 +424,11 @@ mod tests {
         }
     }
 
+    /// The cache and upstream counters `proxy` charged so far.
+    fn counters(proxy: &CachingProxy) -> CountersSnapshot {
+        proxy.tracer.counters().snapshot()
+    }
+
     #[test]
     fn warm_cache_serves_without_upstream_fetches() {
         let origin = origin(1_000);
@@ -473,8 +436,8 @@ mod tests {
         let (first, first_wait) = unwrap_deferred(proxy.resolve(&origin, 0));
         assert_eq!(first, origin.direct_stream());
         assert!(first_wait > 0, "cold cache pays the upstream fetch");
-        let cold = proxy.stats();
-        assert_eq!(cold.cache_misses, u64::from(origin.blocks(256)));
+        let cold = counters(&proxy);
+        assert_eq!(cold.proxy_cache_misses, u64::from(origin.blocks(256)));
         assert_eq!(cold.upstream_bytes, origin.total_len() as u64);
 
         // Resolve again after the fetches landed: pure hits, zero wait,
@@ -483,9 +446,9 @@ mod tests {
         let (second, second_wait) = unwrap_deferred(proxy.resolve(&origin, later));
         assert_eq!(second, origin.direct_stream());
         assert_eq!(second_wait, 0);
-        let warm = proxy.stats();
+        let warm = counters(&proxy);
         assert_eq!(warm.upstream_bytes, cold.upstream_bytes);
-        assert_eq!(warm.cache_hits, u64::from(origin.blocks(256)));
+        assert_eq!(warm.proxy_cache_hits, u64::from(origin.blocks(256)));
     }
 
     #[test]
@@ -498,9 +461,9 @@ mod tests {
         let (stream, join_wait) = unwrap_deferred(proxy.resolve(&origin, 0));
         assert_eq!(stream, origin.direct_stream());
         assert_eq!(join_wait, first_wait);
-        let stats = proxy.stats();
-        assert_eq!(stats.upstream_fetches, u64::from(origin.blocks(256)));
-        assert_eq!(stats.single_flight_joins, u64::from(origin.blocks(256)));
+        let counters = counters(&proxy);
+        assert_eq!(counters.upstream_fetches, u64::from(origin.blocks(256)));
+        assert_eq!(counters.single_flight_joins, u64::from(origin.blocks(256)));
     }
 
     #[test]
@@ -510,12 +473,12 @@ mod tests {
         let mut proxy = CachingProxy::new(0, 256, 2, LinkProfile::wifi_backhaul());
         let (_, wait) = unwrap_deferred(proxy.resolve(&origin, 0));
         assert_eq!(proxy.cached_blocks(), 2);
-        assert_eq!(proxy.stats().evictions, blocks - 2);
+        assert_eq!(counters(&proxy).proxy_evictions, blocks - 2);
         // The front of the stream was evicted, so a warm serve still
         // refetches — a cache smaller than the image cannot absorb the
         // fan-out.
         let (_, _) = unwrap_deferred(proxy.resolve(&origin, wait + 1));
-        assert!(proxy.stats().upstream_fetches > blocks);
+        assert!(counters(&proxy).upstream_fetches > blocks);
     }
 
     #[test]
@@ -524,9 +487,9 @@ mod tests {
         let mut proxy = CachingProxy::new(0, 256, 0, LinkProfile::wifi_backhaul());
         let (_, wait) = unwrap_deferred(proxy.resolve(&origin, 0));
         unwrap_deferred(proxy.resolve(&origin, wait + 1));
-        let stats = proxy.stats();
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.upstream_bytes, 2 * origin.total_len() as u64);
+        let counters = counters(&proxy);
+        assert_eq!(counters.proxy_cache_hits, 0);
+        assert_eq!(counters.upstream_bytes, 2 * origin.total_len() as u64);
         assert_eq!(proxy.cached_blocks(), 0);
     }
 
@@ -551,15 +514,18 @@ mod tests {
     #[test]
     fn tamper_covers_cache_served_responses() {
         let origin = origin(1_000);
-        let mut proxy =
-            CachingProxy::compromised(0, 256, 64, LinkProfile::wifi_backhaul(), Tamper::None);
+        let mut proxy = CachingProxy::new(0, 256, 64, LinkProfile::wifi_backhaul());
         // Warm the cache honestly, then turn the proxy malicious: the
         // tampered serve comes entirely out of the cache.
         let (honest, wait) = unwrap_deferred(proxy.resolve(&origin, 0));
         assert_eq!(honest, origin.direct_stream());
-        proxy.tamper = Tamper::FlipBit { offset: 300 };
-        let (tampered, _) = unwrap_deferred(proxy.resolve(&origin, wait + 1));
-        assert_eq!(proxy.stats().cache_hits, u64::from(origin.blocks(256)));
+        let flipped = FrameTamper::FlipBit { offset: 300 };
+        let (tampered, _) =
+            unwrap_deferred(compromised(flipped, |_| proxy.resolve(&origin, wait + 1)));
+        assert_eq!(
+            counters(&proxy).proxy_cache_hits,
+            u64::from(origin.blocks(256))
+        );
         assert_ne!(tampered, origin.direct_stream());
         assert_ne!(tampered.payload, honest.payload);
     }

@@ -8,10 +8,12 @@
 //!   plus whatever proxy path serves the update stream.
 //!   [`AgentEndpoints`] is a real [`UpdateAgent`] behind any proxy path,
 //!   given as a closure from the device token to a [`StreamResolution`]
-//!   (a [`Forwarder`](crate::proxy::Forwarder) or a
+//!   (the passive [`forward`](crate::proxy::forward) or a
 //!   [`CachingProxy`](crate::proxy::CachingProxy)); the baseline agents
 //!   and the simulator's lightweight fleet devices implement the trait
-//!   too.
+//!   too. A compromised proxy is a
+//!   [`FrameAdversary`](crate::tamper::FrameAdversary) wrapped around any
+//!   of them.
 //! * [`Session`] — the one session driver, built by [`Session::push`] or
 //!   [`Session::pull`] and advancing one link event at a time via
 //!   [`Session::step`]. Each step returns the event kind and its
@@ -596,8 +598,9 @@ impl Session {
 /// [`SessionEndpoints`] for a real [`UpdateAgent`]: the agent issues its
 /// token for a plan taken once and stores every delivered chunk, while
 /// `resolve` is the proxy path that answers the token — such as
-/// `|t| phone.serve(&server, t)` for a [`Forwarder`](crate::proxy::Forwarder)
-/// or `|_| gateway.resolve(&origin, now)` for a
+/// `|t| forward(&server, t)` for the passive proxy
+/// ([`forward`](crate::proxy::forward)) or
+/// `|_| gateway.resolve(&origin, now)` for a
 /// [`CachingProxy`](crate::proxy::CachingProxy).
 pub struct AgentEndpoints<'a, F> {
     agent: &'a mut UpdateAgent,
@@ -918,12 +921,13 @@ mod tests {
         };
         assert_eq!(retry.timeout_after(100), u64::MAX);
     }
-    /// A device agent running v1 behind a [`Forwarder`] for the update
-    /// server's releases, as the push and pull flows of Fig. 2 see it.
+    /// A device agent running v1 behind a proxy [`forward`]ing the update
+    /// server's releases, as the push and pull flows of Fig. 2 see it; a
+    /// [`FrameAdversary`] around it applies each attack.
     mod agent {
         use super::*;
-        use crate::proxy::Forwarder;
-        use crate::tamper::Tamper;
+        use crate::proxy::forward;
+        use crate::tamper::{FrameAdversary, FrameTamper};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use std::sync::Arc;
@@ -1007,33 +1011,31 @@ mod tests {
             session(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0)
         }
 
-        /// Runs one reliable session of `w`'s agent through `forwarder`.
+        /// Runs one reliable session of `w`'s agent behind a proxy that
+        /// forwards the server's image and applies `tamper`.
         fn run(
             w: &mut World,
             mut session: Session,
-            forwarder: &Forwarder,
+            tamper: FrameTamper,
             plan: UpdatePlan,
             nonce: u32,
         ) -> SessionReport {
             let server = &w.server;
-            session.run_to_completion(&mut AgentEndpoints::new(
-                &mut w.agent,
-                &mut w.layout,
-                plan,
-                nonce,
-                |t| forwarder.serve(server, t),
-            ))
+            let endpoints = AgentEndpoints::new(&mut w.agent, &mut w.layout, plan, nonce, |t| {
+                forward(server, t)
+            });
+            session.run_to_completion(&mut FrameAdversary::new(endpoints, tamper))
         }
 
-        fn push(w: &mut World, forwarder: &Forwarder, nonce: u32) -> SessionReport {
+        fn push(w: &mut World, tamper: FrameTamper, nonce: u32) -> SessionReport {
             let session = reliable(Session::push, LinkProfile::ble_gatt());
-            run(w, session, forwarder, plan(&[]), nonce)
+            run(w, session, tamper, plan(&[]), nonce)
         }
 
         #[test]
         fn push_session_completes_and_accounts() {
             let mut w = v2_world(150, vec![0x77; 50_000]);
-            let report = push(&mut w, &Forwarder::default(), 42);
+            let report = push(&mut w, FrameTamper::None, 42);
             assert!(report.outcome.is_complete(), "{:?}", report.outcome);
             assert!(report.accounting.bytes_to_device > 50_000);
             assert!(report.accounting.elapsed_micros > 0);
@@ -1043,7 +1045,7 @@ mod tests {
         fn pull_session_completes_with_round_trips_per_block() {
             let mut w = v2_world(151, vec![0x66; 20_000]);
             let session = reliable(Session::pull, LinkProfile::ieee802154_6lowpan());
-            let report = run(&mut w, session, &Forwarder::default(), plan(&[]), 43);
+            let report = run(&mut w, session, FrameTamper::None, plan(&[]), 43);
             assert!(report.outcome.is_complete(), "{:?}", report.outcome);
             // Every block is confirmed: round trips ≈ chunks.
             assert!(report.accounting.round_trips >= report.accounting.chunks / 2);
@@ -1053,11 +1055,7 @@ mod tests {
         fn tampered_manifest_is_rejected_before_payload_bytes_flow() {
             let mut w = v2_world(152, vec![0x55; 40_000]);
             // Flip a bit inside the manifest region.
-            let report = push(
-                &mut w,
-                &Forwarder::compromised(Tamper::FlipBit { offset: 30 }),
-                44,
-            );
+            let report = push(&mut w, FrameTamper::FlipBit { offset: 30 }, 44);
             match report.outcome {
                 SessionOutcome::RejectedAtManifest(_) => {}
                 other => panic!("expected manifest rejection, got {other:?}"),
@@ -1073,10 +1071,10 @@ mod tests {
         #[test]
         fn tampered_firmware_is_rejected_before_reboot() {
             let mut w = v2_world(153, vec![0x44; 30_000]);
-            let forwarder = Forwarder::compromised(Tamper::FlipBit {
+            let flipped = FrameTamper::FlipBit {
                 offset: SIGNED_MANIFEST_LEN + 15_000,
-            });
-            match push(&mut w, &forwarder, 45).outcome {
+            };
+            match push(&mut w, flipped, 45).outcome {
                 SessionOutcome::RejectedAtFirmware(AgentError::Verify(
                     VerifyError::DigestMismatch,
                 )) => {}
@@ -1087,10 +1085,10 @@ mod tests {
         #[test]
         fn truncating_proxy_leaves_session_incomplete() {
             let mut w = v2_world(154, vec![0x33; 10_000]);
-            let forwarder = Forwarder::compromised(Tamper::Truncate {
+            let truncating = FrameTamper::Truncate {
                 keep: SIGNED_MANIFEST_LEN + 2_000,
-            });
-            let report = push(&mut w, &forwarder, 46);
+            };
+            let report = push(&mut w, truncating, 46);
             assert!(matches!(report.outcome, SessionOutcome::Incomplete));
         }
 
@@ -1101,14 +1099,13 @@ mod tests {
             // update-server signature binds the old nonce, so the agent
             // must reject it at the manifest.
             let mut w = v2_world(155, vec![0x22; 5_000]);
-            let mut captured = Vec::new();
-            let honest = Forwarder::default();
+            let mut captured = None;
             let server = &w.server;
             let report = reliable(Session::push, LinkProfile::ble_gatt()).run_to_completion(
                 &mut AgentEndpoints::new(&mut w.agent, &mut w.layout, plan(&[]), 100, |t| {
-                    let served = honest.serve(server, t);
+                    let served = forward(server, t);
                     if let StreamResolution::Stream(stream) = &served {
-                        captured = [stream.manifest.as_slice(), &stream.payload].concat();
+                        captured = Some(stream.clone());
                     }
                     served
                 }),
@@ -1118,11 +1115,8 @@ mod tests {
             // Fresh device state for a second update attempt, with a
             // different nonce than the captured image's 100.
             let mut w2 = v2_world(155, vec![0x22; 5_000]);
-            let report = push(
-                &mut w2,
-                &Forwarder::compromised(Tamper::Replay(captured)),
-                101,
-            );
+            let captured = captured.expect("the honest session was served a stream");
+            let report = push(&mut w2, FrameTamper::ReplaceStream(captured), 101);
             match report.outcome {
                 SessionOutcome::RejectedAtManifest(AgentError::Verify(VerifyError::WrongNonce)) => {
                 }
@@ -1136,7 +1130,7 @@ mod tests {
             let mut current = plan(&[]);
             current.installed_version = Version(2); // already newest
             let session = reliable(Session::push, LinkProfile::ble_gatt());
-            let report = run(&mut w, session, &Forwarder::default(), current, 47);
+            let report = run(&mut w, session, FrameTamper::None, current, 47);
             assert!(matches!(report.outcome, SessionOutcome::NoUpdateAvailable));
             assert_eq!(report.accounting.bytes_to_device, 0);
         }
@@ -1149,7 +1143,7 @@ mod tests {
             v2[1000..1050].fill(0xEE);
             let mut w = world(157, &v1, &[(1, &v1), (2, &v2)]);
             let session = reliable(Session::pull, LinkProfile::ieee802154_6lowpan());
-            let report = run(&mut w, session, &Forwarder::default(), plan(&v1), 48);
+            let report = run(&mut w, session, FrameTamper::None, plan(&v1), 48);
             assert!(report.outcome.is_complete(), "{:?}", report.outcome);
             assert!(
                 report.accounting.bytes_to_device < v2.len() as u64 / 4,

@@ -1,76 +1,48 @@
-//! Attack/fault injection on in-transit update images.
+//! The one compromised proxy on the propagation path.
 //!
 //! UpKit's threat model (Sect. III) assumes the smartphone or gateway may
 //! be compromised: it can drop, corrupt, truncate, or replay data, but —
 //! because it holds no signing keys — it can never *forge* an acceptable
-//! update. These injectors implement exactly those capabilities so the test
-//! suite and the security experiments can exercise them.
-//!
-//! Two granularities are provided: [`Tamper`] mutates the whole image
-//! stream a compromised [`Forwarder`](crate::proxy::Forwarder) or
-//! [`CachingProxy`](crate::proxy::CachingProxy) serves, and
-//! [`FrameAdversary`] sits *inside* a live stepped session as a
-//! [`SessionEndpoints`] wrapper, mutating one link frame in flight —
-//! corrupt, reorder, duplicate, inject, drop — or substituting the entire
-//! resolved stream (a cross-version replay).
+//! update. [`FrameAdversary`] is that attacker, and the only one: it sits
+//! *inside* a live stepped session as a [`SessionEndpoints`] wrapper
+//! around any endpoints — a [`forward`](crate::proxy::forward)ing agent
+//! path, a warmed [`CachingProxy`](crate::proxy::CachingProxy), a
+//! baseline — and applies one [`FrameTamper`]: a bit flip, truncation or
+//! substitution of the whole resolved stream (a cross-version replay), or
+//! one link frame corrupted, reordered, duplicated, injected or dropped
+//! in flight.
 
 use upkit_core::agent::{AgentError, AgentPhase};
 use upkit_manifest::DeviceToken;
 
 use crate::session::{SessionEndpoints, SessionStream, StreamResolution};
 
-/// A transformation a compromised proxy can apply to the bytes it forwards.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Tamper {
-    /// Forward faithfully (an honest proxy).
-    #[default]
-    None,
-    /// Flip one bit at `offset` (transmission corruption or malice).
-    FlipBit {
-        /// Byte offset whose lowest bit is flipped.
-        offset: usize,
-    },
-    /// Forward only the first `keep` bytes, then stop (drop attack).
-    Truncate {
-        /// Number of leading bytes to forward.
-        keep: usize,
-    },
-    /// Replace the entire stream with previously captured bytes (replay
-    /// of an old, once-valid update image).
-    Replay(Vec<u8>),
-}
-
-impl Tamper {
-    /// Applies the tamper to a full message, returning what the device
-    /// actually receives.
-    #[must_use]
-    pub fn apply(&self, data: &[u8]) -> Vec<u8> {
-        match self {
-            Self::None => data.to_vec(),
-            Self::FlipBit { offset } => {
-                let mut out = data.to_vec();
-                if let Some(byte) = out.get_mut(*offset) {
-                    *byte ^= 1;
-                }
-                out
-            }
-            Self::Truncate { keep } => data[..(*keep).min(data.len())].to_vec(),
-            Self::Replay(old) => old.clone(),
-        }
-    }
-}
-
-/// A mutation applied to the live frame sequence of a stepped session.
+/// What a compromised proxy does to one stepped session.
 ///
-/// Frames are numbered 0-based in delivery order across the whole session
-/// (manifest frames first, then payload frames), exactly as the device
-/// radio sees them.
+/// The stream variants act on the resolved stream before any frame flows;
+/// their offsets address manifest ‖ payload as one byte string, and they
+/// leave [`StreamResolution::NoUpdate`] and
+/// [`StreamResolution::ProxyEmpty`] alone. The frame variants number
+/// frames 0-based in delivery order across the whole session (manifest
+/// frames first, then payload frames), exactly as the device radio sees
+/// them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FrameTamper {
-    /// Forward every frame faithfully.
+    /// Forward every frame faithfully (an honest proxy).
     None,
+    /// Flip the lowest bit of the stream byte at `offset` (transmission
+    /// corruption or malice); an offset past the end changes nothing.
+    FlipBit {
+        /// Byte offset into manifest ‖ payload.
+        offset: usize,
+    },
+    /// Forward only the first `keep` bytes of the stream, then stop (drop
+    /// attack).
+    Truncate {
+        /// Number of leading bytes of manifest ‖ payload to forward.
+        keep: usize,
+    },
     /// XOR one bit of frame `frame` (`bit` wraps around the frame length).
     Corrupt {
         /// Target frame index.
@@ -112,7 +84,7 @@ pub enum FrameTamper {
 
 /// A compromised proxy interposed between a stepped session and its real
 /// endpoints: forwards everything except the one mutation its
-/// [`FrameTamper`] describes.
+/// [`FrameTamper`] describes ([`FrameTamper::None`] is an honest proxy).
 ///
 /// Because it implements [`SessionEndpoints`], it drives the *real*
 /// agent/pipeline acceptance path through a push or pull
@@ -157,11 +129,35 @@ impl<E: SessionEndpoints> SessionEndpoints for FrameAdversary<E> {
     }
 
     fn resolve_stream(&mut self, token: &DeviceToken) -> StreamResolution {
-        let resolved = self.inner.resolve_stream(token);
-        if let FrameTamper::ReplaceStream(captured) = &self.tamper {
+        let mut resolved = self.inner.resolve_stream(token);
+        let stream = match &mut resolved {
+            StreamResolution::Stream(stream) | StreamResolution::Deferred { stream, .. } => {
+                Some(stream)
+            }
+            StreamResolution::NoUpdate | StreamResolution::ProxyEmpty => None,
+        };
+        match (&self.tamper, stream) {
             // The proxy controls what it forwards: whatever the honest
             // path resolved, the device receives the captured stream.
-            return StreamResolution::Stream(captured.clone());
+            (FrameTamper::ReplaceStream(captured), _) => {
+                return StreamResolution::Stream(captured.clone());
+            }
+            (FrameTamper::FlipBit { offset }, Some(stream)) => {
+                let byte = match offset.checked_sub(stream.manifest.len()) {
+                    None => stream.manifest.get_mut(*offset),
+                    Some(at) => stream.payload.get_mut(at),
+                };
+                if let Some(byte) = byte {
+                    *byte ^= 1;
+                }
+            }
+            (FrameTamper::Truncate { keep }, Some(stream)) => {
+                stream.manifest.truncate(*keep);
+                stream
+                    .payload
+                    .truncate(keep.saturating_sub(stream.manifest.len()));
+            }
+            _ => {}
         }
         resolved
     }
@@ -210,49 +206,12 @@ impl<E: SessionEndpoints> SessionEndpoints for FrameAdversary<E> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn none_is_identity() {
-        assert_eq!(Tamper::None.apply(b"payload"), b"payload");
-    }
-
-    #[test]
-    fn flip_bit_changes_exactly_one_bit() {
-        let out = Tamper::FlipBit { offset: 2 }.apply(b"abc");
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], b'a');
-        assert_eq!(out[1], b'b');
-        assert_eq!(out[2], b'c' ^ 1);
-    }
-
-    #[test]
-    fn flip_bit_out_of_range_is_noop() {
-        assert_eq!(Tamper::FlipBit { offset: 99 }.apply(b"ab"), b"ab");
-    }
-
-    #[test]
-    fn truncate_keeps_prefix() {
-        assert_eq!(Tamper::Truncate { keep: 2 }.apply(b"abcdef"), b"ab");
-        assert_eq!(Tamper::Truncate { keep: 100 }.apply(b"ab"), b"ab");
-    }
-
-    #[test]
-    fn replay_substitutes_captured_bytes() {
-        let captured = b"old image".to_vec();
-        assert_eq!(
-            Tamper::Replay(captured.clone()).apply(b"new image"),
-            captured
-        );
-    }
-
-    /// Records every frame the (stubbed) device receives.
+    /// Records every frame the (stubbed) device receives and resolves
+    /// `stream`, when there is one, as the update.
+    #[derive(Default)]
     struct Recorder {
         frames: Vec<Vec<u8>>,
-    }
-
-    impl Recorder {
-        fn new() -> Self {
-            Self { frames: Vec::new() }
-        }
+        stream: Option<SessionStream>,
     }
 
     impl SessionEndpoints for Recorder {
@@ -264,7 +223,9 @@ mod tests {
             })
         }
         fn resolve_stream(&mut self, _token: &DeviceToken) -> StreamResolution {
-            StreamResolution::NoUpdate
+            self.stream
+                .take()
+                .map_or(StreamResolution::NoUpdate, StreamResolution::Stream)
         }
         fn deliver(&mut self, chunk: &[u8]) -> Result<AgentPhase, AgentError> {
             self.frames.push(chunk.to_vec());
@@ -272,8 +233,71 @@ mod tests {
         }
     }
 
+    /// What a device behind `tamper` receives when the honest path
+    /// resolves `stream` (`None`: no update).
+    fn resolve(tamper: FrameTamper, stream: Option<SessionStream>) -> StreamResolution {
+        let recorder = Recorder {
+            stream,
+            ..Recorder::default()
+        };
+        let mut adversary = FrameAdversary::new(recorder, tamper);
+        let token = adversary.request_token().unwrap();
+        adversary.resolve_stream(&token)
+    }
+
+    fn stream(manifest: &[u8], payload: &[u8]) -> SessionStream {
+        SessionStream {
+            manifest: manifest.to_vec(),
+            payload: payload.to_vec(),
+        }
+    }
+
+    /// The stream `ab` ‖ `cde` after `tamper`.
+    fn tampered(tamper: FrameTamper) -> SessionStream {
+        match resolve(tamper, Some(stream(b"ab", b"cde"))) {
+            StreamResolution::Stream(stream) => stream,
+            other => panic!("expected a stream, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn none_is_identity() {
+        assert_eq!(tampered(FrameTamper::None), stream(b"ab", b"cde"));
+    }
+
+    #[test]
+    fn flip_bit_changes_exactly_one_bit() {
+        let flip = |offset| tampered(FrameTamper::FlipBit { offset });
+        assert_eq!(flip(1), stream(&[b'a', b'b' ^ 1], b"cde"));
+        assert_eq!(flip(4), stream(b"ab", &[b'c', b'd', b'e' ^ 1]));
+    }
+
+    #[test]
+    fn flip_bit_out_of_range_is_noop() {
+        let flipped = tampered(FrameTamper::FlipBit { offset: 99 });
+        assert_eq!(flipped, stream(b"ab", b"cde"));
+    }
+
+    #[test]
+    fn truncate_keeps_prefix() {
+        let cut = |keep| tampered(FrameTamper::Truncate { keep });
+        assert_eq!(cut(1), stream(b"a", b""));
+        assert_eq!(cut(3), stream(b"ab", b"c"));
+        assert_eq!(cut(100), stream(b"ab", b"cde"));
+    }
+
+    #[test]
+    fn stream_tampers_leave_no_update_alone() {
+        for tamper in [
+            FrameTamper::FlipBit { offset: 0 },
+            FrameTamper::Truncate { keep: 0 },
+        ] {
+            assert!(matches!(resolve(tamper, None), StreamResolution::NoUpdate));
+        }
+    }
+
     fn feed(tamper: FrameTamper, frames: &[&[u8]]) -> Vec<Vec<u8>> {
-        let mut adversary = FrameAdversary::new(Recorder::new(), tamper);
+        let mut adversary = FrameAdversary::new(Recorder::default(), tamper);
         for frame in frames {
             adversary.deliver(frame).unwrap();
         }
@@ -334,7 +358,7 @@ mod tests {
             payload: b"old payload".to_vec(),
         };
         let mut adversary = FrameAdversary::new(
-            Recorder::new(),
+            Recorder::default(),
             FrameTamper::ReplaceStream(captured.clone()),
         );
         let token = adversary.request_token().unwrap();

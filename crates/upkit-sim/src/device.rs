@@ -23,7 +23,7 @@ use upkit_crypto::sha256::sha256;
 use upkit_flash::{standard, FlashGeometry, MemoryLayout, SimFlash, SlotId};
 use upkit_manifest::{Manifest, SignedManifest, Version};
 use upkit_net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionOutcome,
+    forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionOutcome,
     TransferAccounting,
 };
 
@@ -303,7 +303,6 @@ impl SimDevice {
         self.nonce_counter = next_nonce(self.nonce_counter);
         let plan = self.plan();
         let link = LinkProfile::ieee802154_6lowpan();
-        let router = Forwarder::default();
         let report = Session::pull(
             LossyLink::reliable(link),
             RetryPolicy::for_link(&link),
@@ -314,7 +313,7 @@ impl SimDevice {
             &mut self.layout,
             plan,
             self.nonce_counter,
-            |t| router.serve(server, t),
+            |t| forward(server, t),
         ));
         match report.outcome {
             SessionOutcome::NoUpdateAvailable => {

@@ -36,8 +36,8 @@ use upkit_core::generation::UpdateServer;
 use upkit_manifest::{DeviceToken, Version};
 use upkit_net::lossy::splitmix64;
 use upkit_net::{
-    LinkProfile, LossyLink, RetryPolicy, Session, SessionEndpoints, SessionOutcome, SessionStream,
-    Step, StreamResolution,
+    forward, LinkProfile, LossyLink, RetryPolicy, Session, SessionEndpoints, SessionOutcome,
+    SessionStream, Step, StreamResolution,
 };
 use upkit_trace::{Counters, Event, Tracer};
 
@@ -424,12 +424,7 @@ impl StreamSource for DirectSource {
             // already current.
             Some(_) if device.installed >= Version(2) => StreamResolution::NoUpdate,
             Some(canonical) => StreamResolution::Stream(canonical.clone()),
-            None => match self.server.prepare_update(token) {
-                Some(prepared) => {
-                    StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes()))
-                }
-                None => StreamResolution::NoUpdate,
-            },
+            None => forward(&self.server, token),
         }
     }
 }

@@ -39,7 +39,7 @@ use upkit_manifest::{
     ComponentEntry, ComponentTable, Manifest, MultiManifest, SignedMultiManifest, Version,
 };
 use upkit_net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionEndpoints,
+    forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionEndpoints,
     SessionOutcome, Step,
 };
 
@@ -439,16 +439,16 @@ impl UpdateWorld {
     }
 
     /// A push session over a reliable BLE link and this world's agent
-    /// behind an honest phone, ready to step or to wrap in a
+    /// behind an honest phone ([`forward`]), ready to step or to wrap in a
     /// [`FrameAdversary`](upkit_net::FrameAdversary).
     pub fn push_session(&mut self, nonce: u32) -> (Session, impl SessionEndpoints + '_) {
-        let (link, phone, server) = (LinkProfile::ble_gatt(), Forwarder::default(), &self.server);
+        let (link, server) = (LinkProfile::ble_gatt(), &self.server);
         let endpoints = AgentEndpoints::new(
             &mut self.agent,
             &mut self.layout,
             self.plan.clone(),
             nonce,
-            move |t| phone.serve(server, t),
+            move |t| forward(server, t),
         );
         let session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
         (session, endpoints)

@@ -83,7 +83,7 @@ pub use topology::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use upkit_net::SessionOutcome;
+    use upkit_net::{FrameTamper, SessionOutcome};
 
     #[test]
     fn fig8a_push_scenario_shape() {
@@ -164,7 +164,7 @@ mod tests {
     fn tampered_scenario_rejects_early_and_saves_energy() {
         let honest = run_scenario(&ScenarioConfig::fig8a(Approach::Push));
         let mut cfg = ScenarioConfig::fig8a(Approach::Push);
-        cfg.tamper = Some(upkit_net::Tamper::FlipBit { offset: 40 });
+        cfg.tamper = FrameTamper::FlipBit { offset: 40 };
         let tampered = run_scenario(&cfg);
         assert!(matches!(
             tampered.outcome,
@@ -188,7 +188,7 @@ mod tests {
             crypto: CryptoChoice::Hsm,
             firmware_size: 40_000,
             update_kind: UpdateKind::Full,
-            tamper: None,
+            tamper: FrameTamper::None,
             seed: 0xCC26,
         };
         let result = run_scenario(&cfg);
@@ -214,7 +214,7 @@ mod tests {
             crypto: CryptoChoice::TinyDtls,
             firmware_size: 30_000,
             update_kind: UpdateKind::DiffOsChange,
-            tamper: None,
+            tamper: FrameTamper::None,
             seed: 0x2538,
         };
         let result = run_scenario(&cfg);

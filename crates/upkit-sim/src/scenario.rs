@@ -29,8 +29,8 @@ use upkit_flash::{
 };
 use upkit_manifest::Version;
 use upkit_net::{
-    AgentEndpoints, Forwarder, LossyLink, RetryPolicy, Session, SessionOutcome, Tamper,
-    TransferAccounting,
+    forward, AgentEndpoints, FrameAdversary, FrameTamper, LossyLink, RetryPolicy, Session,
+    SessionOutcome, TransferAccounting,
 };
 
 use rand::rngs::StdRng;
@@ -116,8 +116,9 @@ pub struct ScenarioConfig {
     pub firmware_size: usize,
     /// Full vs differential update.
     pub update_kind: UpdateKind,
-    /// Optional in-transit tampering by the proxy.
-    pub tamper: Option<Tamper>,
+    /// What the proxy does to the update in transit
+    /// ([`FrameTamper::None`]: an honest proxy).
+    pub tamper: FrameTamper,
     /// Deterministic seed (keys, nonces, firmware content).
     pub seed: u64,
 }
@@ -133,7 +134,7 @@ impl ScenarioConfig {
             crypto: CryptoChoice::TinyCrypt,
             firmware_size: 100_000,
             update_kind: UpdateKind::Full,
-            tamper: None,
+            tamper: FrameTamper::None,
             seed: 0x8A,
         }
     }
@@ -320,16 +321,11 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         Approach::Push => (Session::push, cfg.platform.push_link),
         Approach::Pull => (Session::pull, cfg.platform.pull_link),
     };
-    let proxy = cfg
-        .tamper
-        .clone()
-        .map_or_else(Forwarder::default, Forwarder::compromised);
-    let report =
-        open(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0).run_to_completion(
-            &mut AgentEndpoints::new(&mut device.agent, &mut device.layout, plan, nonce, |t| {
-                proxy.serve(&server, t)
-            }),
-        );
+    let endpoints = AgentEndpoints::new(&mut device.agent, &mut device.layout, plan, nonce, |t| {
+        forward(&server, t)
+    });
+    let report = open(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0)
+        .run_to_completion(&mut FrameAdversary::new(endpoints, cfg.tamper.clone()));
     let propagation_flash = flash_micros(&mut device.layout);
     let propagation_micros = report.accounting.elapsed_micros + propagation_flash;
 

@@ -378,7 +378,9 @@ fn direct_reference_fetch(config: &TopologyConfig, campaign: &Campaign) -> Vec<u
 
 /// Runs one gateway's shard: its caching proxy and its devices on the
 /// session scheduler. Pure function of `(config, campaigns, gateway)` —
-/// shards share no mutable state.
+/// shards share no mutable state. `tracer` is the shard's own
+/// ([`map_traced`] keeps one per gateway), so the counters the proxy
+/// charged to it are the gateway's cache and upstream totals.
 fn run_gateway_shard(
     config: &TopologyConfig,
     campaigns: &[Campaign],
@@ -418,9 +420,16 @@ fn run_gateway_shard(
         tracer,
     );
 
+    let counters = tracer.counters().snapshot();
     let mut stats = GatewayStats {
         gateway,
         downstream_wire_bytes: run.wire_bytes,
+        upstream_bytes: counters.upstream_bytes,
+        upstream_fetches: counters.upstream_fetches,
+        cache_hits: counters.proxy_cache_hits,
+        cache_misses: counters.proxy_cache_misses,
+        single_flight_joins: counters.single_flight_joins,
+        evictions: counters.proxy_evictions,
         makespan_micros: run.makespan_micros,
         ..GatewayStats::default()
     };
@@ -437,13 +446,6 @@ fn run_gateway_shard(
             }
         }
     }
-    let pstats = proxy.stats();
-    stats.upstream_bytes = pstats.upstream_bytes;
-    stats.upstream_fetches = pstats.upstream_fetches;
-    stats.cache_hits = pstats.cache_hits;
-    stats.cache_misses = pstats.cache_misses;
-    stats.single_flight_joins = pstats.single_flight_joins;
-    stats.evictions = pstats.evictions;
     (stats, run.events)
 }
 

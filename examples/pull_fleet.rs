@@ -31,7 +31,7 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport, Step,
+    forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport, Step,
 };
 use upkit::sim::FirmwareGenerator;
 use upkit::trace::{Event, MemorySink, Tracer};
@@ -119,7 +119,7 @@ fn main() {
     let device_ids: Vec<u32> = fleet.iter().map(|d| d.device_id).collect();
 
     let link = LinkProfile::ieee802154_6lowpan();
-    let (router, server) = (Forwarder::default(), &server);
+    let server = &server;
 
     // One resumable session per device, all stepped by this one thread.
     let mut lanes: Vec<_> = fleet
@@ -142,7 +142,7 @@ fn main() {
             let nonce = dev.device_id ^ 0x5555;
             let endpoints =
                 AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan, nonce, |t| {
-                    router.serve(server, t)
+                    forward(server, t)
                 });
             (session, endpoints, 0u64)
         })

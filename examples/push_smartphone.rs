@@ -1,9 +1,10 @@
 //! The paper's Fig. 2 push flow: a smartphone fetches the update from the
 //! Internet and forwards it to the device over a BLE-like link — first
-//! honestly (stepped one link event at a time through the resumable
-//! session API), then as a compromised proxy whose tampering UpKit's
-//! agent-side verification rejects before the firmware transfer even
-//! starts.
+//! honestly (`forward`, stepped one link event at a time through the
+//! resumable session API), then as a compromised proxy (a
+//! `FrameAdversary` around the same endpoints, flipping a bit or replaying
+//! the honest session's stream) whose tampering UpKit's agent-side
+//! verification rejects before the firmware transfer even starts.
 //!
 //! ```text
 //! cargo run --example push_smartphone
@@ -21,8 +22,8 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionEventKind,
-    SessionOutcome, SessionReport, Step, StreamResolution, Tamper,
+    forward, AgentEndpoints, FrameAdversary, FrameTamper, LinkProfile, LossyLink, RetryPolicy,
+    Session, SessionEventKind, SessionOutcome, SessionReport, Step, StreamResolution,
 };
 
 const SLOT_SIZE: u32 = 4096 * 24;
@@ -63,20 +64,21 @@ fn plan() -> UpdatePlan {
     }
 }
 
-/// One reliable push session of a fresh device through `phone`.
+/// One reliable push session of a fresh device through a phone that
+/// applies `tamper` to what it forwards.
 fn push(
     server: &UpdateServer,
     anchors: TrustAnchors,
-    phone: &Forwarder,
+    tamper: FrameTamper,
     nonce: u32,
 ) -> SessionReport {
     let mut dev = device(anchors);
     let link = LinkProfile::ble_gatt();
-    Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0).run_to_completion(
-        &mut AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan(), nonce, |t| {
-            phone.serve(server, t)
-        }),
-    )
+    let endpoints = AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan(), nonce, |t| {
+        forward(server, t)
+    });
+    Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0)
+        .run_to_completion(&mut FrameAdversary::new(endpoints, tamper))
 }
 
 fn main() {
@@ -90,13 +92,12 @@ fn main() {
     // --- Honest smartphone, one link event at a time ------------------------
     // The phone's stream is kept: the replaying phone below plays it back.
     let mut dev = device(anchors);
-    let phone = Forwarder::default();
-    let mut captured = Vec::new();
+    let mut captured = None;
     let mut session = Session::push(LossyLink::reliable(link), RetryPolicy::for_link(&link), 0);
     let mut endpoints = AgentEndpoints::new(&mut dev.agent, &mut dev.layout, plan(), 100, |t| {
-        let served = phone.serve(&server, t);
+        let served = forward(&server, t);
         if let StreamResolution::Stream(stream) = &served {
-            captured = [stream.manifest.as_slice(), &stream.payload].concat();
+            captured = Some(stream.clone());
         }
         served
     });
@@ -140,8 +141,7 @@ fn main() {
     assert!(report.outcome.is_complete());
 
     // --- Compromised smartphone: corrupts the image in transit -------------
-    let evil_phone = Forwarder::compromised(Tamper::FlipBit { offset: 25 });
-    let report = push(&server, anchors, &evil_phone, 101);
+    let report = push(&server, anchors, FrameTamper::FlipBit { offset: 25 }, 101);
     println!(
         "tampering phone: {:?} after only {} bytes — the firmware never left the phone",
         describe(&report.outcome),
@@ -153,8 +153,8 @@ fn main() {
     ));
 
     // --- Replaying smartphone: the honest session's image for a new request --
-    let replayer = Forwarder::compromised(Tamper::Replay(captured));
-    let report = push(&server, anchors, &replayer, 103);
+    let captured = captured.expect("the honest phone forwarded a stream");
+    let report = push(&server, anchors, FrameTamper::ReplaceStream(captured), 103);
     println!(
         "replaying phone: {:?} — the update server's signature binds the nonce",
         describe(&report.outcome)

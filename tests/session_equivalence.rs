@@ -15,7 +15,7 @@ use upkit::crypto::ecdsa::SigningKey;
 use upkit::flash::{configuration_a, standard, FlashGeometry, MemoryLayout, SimFlash};
 use upkit::manifest::Version;
 use upkit::net::{
-    AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport,
+    forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionReport,
 };
 use upkit::sim::FirmwareGenerator;
 
@@ -102,14 +102,13 @@ fn world(seed: u64, fw_size: usize) -> World {
 
 /// Runs `session` to completion for `w`'s agent through an honest phone.
 fn push(w: &mut World, mut session: Session) -> SessionReport {
-    let phone = Forwarder::default();
     let server = &w.server;
     session.run_to_completion(&mut AgentEndpoints::new(
         &mut w.agent,
         &mut w.layout,
         w.plan.clone(),
         9,
-        |t| phone.serve(server, t),
+        |t| forward(server, t),
     ))
 }
 

@@ -98,8 +98,7 @@ mod lossy_pins {
     use upkit::core::image::FIRMWARE_OFFSET;
     use upkit::flash::{standard, SimFlash};
     use upkit::net::{
-        AgentEndpoints, Forwarder, LinkProfile, LossyLink, RetryPolicy, Session, SessionOutcome,
-        Step,
+        forward, AgentEndpoints, LinkProfile, LossyLink, RetryPolicy, Session, SessionOutcome, Step,
     };
     use upkit::sim::{update_world, world_geometry, WorldConfig};
     use upkit::trace::{MemorySink, Tracer};
@@ -135,14 +134,13 @@ mod lossy_pins {
             0,
         );
         session.set_tracer(tracer.clone());
-        let proxy = Forwarder::default();
         let server = &world.server;
         let mut endpoints = AgentEndpoints::new(
             &mut world.agent,
             &mut world.layout,
             world.plan.clone(),
             SEED as u32 | 1,
-            |t| proxy.serve(server, t),
+            |t| forward(server, t),
         );
         let outcome = loop {
             if let Step::Done(report) = session.step(&mut endpoints) {
@@ -584,7 +582,7 @@ mod scenario_pins {
     use upkit::core::bootloader::BootAction;
     use upkit::core::verifier::VerifyError;
     use upkit::manifest::Version;
-    use upkit::net::{SessionOutcome, Tamper, TransferAccounting};
+    use upkit::net::{FrameTamper, SessionOutcome, TransferAccounting};
     use upkit::sim::{
         run_scenario, Approach, CryptoChoice, PhaseBreakdown, PlatformProfile, ScenarioConfig,
         SlotMode, UpdateKind,
@@ -622,7 +620,7 @@ mod scenario_pins {
             crypto: CryptoChoice::Hsm,
             firmware_size: 40_000,
             update_kind: UpdateKind::Full,
-            tamper: None,
+            tamper: FrameTamper::None,
             seed: 0xCC26,
         });
         assert_eq!(result.outcome, SessionOutcome::Complete);
@@ -644,7 +642,7 @@ mod scenario_pins {
             crypto: CryptoChoice::TinyDtls,
             firmware_size: 30_000,
             update_kind: UpdateKind::DiffOsChange,
-            tamper: None,
+            tamper: FrameTamper::None,
             seed: 0x2538,
         });
         assert_eq!(result.outcome, SessionOutcome::Complete);
@@ -660,7 +658,7 @@ mod scenario_pins {
     #[test]
     fn tampered_fig8a_push_is_pinned() {
         let mut cfg = ScenarioConfig::fig8a(Approach::Push);
-        cfg.tamper = Some(Tamper::FlipBit { offset: 40 });
+        cfg.tamper = FrameTamper::FlipBit { offset: 40 };
         let result = run_scenario(&cfg);
         assert_eq!(
             result.outcome,
