@@ -7,8 +7,19 @@
 //! * [`OpenMode::WriteAll`] — erases the whole slot at open, then writes
 //!   sequentially (used when the incoming image size is known up front).
 //! * [`OpenMode::SequentialRewrite`] — erases each sector lazily the first
-//!   time the write cursor enters it (used by the pipeline's writer stage,
-//!   which learns the image size only as data streams in).
+//!   time the write cursor enters it (for a writer that learns the image
+//!   size only as data streams in).
+//!
+//! No update path opens a [`SlotHandle`]: the agent erases the whole
+//! target slot when it issues the device token, and the pipeline's buffer
+//! stage then writes sector-sized runs through
+//! [`MemoryLayout::write_slot`]. The handle is the paper's POSIX-style
+//! interface, kept for integrations that stream into a slot themselves.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 use crate::layout::{LayoutError, MemoryLayout, SlotId, SlotSpec};
 
@@ -64,7 +75,7 @@ impl MemoryLayout {
         }
         let sector_size = self
             .device_geometry(spec.device)
-            .expect("slot spec references a registered device")
+            .ok_or(LayoutError::InvalidSpec)?
             .sector_size;
         Ok(SlotHandle {
             layout: self,

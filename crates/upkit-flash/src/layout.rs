@@ -230,8 +230,9 @@ impl MemoryLayout {
         Ok(())
     }
 
-    /// Writes to a slot at `offset` within the slot (no implicit erase —
-    /// use the IO layer's open modes for that).
+    /// Writes to a slot at `offset` within the slot, with no implicit
+    /// erase: the caller erases first, as the agent erases the target slot
+    /// before the pipeline's buffer stage writes into it.
     pub fn write_slot(&mut self, id: SlotId, offset: u32, data: &[u8]) -> Result<(), LayoutError> {
         let spec = self.slot(id)?;
         if u64::from(offset) + data.len() as u64 > u64::from(spec.size) {

@@ -105,7 +105,8 @@ impl FlashDevice for SimFlash {
         let start = addr as usize;
         buf.copy_from_slice(&self.data[start..start + buf.len()]);
         // Reads are free to count: interior mutability would complicate the
-        // trait, so read stats are tracked by the IO layer instead.
+        // trait, so read stats are tracked by
+        // `MemoryLayout::read_slot_counted` instead.
         Ok(())
     }
 
