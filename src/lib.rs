@@ -15,7 +15,7 @@
 //! | [`delta`] | `upkit-delta` | bsdiff/bspatch (streaming patcher) |
 //! | [`flash`] | `upkit-flash` | NOR-flash simulator, slot tables, POSIX-like slot IO |
 //! | [`manifest`] | `upkit-manifest` | manifest, device token, update-image container |
-//! | [`net`] | `upkit-net` | one BLE-push / CoAP-pull session, passive forwarder and caching proxy, tamper injection |
+//! | [`net`] | `upkit-net` | one BLE-push / CoAP-pull session, the passive `forward` and the caching proxy, one compromised proxy (`FrameAdversary`) |
 //! | [`baselines`] | `upkit-baselines` | mcuboot / mcumgr / LwM2M / Sparrow analogues |
 //! | [`sim`] | `upkit-sim` | platform profiles, end-to-end scenarios, failure injection |
 //! | [`chaos`] | `upkit-chaos` | crash-consistency explorer: per-boundary fault injection, never-brick proofs |
