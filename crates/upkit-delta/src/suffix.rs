@@ -12,7 +12,10 @@
 //! then bounds the binary search of [`SuffixArray::longest_match`] to the
 //! suffixes that share its first two bytes instead of the whole array, and
 //! the search still ends where a search over the whole array ends. The
-//! table is 65,537 `u32`s (256 KiB) whatever the image size.
+//! table is 65,537 `u32`s (256 KiB) whatever the image size. It is counted
+//! first, in one pass over the image, and SA-IS takes its byte counts
+//! from it (byte `b`'s suffixes start at `buckets[b << 8]`, less one when
+//! the image ends with `b`) instead of counting the image again.
 
 #![cfg_attr(
     not(test),
@@ -44,19 +47,22 @@ impl SuffixArray {
         // of every string starting with `b`, so it counts at the first of
         // `b`'s buckets.
         let mut buckets = vec![0u32; BUCKETS + 1];
-        for pair in data.windows(2) {
-            buckets[bucket(pair[0], pair[1]) + 1] += 1;
-        }
-        if let Some(&last) = data.last() {
-            buckets[bucket(last, 0)] += 1;
+        if let Some((&first, rest)) = data.split_first() {
+            let mut pair = usize::from(first);
+            for &byte in rest {
+                pair = (pair << 8 | usize::from(byte)) & (BUCKETS - 1);
+                buckets[pair + 1] += 1;
+            }
+            buckets[(pair & 0xFF) << 8] += 1;
         }
         let mut below = 0;
         for count in &mut buckets {
             below += *count;
             *count = below;
         }
+        let counts = byte_counts(&buckets, data);
         Self {
-            sa: crate::sais::suffix_array(data),
+            sa: crate::sais::suffix_array_counted(data, &counts),
             buckets,
         }
     }
@@ -138,6 +144,18 @@ impl SuffixArray {
             cand_hi
         }
     }
+}
+
+/// The number of each byte value in `data`, read off its two-byte index
+/// `buckets`: byte `b`'s suffixes start after the suffixes counted below
+/// its first bucket, less the one-byte suffix when `data` ends with `b`.
+fn byte_counts(buckets: &[u32], data: &[u8]) -> [u32; 256] {
+    let last = data.last().map(|&b| usize::from(b));
+    let start = |b: usize| match b {
+        256 => data.len() as u32,
+        _ => buckets[b << 8] - u32::from(last == Some(b)),
+    };
+    core::array::from_fn(|b| start(b + 1) - start(b))
 }
 
 /// The bucket of strings starting with the bytes `b0, b1`.
@@ -314,6 +332,61 @@ pub(crate) mod tests {
         }
     }
 
+    /// The two-byte index as counted before SA-IS took its byte counts
+    /// from it, one `windows(2)` pass: the oracle of [`SuffixArray::build`]'s
+    /// index.
+    fn windows_index(data: &[u8]) -> Vec<u32> {
+        let mut buckets = vec![0u32; BUCKETS + 1];
+        for pair in data.windows(2) {
+            buckets[bucket(pair[0], pair[1]) + 1] += 1;
+        }
+        if let Some(&last) = data.last() {
+            buckets[bucket(last, 0)] += 1;
+        }
+        let mut below = 0;
+        for count in &mut buckets {
+            below += *count;
+            *count = below;
+        }
+        buckets
+    }
+
+    /// `build`'s index equals the `windows(2)` count, and the byte counts
+    /// read off it equal a plain count.
+    fn check_index(data: &[u8]) {
+        let sa = SuffixArray::build(data);
+        assert_eq!(sa.buckets, windows_index(data), "input {data:?}");
+        let mut counts = [0u32; 256];
+        for &byte in data {
+            counts[usize::from(byte)] += 1;
+        }
+        assert_eq!(byte_counts(&sa.buckets, data), counts, "input {data:?}");
+    }
+
+    #[test]
+    fn index_equals_the_windows_count_on_short_inputs() {
+        // Every text of 0–3 bytes over the two ends of the byte range and
+        // three bytes between, so every length ends on 0x00 and on 0xFF.
+        let bytes = [0x00, 0x01, 0x7F, 0xFE, 0xFF];
+        let mut texts = vec![Vec::new()];
+        for len in 1..=3 {
+            let shorter: Vec<Vec<u8>> = texts
+                .iter()
+                .filter(|t| t.len() == len - 1)
+                .cloned()
+                .collect();
+            for text in shorter {
+                for byte in bytes {
+                    texts.push([text.as_slice(), &[byte]].concat());
+                }
+            }
+        }
+        assert_eq!(texts.len(), 1 + 5 + 25 + 125);
+        for text in &texts {
+            check_index(text);
+        }
+    }
+
     /// An old image and a needle source over one alphabet: two symbols,
     /// four, or every byte; the old image is often 0, 1 or 2 bytes long.
     fn images() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
@@ -335,6 +408,13 @@ pub(crate) mod tests {
     use proptest::prelude::*;
 
     proptest! {
+        /// The index of images over 2, 4 and 256 symbols, often 0–2 bytes
+        /// long, equals the `windows(2)` count.
+        #[test]
+        fn index_equals_the_windows_count(images in images()) {
+            check_index(&images.0);
+        }
+
         /// The bucketed search returns the full-range search's
         /// `(length, offset)` for every suffix of the needle source,
         /// every needle cut from the old image, every one-byte needle and

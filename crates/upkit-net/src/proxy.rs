@@ -33,13 +33,13 @@ use crate::session::{SessionStream, StreamResolution};
 
 /// Steps 6–7 of Fig. 2 through the passive proxy — the smartphone of the
 /// push flow or the border router of the pull flow: asks `server` for the
-/// update `token` calls for and forwards the prepared image, serialized
-/// once and cut into its manifest and payload regions. The proxy holds no
-/// keys.
+/// update `token` calls for and forwards the prepared image as its
+/// manifest and payload regions, built from the image's parts. The proxy
+/// holds no keys.
 #[must_use]
 pub fn forward(server: &UpdateServer, token: &DeviceToken) -> StreamResolution {
     match server.prepare_update(token) {
-        Some(prepared) => StreamResolution::Stream(SessionStream::split(prepared.image.to_bytes())),
+        Some(prepared) => StreamResolution::Stream(SessionStream::from_image(prepared.image)),
         None => StreamResolution::NoUpdate,
     }
 }
@@ -212,7 +212,10 @@ impl CachingProxy {
     /// needed block lands.
     pub fn resolve(&mut self, origin: &CachedOrigin, now_micros: u64) -> StreamResolution {
         let blocks = origin.blocks(self.block_size);
-        let mut assembled = Vec::with_capacity(origin.total_len());
+        let mut stream = SessionStream {
+            manifest: Vec::with_capacity(origin.manifest_len),
+            payload: Vec::with_capacity(origin.total_len() - origin.manifest_len),
+        };
         let mut ready_at = now_micros;
         let (mut hits, mut misses, mut joins) = (0u64, 0u64, 0u64);
         let mut fetched_bytes = 0u64;
@@ -230,7 +233,7 @@ impl CachingProxy {
                 } else {
                     hits += 1;
                 }
-                assembled.extend_from_slice(&entry.bytes);
+                append(&mut stream, origin.manifest_len, &entry.bytes);
                 continue;
             }
             misses += 1;
@@ -241,7 +244,7 @@ impl CachingProxy {
             fetched_bytes += bytes.len() as u64;
             fetch_micros += done - start;
             ready_at = ready_at.max(done);
-            assembled.extend_from_slice(&bytes);
+            append(&mut stream, origin.manifest_len, &bytes);
             if self.capacity_blocks > 0 {
                 self.insert(key, bytes, done);
             }
@@ -266,13 +269,8 @@ impl CachingProxy {
             wait_micros,
         });
 
-        // A poisoned block may have changed length, so the cut is clamped.
-        let payload = assembled.split_off(origin.manifest_len.min(assembled.len()));
         StreamResolution::Deferred {
-            stream: SessionStream {
-                manifest: assembled,
-                payload,
-            },
+            stream,
             wait_micros,
         }
     }
@@ -301,6 +299,18 @@ impl CachingProxy {
             Counters::add(&self.tracer.counters().proxy_evictions, 1);
         }
     }
+}
+
+/// Appends one block to a stream being assembled: its bytes fill the
+/// manifest region up to `manifest_len` and go to the payload after. A
+/// poisoned block may have changed length, so the cut falls where the
+/// assembled bytes reach `manifest_len`, not on a block boundary.
+fn append(stream: &mut SessionStream, manifest_len: usize, bytes: &[u8]) {
+    let take = manifest_len
+        .saturating_sub(stream.manifest.len())
+        .min(bytes.len());
+    stream.manifest.extend_from_slice(&bytes[..take]);
+    stream.payload.extend_from_slice(&bytes[take..]);
 }
 
 #[cfg(test)]
@@ -364,6 +374,9 @@ mod tests {
         FrameAdversary::new(ProxyPath(resolve), tamper).resolve_stream(&token())
     }
 
+    /// `forward`'s two regions, built from the image's parts, equal the
+    /// split of the serialized image byte for byte, and neither manifest
+    /// keeps more than its own bytes' capacity.
     #[test]
     fn honest_forwarder_serves_the_image_faithfully() {
         let (_, server) = server_with_release(140, vec![0x11; 500]);
@@ -371,6 +384,11 @@ mod tests {
         let original = server.prepare_update(&token()).unwrap().image.to_bytes();
         assert_eq!(served.manifest, original[..SIGNED_MANIFEST_LEN]);
         assert_eq!(served.payload, original[SIGNED_MANIFEST_LEN..]);
+        let split = SessionStream::split(original);
+        assert_eq!(served, split);
+        for stream in [&served, &split] {
+            assert_eq!(stream.manifest.capacity(), SIGNED_MANIFEST_LEN);
+        }
     }
 
     #[test]
@@ -449,6 +467,25 @@ mod tests {
         let warm = counters(&proxy);
         assert_eq!(warm.upstream_bytes, cold.upstream_bytes);
         assert_eq!(warm.proxy_cache_hits, u64::from(origin.blocks(256)));
+    }
+
+    #[test]
+    fn resolve_cuts_the_assembled_bytes_at_the_manifest_length() {
+        let origin = origin(1_000);
+        let mut proxy = CachingProxy::new(0, 256, 64, LinkProfile::wifi_backhaul());
+        let (fresh, wait) = unwrap_deferred(proxy.resolve(&origin, 0));
+        assert_eq!(fresh.manifest.capacity(), origin.manifest_len());
+        // A poisoned first block cut to 100 bytes: the manifest region
+        // takes the first 196 assembled bytes, 96 of them from the second
+        // block.
+        assert!(proxy.poison_block(origin.digest(), 0, |bytes| bytes.truncate(100)));
+        let (cut, _) = unwrap_deferred(proxy.resolve(&origin, wait + 1));
+        let direct = origin.direct_stream();
+        let bytes = [direct.manifest, direct.payload].concat();
+        let assembled = [&bytes[..100], &bytes[256..]].concat();
+        assert_eq!(cut.manifest, assembled[..196]);
+        assert_eq!(cut.payload, assembled[196..]);
+        assert_eq!(cut.manifest.capacity(), origin.manifest_len());
     }
 
     #[test]

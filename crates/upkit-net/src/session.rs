@@ -30,7 +30,7 @@
 
 use upkit_core::agent::{AgentError, AgentPhase, AgentState, UpdateAgent, UpdatePlan};
 use upkit_flash::MemoryLayout;
-use upkit_manifest::{DeviceToken, DEVICE_TOKEN_LEN, SIGNED_MANIFEST_LEN};
+use upkit_manifest::{DeviceToken, UpdateImage, DEVICE_TOKEN_LEN, SIGNED_MANIFEST_LEN};
 use upkit_trace::{Counters, Event, Tracer};
 
 use crate::lossy::LossyLink;
@@ -177,15 +177,29 @@ pub struct SessionStream {
 }
 
 impl SessionStream {
+    /// The stream of a prepared update image, built from its parts: the
+    /// serialized signed manifest and the payload, which moves in without
+    /// a copy or a serialization of the whole image.
+    #[must_use]
+    pub fn from_image(image: UpdateImage) -> Self {
+        Self {
+            manifest: image.signed_manifest.to_bytes().to_vec(),
+            payload: image.payload,
+        }
+    }
+
     /// Cuts a serialized update image into its signed-manifest region and
     /// its payload region (a stream shorter than a manifest is all
-    /// manifest).
+    /// manifest). The manifest is copied out and the payload shifted down
+    /// in place, so the manifest holds only its own bytes.
     #[must_use]
     pub fn split(mut wire: Vec<u8>) -> Self {
-        let payload = wire.split_off(SIGNED_MANIFEST_LEN.min(wire.len()));
+        let cut = SIGNED_MANIFEST_LEN.min(wire.len());
+        let manifest = wire[..cut].to_vec();
+        wire.drain(..cut);
         Self {
-            manifest: wire,
-            payload,
+            manifest,
+            payload: wire,
         }
     }
 }

@@ -395,7 +395,7 @@ pub(crate) fn broadcast_stream(world: &UpgradeWorld, differential: bool) -> Sess
         .server
         .prepare_campaign_update(base)
         .expect("v2 is published and newer");
-    SessionStream::split(prepared.image.to_bytes())
+    SessionStream::from_image(prepared.image.clone())
 }
 
 /// The event engine's stream source: the update server answers each
